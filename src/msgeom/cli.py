@@ -25,13 +25,13 @@ import numpy as np
 
 from . import fixtures  # noqa: F401  (fixture generators importable for users)
 from .covering import (BallFamily, cover_report_doc, discrete_reifenberg_verify,
-                       inductive_cover, iterate_cover, union_ball_volume)
+                       iterate_cover, union_ball_volume)
 from .errors import EmptySupportError, EnergyInfiniteError, PlaneFitError
 from .geometry import AtomicMeasure, Ball, hausdorff_distance
 from .harmonic import FIELD_CATALOG, quantitative_stratum
 from .moments import (
     DisplacementConfig,
-    dyadic_profile,
+    dyadic_profiles,
     second_moment_spectrum,
     summability_check,
 )
@@ -139,14 +139,14 @@ def cmd_beta(args):
     step = max(1, mu.count // cap)
     profile_rows = []
     worst = (-1.0, None, None)
-    for j in range(0, mu.count, step):
-        prof = dyadic_profile(mu, mu.positions[j], args.k,
-                              args.alpha_min, args.alpha_max, cfg)
+    profiles = dyadic_profiles(mu, mu.positions[::step], args.k,
+                               args.alpha_min, args.alpha_max, cfg)
+    for prof, w in zip(profiles, weights[::step]):
         for scale, disp, mass in prof.entries():
-            if disp * weights[j] > worst[0]:
-                worst = (disp * weights[j], mu.positions[j], scale)
+            if disp * w > worst[0]:
+                worst = (disp * w, prof.center, scale)
         profile_rows.append({
-            "center": list(mu.positions[j]),
+            "center": list(prof.center),
             "scales": list(prof.scales),
             "displacements": list(prof.displacements),
             "masses": list(prof.masses),
@@ -262,10 +262,9 @@ def cmd_stratify(args):
                                    grid_step=args.grid_step, radius=1.0,
                                    plane_count=args.plane_count)
     root = Ball(np.zeros(args.dim), 1.0)
-    cover = inductive_cover(field, root, args.k, args.epsilon, r, args.eta,
-                            grid_step=args.grid_step, stratum=stratum)
     levels, _ = iterate_cover(field, root, args.k, args.epsilon, r, args.eta,
-                              grid_step=args.grid_step)
+                              grid_step=args.grid_step, stratum=stratum)
+    cover = levels[0][0]
     rhos = [2.0**-a for a in range(-1, 3)]
     vols = []
     for rho in rhos:

@@ -20,11 +20,7 @@ import numpy as np
 from .errors import DisjointnessError, EnergyInfiniteError
 from .geometry import AtomicMeasure, Ball, SpatialIndex
 from .harmonic import quantitative_stratum, theta
-from .moments import (
-    ball_masses_many,
-    displacement_profile_many,
-    unit_ball_volume,
-)
+from .moments import ball_masses_many, dyadic_displacement_sums, unit_ball_volume
 
 
 # ---------------------------------------------------------------------------
@@ -210,46 +206,21 @@ def discrete_reifenberg_verify(family, k, cfg, root_ball=None, packing_bound=Non
 
     r_min = float(family.radii.min())
     alpha = math.floor(-math.log2(max_test_radius))
-    test_radii = []
-    while 2.0**-alpha >= r_min:
-        test_radii.append(2.0**-alpha)
-        alpha += 1
-        if len(test_radii) > 60:
-            break
-
-    # displacement of mu at every center for every dyadic scale <= 2 * r_max
-    inner_scales = {}
-
-    def scale_sums(two_r):
-        """S_m = w_m * sum_{r_alpha <= two_r} D(x_m, r_alpha), cached."""
-        key = round(math.log2(two_r))
-        if key in inner_scales:
-            return inner_scales[key]
-        a = math.ceil(-math.log2(two_r) - 1e-12)
-        total = np.zeros(mu.count)
-        for step in range(60):
-            s = 2.0 ** (-(a + step))
-            counts = mu._index.query_counts(mu.positions, s)
-            if counts.max() <= k + 1:
-                break
-            total += displacement_profile_many(mu, mu.positions, s, k, cfg)
-        out = mu.weights * total
-        inner_scales[key] = out
-        return out
+    test_radii = [2.0**-a for a in range(alpha, alpha + 61) if 2.0**-a >= r_min]
+    # row i: sum over r_alpha <= 2 * test_radii[i] of D(x_m, r_alpha), per atom
+    sums = dyadic_displacement_sums(mu, mu.positions, 2.0 ** (1 - alpha), k, cfg)
 
     worst = (-np.inf, None, None)
     values_by_scale = {}
-    for r in test_radii:
+    for i, r in enumerate(test_radii):
         masses = ball_masses_many(mu, mu.positions, r)
         eligible = np.flatnonzero(masses >= cfg.eps_mass * r**k)
         if len(eligible) == 0:
             values_by_scale[r] = 0.0
             continue
-        S = scale_sums(2.0 * r)
-        from .moments import _neighbors_many
-
-        hoods = _neighbors_many(mu, mu.positions[eligible], r)
-        vals = np.array([S[idx].sum() for idx in hoods]) * r**-k
+        # the integral over B_r(x) is the mass of B_r(x) under nu = S mu
+        nu = AtomicMeasure(mu.positions, mu.weights * sums[min(i, len(sums) - 1)])
+        vals = ball_masses_many(nu, mu.positions[eligible], r) * r**-k
         values_by_scale[r] = float(vals.max())
         j = int(np.argmax(vals))
         if vals[j] > worst[0]:
@@ -471,20 +442,22 @@ def cover_report_doc(levels):
 
 
 def iterate_cover(field, root_ball, k, epsilon, r, eta, grid_step=None,
-                  plane_count=32, max_levels=None):
+                  plane_count=32, max_levels=None, stratum=None):
     """Apply the covering inductively inside every energy-drop ball until
     none remains; the energy sup falls by eta per level, so at most
     ceil(E / eta) levels can occur.
 
     Returns (levels, final_floor_balls) where levels is a list of per-level
-    CoverReport lists.
+    CoverReport lists.  A precomputed stratum may be passed, as for
+    inductive_cover.
     """
     grid_step = grid_step or (r if r > 0 else root_ball.radius / 16.0)
     r_floor = r if r > 0 else grid_step
-    stratum = quantitative_stratum(field, k, epsilon, r_floor, grid_step,
-                                   center=root_ball.center,
-                                   radius=root_ball.radius,
-                                   plane_count=plane_count)
+    if stratum is None:
+        stratum = quantitative_stratum(field, k, epsilon, r_floor, grid_step,
+                                       center=root_ball.center,
+                                       radius=root_ball.radius,
+                                       plane_count=plane_count)
     first = _cover_samples(field, stratum.positions, stratum.weights,
                            root_ball, k, r_floor, eta)
     if max_levels is None:

@@ -1,11 +1,14 @@
 """Core geometric types: affine planes, balls, weighted atomic measures,
-subspace/set distances, and an exact fixed-radius spatial index.
+subspace/set distances, and an exact fixed-radius spatial index with the
+CSR neighbourhoods and segment sums every per-ball total goes through.
 
 All types are immutable after construction and every operation is pure, so
 instances can be shared freely across threads.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -14,7 +17,6 @@ from .errors import EmptySupportError
 
 ORTHONORMALITY_TOL = 1e-10
 _DEPENDENCE_TOL = 1e-8
-_BRUTE_FORCE_MAX = 256
 
 
 def _as_point(p, dim=None):
@@ -153,11 +155,6 @@ class AffinePlane:
     def ambient_dim(self):
         return self.base.shape[0]
 
-    @property
-    def is_linear(self):
-        """True when the plane passes through the origin (up to 1e-12)."""
-        return self.distance(np.zeros(self.ambient_dim)) <= 1e-12
-
     def project(self, points):
         """Orthogonal (affine) projection of one point or a stack of points."""
         pts = np.asarray(points, dtype=float)
@@ -236,12 +233,26 @@ def hausdorff_distance(A, B):
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-class SpatialIndex:
-    """Immutable index over points supporting exact fixed-radius queries.
+def segment_sums(values, indptr):
+    """Sums of values over the CSR segments [indptr[i], indptr[i+1]).
 
-    Small inputs (< 256 points) are scanned directly; larger ones go through
-    a kd-tree.  Either path returns exactly the indices with
-    |x_j - center| <= r.
+    Empty segments sum to zero.  One ball and a batch of balls both total
+    their atoms here, in the same order, so their results agree bitwise.
+    """
+    out = np.zeros((len(indptr) - 1,) + values.shape[1:])
+    full = np.flatnonzero(np.diff(indptr))
+    if full.size:
+        # np.add.reduceat returns values[start] for an empty segment, so
+        # only nonempty segments are reduced
+        out[full] = np.add.reduceat(values, indptr[full], axis=0)
+    return out
+
+
+class SpatialIndex:
+    """Immutable kd-tree index over points with exact closed-ball queries.
+
+    Every query is cKDTree's, so all of them share one predicate: the
+    closed ball |x_j - center| <= r as the tree evaluates it.
     """
 
     __slots__ = ("points", "_tree")
@@ -249,8 +260,6 @@ class SpatialIndex:
     def __init__(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float)).copy()
         object.__setattr__(self, "points", points)
-        # tree is always available for batch queries; single-point queries
-        # below the brute-force threshold scan directly
         tree = cKDTree(points) if points.shape[0] else None
         object.__setattr__(self, "_tree", tree)
         points.setflags(write=False)
@@ -261,11 +270,22 @@ class SpatialIndex:
     def query(self, center, radius):
         """Sorted indices of points within the closed ball B_radius(center)."""
         center = _as_point(center, self.points.shape[1])
-        if self.points.shape[0] < _BRUTE_FORCE_MAX:
-            d = np.linalg.norm(self.points - center, axis=1)
-            return np.flatnonzero(d <= radius)
-        idx = self._tree.query_ball_point(center, radius)
-        return np.array(sorted(idx), dtype=int)
+        return np.sort(self.neighborhoods(center[None, :], radius)[1])
+
+    def neighborhoods(self, centers, radius):
+        """CSR neighbourhoods (indptr, indices) of the closed balls around
+        the centers: indices[indptr[i]:indptr[i + 1]] are the indices of the
+        points within radius of centers[i], in the tree's traversal order,
+        which depends only on the center and the radius."""
+        centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        indptr = np.zeros(centers.shape[0] + 1, dtype=np.intp)
+        if self._tree is None:
+            return indptr, np.zeros(0, dtype=np.intp)
+        lists = self._tree.query_ball_point(centers, radius, return_sorted=False)
+        np.cumsum([len(lst) for lst in lists], out=indptr[1:])
+        indices = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
+                              count=int(indptr[-1]))
+        return indptr, indices
 
     def query_counts(self, centers, radius):
         """Number of points in the closed ball around each center."""
@@ -298,7 +318,7 @@ class AtomicMeasure:
             raise ValueError("atoms must be finite")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_index", SpatialIndex(positions) if m else None)
+        object.__setattr__(self, "_index", SpatialIndex(positions))
         if m:
             center = 0.5 * (positions.min(axis=0) + positions.max(axis=0))
             radius = float(np.linalg.norm(positions - center, axis=1).max())
@@ -332,12 +352,11 @@ class AtomicMeasure:
 
     def indices_in_ball(self, ball):
         """Atom indices inside the closed ball."""
-        if self.count == 0:
-            return np.array([], dtype=int)
         return self._index.query(ball.center, ball.radius)
 
     def mass_in_ball(self, ball):
-        return float(self.weights[self.indices_in_ball(ball)].sum())
+        indptr, idx = self._index.neighborhoods(ball.center, ball.radius)
+        return float(segment_sums(self.weights[idx], indptr)[0])
 
     def restrict(self, ball):
         """New measure keeping only atoms in the closed ball."""

@@ -11,6 +11,16 @@ set to zero when the ball carries less than a configured mass cutoff.  The
 minimizing plane passes through the center of mass and is spanned by the top
 eigenvectors of the second-moment matrix; the minimum equals the sum of the
 trailing eigenvalues.
+
+Every ball statistic here comes from one kernel.  The closed-ball CSR
+neighbourhoods of a batch of centers (geometry.SpatialIndex) are walked in
+chunks of whole balls under a fixed pair budget; each ball's atoms are
+taken relative to its own query center, their mass and mean offset are
+summed, and the second moments are summed about that mean (two passes).  The
+stack of moment matrices goes through one batched cyclic-Jacobi solve.  A
+single ball is a batch of one, so one-ball and batched results agree
+bitwise, and translating mu and the centers together by an exact shift
+leaves every result bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -21,9 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySupportError
-from .geometry import AffinePlane, AtomicMeasure, Ball
+from .geometry import AffinePlane, Ball, segment_sums
 
 MAX_MOMENT_DIM = 16
+_PAIR_BUDGET = 1 << 18       # (ball, atom) pairs held at once by the kernel
+_MAX_DYADIC_SCALES = 60
 
 
 def unit_ball_volume(k):
@@ -87,7 +99,7 @@ class DisplacementConfig:
 
 
 # ---------------------------------------------------------------------------
-# eigensolver: cyclic Jacobi for small symmetric matrices
+# eigensolver: cyclic Jacobi for stacks of small symmetric matrices
 # ---------------------------------------------------------------------------
 
 def jacobi_eigh(A, tol=1e-14, max_sweeps=64, check_symmetry=True):
@@ -107,40 +119,111 @@ def jacobi_eigh(A, tol=1e-14, max_sweeps=64, check_symmetry=True):
         if not np.allclose(A, A.T, atol=1e-12 * max(1.0, np.abs(A).max())):
             raise ValueError("matrix must be symmetric")
         A = 0.5 * (A + A.T)
-    V = np.eye(n)
-    scale = np.abs(A).max()
-    if scale == 0.0 or n == 1:
-        ev = np.diag(A).copy()
-        order = np.argsort(-ev, kind="stable")
-        return ev[order], V[order]
+    ev, vecs = _jacobi_stack(A[None], tol, max_sweeps)
+    return ev[0], vecs[0]
 
+
+def _rotate(X, p, q, c, s):
+    """Rotate rows p and q of every matrix in the stack X."""
+    X[:, p], X[:, q] = c * X[:, p] - s * X[:, q], s * X[:, p] + c * X[:, q]
+
+
+def _jacobi_stack(A, tol=1e-14, max_sweeps=64):
+    """Cyclic Jacobi on a stack of symmetric matrices, shape (m, n, n).
+
+    A rotation at (p, q) is applied only to the matrices whose entry there
+    exceeds tol times their largest entry, so each result is independent
+    of the rest of the stack.  Returns descending eigenvalues (m, n) and
+    the matching eigenvector rows (m, n, n).
+    """
+    A = np.array(A, dtype=float)
+    n = A.shape[1]
+    V = np.broadcast_to(np.eye(n), A.shape).copy()
+    cut = tol * np.abs(A).max(axis=(1, 2), initial=0.0)
     for _ in range(max_sweeps):
-        off = 0.0
+        rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= tol * scale:
+                sel = np.flatnonzero(np.abs(A[:, p, q]) > cut)
+                if sel.size == 0:
                     continue
-                off = max(off, abs(apq))
-                theta = 0.5 * (A[q, q] - A[p, p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot_p = c * A[p] - s * A[q]
-                rot_q = s * A[p] + c * A[q]
-                A[p], A[q] = rot_p, rot_q
-                rot_p = c * A[:, p] - s * A[:, q]
-                rot_q = s * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = rot_p, rot_q
-                A[p, q] = A[q, p] = 0.0
-                rot_p = c * V[p] - s * V[q]
-                rot_q = s * V[p] + c * V[q]
-                V[p], V[q] = rot_p, rot_q
-        if off <= tol * scale:
+                rotated = True
+                a, v = A[sel], V[sel]
+                theta = 0.5 * (a[:, q, q] - a[:, p, p]) / a[:, p, q]
+                t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(1.0, theta))
+                c = 1.0 / np.hypot(1.0, t)
+                c, s = c[:, None], (t * c)[:, None]
+                _rotate(a, p, q, c, s)
+                _rotate(a.swapaxes(1, 2), p, q, c, s)
+                a[:, p, q] = a[:, q, p] = 0.0
+                _rotate(v, p, q, c, s)
+                A[sel], V[sel] = a, v
+        if not rotated:
             break
-    ev = np.diag(A).copy()
-    order = np.argsort(-ev, kind="stable")
-    return ev[order], V[order]
+    ev = np.diagonal(A, axis1=1, axis2=2)
+    order = np.argsort(-ev, axis=1, kind="stable")
+    return np.take_along_axis(ev, order, axis=1), np.take_along_axis(V, order[:, :, None], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the neighbourhood -> centred-moment kernel
+# ---------------------------------------------------------------------------
+
+def _neighbourhoods(mu, centers, r):
+    """Chunks (lo, hi, indptr, indices) of the closed balls B_r(c) for
+    c in centers[lo:hi], in CSR form; a chunk holds whole balls and at most
+    _PAIR_BUDGET (ball, atom) pairs unless one ball alone holds more."""
+    ends = np.cumsum(mu._index.query_counts(centers, r))
+    lo = 0
+    while lo < len(centers):
+        start = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _PAIR_BUDGET, side="right")))
+        yield (lo, hi) + mu._index.neighborhoods(centers[lo:hi], r)
+        lo = hi
+
+
+def _ball_moments(mu, centers, r):
+    """Atom counts, masses, centers of mass and centred second-moment
+    matrices sum w_j (x_j - x_cm)(x_j - x_cm)^T of the balls B_r(c)."""
+    m, n = centers.shape
+    upper = np.triu_indices(n)
+    counts = np.zeros(m, dtype=np.intp)
+    masses = np.zeros(m)
+    means = np.zeros((m, n))
+    mats = np.zeros((m, n, n))
+    for lo, hi, indptr, idx in _neighbourhoods(mu, centers, r):
+        w = mu.weights[idx]
+        counts[lo:hi] = np.diff(indptr)
+        owner = np.repeat(np.arange(hi - lo), counts[lo:hi])
+        # coordinate-major offsets from the ball's own center, so that no
+        # coordinate offset enters the sums
+        rel = mu.positions.T[:, idx] - centers.T[:, lo:hi][:, owner]
+        masses[lo:hi] = segment_sums(w, indptr)
+        mean = segment_sums((w * rel).T, indptr)
+        np.divide(mean, masses[lo:hi, None], out=mean, where=masses[lo:hi, None] > 0.0)
+        cen = rel - mean.T[:, owner]
+        tri = segment_sums(((w * cen)[upper[0]] * cen[upper[1]]).T, indptr)
+        means[lo:hi] = mean
+        mats[lo:hi, upper[0], upper[1]] = tri
+        mats[lo:hi, upper[1], upper[0]] = tri
+    return counts, masses, centers + means, mats
+
+
+def ball_masses_many(mu, centers, r):
+    """mu(B_r(center)) for many centers at once (the kernel's mass pass)."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    masses = np.zeros(centers.shape[0])
+    for lo, hi, indptr, idx in _neighbourhoods(mu, centers, r):
+        masses[lo:hi] = segment_sums(mu.weights[idx], indptr)
+    return masses
+
+
+def _one_ball(mu, ball):
+    """(mass, center of mass, centred second-moment matrix) of one ball."""
+    _, mass, x_cm, mats = _ball_moments(mu, ball.center[None, :], ball.radius)
+    if not mass[0] > 0.0:
+        raise EmptySupportError("empty support: no mass in the requested ball")
+    return float(mass[0]), x_cm[0], mats[0]
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +250,7 @@ class MomentSpectrum:
 
 def center_of_mass(mu, ball):
     """Mass-weighted mean of the atoms inside the ball."""
-    idx = mu.indices_in_ball(ball)
-    w = mu.weights[idx]
-    total = w.sum()
-    if total <= 0.0:
-        raise EmptySupportError("empty support: no mass in the requested ball")
-    return (mu.positions[idx] * w[:, None]).sum(axis=0) / total
+    return _one_ball(mu, ball)[1]
 
 
 def second_moment_spectrum(mu, ball):
@@ -182,18 +260,10 @@ def second_moment_spectrum(mu, ball):
     satisfy the stationarity identity sum w_j <x_j - x_cm, v_i>(x_j - x_cm)
     = lambda_i v_i, and lambda_i = sum w_j <x_j - x_cm, v_i>^2.
     """
-    idx = mu.indices_in_ball(ball)
-    w = mu.weights[idx]
-    total = w.sum()
-    if total <= 0.0:
-        raise EmptySupportError("empty support: no mass in the requested ball")
-    pts = mu.positions[idx]
-    x_cm = (pts * w[:, None]).sum(axis=0) / total
-    centered = pts - x_cm
-    M = (centered * w[:, None]).T @ centered
+    mass, x_cm, M = _one_ball(mu, ball)
     ev, vecs = jacobi_eigh(M)
     ev = np.maximum(ev, 0.0)  # clamp rounding noise on rank-deficient clouds
-    return MomentSpectrum(x_cm=x_cm, eigenvalues=ev, eigenvectors=vecs, mass=float(total))
+    return MomentSpectrum(x_cm=x_cm, eigenvalues=ev, eigenvectors=vecs, mass=mass)
 
 
 def best_affine_plane(mu, ball, k):
@@ -208,148 +278,24 @@ def displacement(mu, x, r, k, cfg):
     B_r(x) when mu(B_r(x)) >= eps_mass * r^k, else exactly 0.  The value is
     invariant under the rescaling (x, r, mu) -> (0, 1, pushforward).
     """
-    if r <= 0:
-        raise ValueError("displacement needs r > 0")
     ball = Ball(x, r)
-    idx = mu.indices_in_ball(ball)
-    return _displacement_from_atoms(mu.positions[idx], mu.weights[idx], r, k, cfg)
-
-
-def _displacement_from_atoms(pts, w, r, k, cfg):
-    mass = w.sum()
-    if mass < cfg.eps_mass * r ** k or mass <= 0.0:
-        return 0.0
-    if pts.shape[0] <= k + 1:
-        return 0.0  # k+1 or fewer points fit a k-plane exactly
-    x_cm = (pts * w[:, None]).sum(axis=0) / mass
-    centered = pts - x_cm
-    M = (centered * w[:, None]).T @ centered
-    ev, _ = jacobi_eigh(M, check_symmetry=False)
-    return float(max(0.0, ev[k:].sum()) * r ** (-(k + 2)))
-
-
-def _batched_jacobi_eigenvalues(Ms, tol=1e-14, max_sweeps=64):
-    """Descending eigenvalues of a stack of symmetric matrices.
-
-    Same cyclic sweep order as jacobi_eigh, with each rotation applied to the
-    whole stack at once.
-    """
-    A = np.array(Ms, dtype=float)
-    c_count, n, _ = A.shape
-    scale = np.abs(A).max(axis=(1, 2))
-    scale[scale == 0.0] = 1.0
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[:, p, q]
-                act = np.abs(apq) > tol * scale
-                if not act.any():
-                    continue
-                off = max(off, float((np.abs(apq) / scale).max()))
-                theta = np.zeros(c_count)
-                theta[act] = 0.5 * (A[act, q, q] - A[act, p, p]) / apq[act]
-                t = np.where(
-                    act,
-                    np.sign(np.where(theta == 0.0, 1.0, theta))
-                    / (np.abs(theta) + np.hypot(1.0, theta)),
-                    0.0,
-                )
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rp = c[:, None] * A[:, p, :] - s[:, None] * A[:, q, :]
-                rq = s[:, None] * A[:, p, :] + c[:, None] * A[:, q, :]
-                A[:, p, :], A[:, q, :] = rp, rq
-                cp = c[:, None] * A[:, :, p] - s[:, None] * A[:, :, q]
-                cq = s[:, None] * A[:, :, p] + c[:, None] * A[:, :, q]
-                A[:, :, p], A[:, :, q] = cp, cq
-                A[:, p, q] = 0.0
-                A[:, q, p] = 0.0
-        if off <= tol:
-            break
-    diag = np.diagonal(A, axis1=1, axis2=2)
-    return -np.sort(-diag, axis=1)
+    return float(displacement_profile_many(mu, ball.center[None, :], r, k, cfg)[0])
 
 
 def displacement_profile_many(mu, centers, r, k, cfg):
     """Displacement at one scale for many centers in a single batch.
 
-    Centers whose ball holds at most k+1 atoms are zero without any fit;
-    the remaining moment matrices are accumulated chunk-wise and solved by
-    one batched Jacobi sweep set.
+    Balls holding at most k+1 atoms (which fit a k-plane exactly) or less
+    mass than the cutoff are exactly zero; the rest share one batched
+    Jacobi solve.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    counts, masses, _, mats = _ball_moments(mu, centers, r)
+    fit = (counts > k + 1) & (masses >= cfg.eps_mass * r**k) & (masses > 0.0)
+    ev, _ = _jacobi_stack(mats[fit])
     out = np.zeros(centers.shape[0])
-    if mu.count == 0:
-        return out
-    counts = mu._index.query_counts(centers, r)
-    active = np.flatnonzero(counts > k + 1)
-    if len(active) == 0:
-        return out
-    n = mu.ambient_dim
-    pts_all = mu.positions
-    w_all = mu.weights
-    total_work = int(counts[active].sum())
-
-    if total_work <= 20_000_000:
-        # exact centered accumulation, vectorized over flattened neighborhoods
-        raw = mu._index._tree.query_ball_point(centers[active], r)
-        lengths = np.array([len(lst) for lst in raw])
-        nonempty = lengths > 0
-        if not nonempty.any():
-            return out
-        active = active[nonempty]
-        idx_flat = np.concatenate([np.asarray(lst, dtype=int) for lst, ne in zip(raw, nonempty) if ne])
-        lengths = lengths[nonempty]
-        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-        w_flat = w_all[idx_flat]
-        p_flat = pts_all[idx_flat]
-        masses = np.add.reduceat(w_flat, starts)
-        sums = np.add.reduceat(w_flat[:, None] * p_flat, starts, axis=0)
-        ok = masses >= np.maximum(cfg.eps_mass * r ** k, 1e-300)
-        if not ok.any():
-            return out
-        cm = np.zeros_like(sums)
-        cm[ok] = sums[ok] / masses[ok, None]
-        centered = p_flat - np.repeat(cm, lengths, axis=0)
-        prods = (centered[:, :, None] * centered[:, None, :]).reshape(len(idx_flat), n * n)
-        mats = np.add.reduceat(w_flat[:, None] * prods, starts, axis=0).reshape(-1, n, n)
-        ev = _batched_jacobi_eigenvalues(mats[ok])
-        out[active[ok]] = np.maximum(ev[:, k:], 0.0).sum(axis=1) * r ** (-(k + 2))
-        return out
-
-    # coarse scales: dense masked accumulation (spreads are O(r), so the
-    # uncentered second-moment algebra is numerically safe here)
-    mats = np.zeros((len(active), n, n))
-    masses = np.zeros(len(active))
-    sums = np.zeros((len(active), n))
-    pair_prods = (pts_all[:, :, None] * pts_all[:, None, :]).reshape(mu.count, n * n)
-    pt_sq = np.einsum("ja,ja->j", pts_all, pts_all)
-    chunk = max(1, int(4e6 // max(mu.count, 1)))
-    for lo in range(0, len(active), chunk):
-        sel = active[lo : lo + chunk]
-        C = centers[sel]
-        d2 = (C * C).sum(axis=1)[:, None] + pt_sq[None, :] - 2.0 * (C @ pts_all.T)
-        wm = np.where(d2 <= r * r, w_all[None, :], 0.0)
-        masses[lo : lo + chunk] = wm.sum(axis=1)
-        sums[lo : lo + chunk] = wm @ pts_all
-        mats[lo : lo + chunk] = (wm @ pair_prods).reshape(-1, n, n)
-    ok = masses >= np.maximum(cfg.eps_mass * r ** k, 1e-300)
-    if not ok.any():
-        return out
-    cm = sums[ok] / masses[ok, None]
-    M = mats[ok] - masses[ok, None, None] * np.einsum("ca,cb->cab", cm, cm)
-    ev = _batched_jacobi_eigenvalues(M)
-    out[active[ok]] = np.maximum(ev[:, k:], 0.0).sum(axis=1) * r ** (-(k + 2))
+    out[fit] = np.maximum(ev[:, k:], 0.0).sum(axis=1) * r ** (-(k + 2))
     return out
-
-
-def _neighbors_many(mu, centers, r):
-    """Per-center lists of atom indices within the closed radius r."""
-    if mu.count == 0:
-        return [np.array([], dtype=int) for _ in centers]
-    raw = mu._index._tree.query_ball_point(np.atleast_2d(centers), r)
-    return [np.sort(np.asarray(lst, dtype=int)) for lst in raw]
 
 
 # ---------------------------------------------------------------------------
@@ -370,46 +316,47 @@ class DyadicProfile:
         return list(zip(self.scales, self.displacements, self.masses))
 
 
-def dyadic_profile(mu, x, k, alpha_min, alpha_max, cfg):
-    """Displacement profile alpha -> D(x, 2^-alpha) for alpha_min..alpha_max."""
+def dyadic_profiles(mu, centers, k, alpha_min, alpha_max, cfg):
+    """Profiles alpha -> D(x, 2^-alpha), alpha_min..alpha_max, for many
+    centers; each scale is one batch over all centers."""
     if alpha_min > alpha_max:
         raise ValueError("alpha_min must not exceed alpha_max")
-    x = np.asarray(x, dtype=float)
-    alphas = np.arange(alpha_min, alpha_max + 1)
-    scales = 2.0 ** (-alphas.astype(float))
-    disps = np.empty(len(alphas))
-    masses = np.empty(len(alphas))
-    for i, r in enumerate(scales):
-        disps[i] = displacement(mu, x, r, k, cfg)
-        masses[i] = mu.mass_in_ball(Ball(x, r))
-    return DyadicProfile(center=x, k=k, scales=scales, displacements=disps, masses=masses)
-
-
-def _dyadic_scales_below(r, mu, k, max_scales=60):
-    """Dyadic radii r_alpha <= r, truncated once every r_alpha-ball around an
-    atom holds at most k+1 atoms (all finer displacements vanish: k+1 points
-    always fit a k-plane exactly)."""
-    alpha = math.ceil(-math.log2(r) - 1e-12)
-    scales = []
-    for a in range(alpha, alpha + max_scales):
-        s = 2.0 ** (-a)
-        scales.append(s)
-        counts = mu._index.query_counts(mu.positions, s)
-        if counts.size == 0 or counts.max() <= k + 1:
-            break
-    return scales
-
-
-def ball_masses_many(mu, centers, r):
-    """mu(B_r(center)) for many centers at once."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if mu.count == 0:
-        return np.zeros(centers.shape[0])
-    w = mu.weights
-    if np.ptp(w) == 0.0:
-        return mu._index.query_counts(centers, r) * float(w[0]) if w.size else np.zeros(centers.shape[0])
-    hoods = _neighbors_many(mu, centers, r)
-    return np.array([w[idx].sum() for idx in hoods])
+    scales = 2.0 ** (-np.arange(alpha_min, alpha_max + 1).astype(float))
+    disps = np.array([displacement_profile_many(mu, centers, r, k, cfg) for r in scales])
+    masses = np.array([ball_masses_many(mu, centers, r) for r in scales])
+    return [DyadicProfile(center=c, k=k, scales=scales, displacements=d, masses=m)
+            for c, d, m in zip(centers, disps.T, masses.T)]
+
+
+def dyadic_profile(mu, x, k, alpha_min, alpha_max, cfg):
+    """Displacement profile alpha -> D(x, 2^-alpha) for alpha_min..alpha_max."""
+    x = np.asarray(x, dtype=float)
+    return dyadic_profiles(mu, x[None, :], k, alpha_min, alpha_max, cfg)[0]
+
+
+def dyadic_displacement_sums(mu, centers, r, k, cfg):
+    """Summed displacement of every center over the dyadic scales <= r.
+
+    D(., r_alpha) is computed once per dyadic r_alpha <= r, coarsest first,
+    until every r_alpha-ball around an atom holds at most k+1 atoms (all
+    finer displacements vanish: k+1 points always fit a k-plane exactly).
+    Returns the suffix sums: row i is sum_{b >= i} D(., r_{alpha_0 + b})
+    where r_{alpha_0} is the largest dyadic radius <= r, and the last row,
+    the sum past the truncation, is zero.
+    """
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    alpha = math.ceil(-math.log2(r) - 1e-12)
+    disps = []
+    for a in range(alpha, alpha + _MAX_DYADIC_SCALES):
+        s = 2.0 ** (-a)
+        if mu._index.query_counts(mu.positions, s).max(initial=0) <= k + 1:
+            break
+        disps.append(displacement_profile_many(mu, centers, s, k, cfg))
+    sums = np.zeros((len(disps) + 1, centers.shape[0]))
+    if disps:
+        sums[:-1] = np.cumsum(disps[::-1], axis=0)[::-1]
+    return sums
 
 
 def summability_check(mu, ball, k, cfg):
@@ -419,17 +366,11 @@ def summability_check(mu, ball, k, cfg):
     holds when value < delta^2.  The dyadic sum is truncated once all finer
     scales provably contribute zero.
     """
-    r = ball.radius
     idx = mu.indices_in_ball(ball)
     if len(idx) == 0:
         return True, 0.0
-    w = mu.weights[idx]
-    pts = mu.positions[idx]
-    total = 0.0
-    for s in _dyadic_scales_below(r, mu, k):
-        contributions = displacement_profile_many(mu, pts, s, k, cfg)
-        total += float(np.add.reduce(contributions * w))
-    value = total * r ** (-k)
+    sums = dyadic_displacement_sums(mu, mu.positions[idx], ball.radius, k, cfg)
+    value = float(np.add.reduce(mu.weights[idx] * sums[0])) * ball.radius ** (-k)
     return value < cfg.delta ** 2, value
 
 

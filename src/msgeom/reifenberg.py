@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PlaneFitError, SeparationError
-from .geometry import AffinePlane, AtomicMeasure, Ball, SpatialIndex
-from .moments import DisplacementConfig, displacement, second_moment_spectrum, summability_check
+from .geometry import AffinePlane, Ball
+from .moments import (DisplacementConfig, ball_masses_many, displacement_profile_many,
+                      second_moment_spectrum, summability_check, unit_ball_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +290,6 @@ class ManifoldAtlas:
 # reconstruction driver
 # ---------------------------------------------------------------------------
 
-def _ball_masses(mu, r):
-    from .moments import ball_masses_many
-
-    return ball_masses_many(mu, mu.positions, r)
-
-
 def _greedy_separated(positions, candidates, r):
     """Greedy maximal r-separated subset (by candidate order)."""
     chosen = []
@@ -306,17 +301,16 @@ def _greedy_separated(positions, candidates, r):
     return np.array(chosen, dtype=int)
 
 
-def _separated_good_centers(mu, r, gamma, k, masses=None):
-    """Greedy maximal r-separated subset of atoms whose r-ball is good."""
-    masses = _ball_masses(mu, r) if masses is None else masses
+def _separated_good_centers(mu, r, gamma, k, masses):
+    """Greedy maximal r-separated subset of atoms whose r-ball is good;
+    masses[j] is mu(B_r(x_j))."""
     cand = np.flatnonzero(masses >= gamma * r**k)
     idx = _greedy_separated(mu.positions, cand, r)
     return mu.positions[idx] if len(idx) else np.zeros((0, mu.ambient_dim))
 
 
-def _bad_centers(mu, r, gamma, k, good_centers, masses=None):
+def _bad_centers(mu, r, gamma, k, good_centers, masses):
     """Greedy r-separated centers among atoms with deficient local mass."""
-    masses = _ball_masses(mu, r) if masses is None else masses
     cand = np.flatnonzero(masses < gamma * r**k)
     if good_centers.shape[0]:
         keep = [j for j in cand
@@ -350,8 +344,6 @@ def _grid_disk(k, radius, spacing):
 
 def _probe_flatness(mu, r, k, cfg, probe_limit=400):
     """sqrt(max displacement at scale 2r over a deterministic atom probe)."""
-    from .moments import displacement_profile_many
-
     step = max(1, mu.count // probe_limit)
     probe = mu.positions[::step]
     vals = displacement_profile_many(mu, probe, 2.0 * r, k, cfg)
@@ -436,7 +428,8 @@ def reconstruct(
     r_final = scale_radii[-1]
 
     # initial manifold: union of best-plane disks at the start scale
-    centers0 = _separated_good_centers(mu, r0, cfg.gamma_good, k)
+    centers0 = _separated_good_centers(mu, r0, cfg.gamma_good, k,
+                                       ball_masses_many(mu, mu.positions, r0))
     if centers0.shape[0] == 0:
         raise PlaneFitError("no good ball at the starting scale", radius=r0)
     planes0 = [_fit_patch_plane(mu, c, r0, k, cfg) for c in centers0]
@@ -472,7 +465,8 @@ def reconstruct(
 
     prev_centers, prev_planes = centers0, planes0
     for step, r in enumerate(scale_radii[1:], start=1):
-        centers = _separated_good_centers(mu, r, cfg.gamma_good, k)
+        masses = ball_masses_many(mu, mu.positions, r)
+        centers = _separated_good_centers(mu, r, cfg.gamma_good, k, masses)
         if centers.shape[0] == 0:
             scales.append(ScaleRecord(index=start + step, radius=r, patches=[],
                                       sigma=None, motion_max=0.0, distortion=1.0,
@@ -487,7 +481,7 @@ def reconstruct(
         distortion = _sampled_distortion(samples, moved, r, rng, component=component)
 
         # holes: excise around bad-mass centers at radius r/6
-        bad = _bad_centers(mu, r, cfg.gamma_good, k, centers)
+        bad = _bad_centers(mu, r, cfg.gamma_good, k, centers, masses)
         if bad.shape[0]:
             d_bad = np.min(
                 np.linalg.norm(samples[:, None, :] - bad[None, :, :], axis=2), axis=1
@@ -516,14 +510,11 @@ def reconstruct(
         prev_centers, prev_planes = centers, planes
 
     # coverage accounting
-    tree = SpatialIndex(samples)
     dists = np.array(
         [np.linalg.norm(samples - a, axis=1).min() for a in mu.positions]
     )
     tol = coverage_factor * max(spacing, cfg.delta * r_final)
-    local_mass = np.array(
-        [mu.mass_in_ball(Ball(a, r_final)) for a in mu.positions]
-    )
+    local_mass = ball_masses_many(mu, mu.positions, r_final)
     covered = (dists <= tol) | (local_mass < cfg.gamma_good * r_final**k)
 
     return ManifoldAtlas(
@@ -675,8 +666,6 @@ def measure_estimate(atlas, ball):
         if d >= ball.radius:
             return 0.0
         rho = math.sqrt(ball.radius**2 - d**2)
-        from .moments import unit_ball_volume
-
         return unit_ball_volume(k) * rho**k
 
     samples = atlas.final_samples[atlas.sample_alive]

@@ -23,7 +23,8 @@ from msgeom.fixtures import (
 )
 from msgeom.geometry import AffinePlane, AtomicMeasure, Ball
 from msgeom.harmonic import radial_projection, smooth_wave, smoothed_projection
-from msgeom.moments import DisplacementConfig, best_affine_plane, unit_ball_volume
+from msgeom.moments import (DisplacementConfig, ball_masses_many, best_affine_plane,
+                            unit_ball_volume)
 
 
 class TestClassify:
@@ -35,10 +36,14 @@ class TestClassify:
         assert len(bad) == 0 and len(good) == len(centers)
 
     def test_empty_balls_all_bad(self):
-        mu = AtomicMeasure([[10.0, 10.0]])
         cfg = DisplacementConfig.default(1)
-        good, bad = classify_balls(mu, np.zeros((3, 2)), 0.5, 1, cfg)
-        assert len(good) == 0 and len(bad) == 3
+        for mu in (AtomicMeasure([[10.0, 10.0]]),
+                   AtomicMeasure([[10.0, 10.0], [11.0, 10.0]], [2.0, 3.0])):
+            good, bad = classify_balls(mu, np.zeros((3, 2)), 0.5, 1, cfg)
+            assert len(good) == 0 and len(bad) == 3
+        # an empty ball between two nonempty ones carries no mass
+        masses = ball_masses_many(mu, [[10.0, 10.0], [0.0, 0.0], [11.0, 10.0]], 0.5)
+        assert list(masses) == [2.0, 0.0, 3.0]
 
     def test_constructed_masses_split_exactly(self):
         cfg = DisplacementConfig.default(1)

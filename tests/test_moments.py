@@ -5,9 +5,11 @@ from msgeom.errors import EmptySupportError
 from msgeom.geometry import AffinePlane, AtomicMeasure, Ball
 from msgeom.moments import (
     DisplacementConfig,
+    ball_masses_many,
     best_affine_plane,
     center_of_mass,
     displacement,
+    displacement_profile_many,
     dyadic_profile,
     effective_spanning_points,
     jacobi_eigh,
@@ -235,6 +237,42 @@ class TestDisplacement:
             assert lhs <= rhs + 1e-12
             checked += 1
         assert checked >= 30
+
+
+    def test_exact_translation_invariance(self):
+        # coordinates on the dyadic grid 2^-20 Z, so mu + t is an exact
+        # translate for dyadic shifts with |t| <= 2^23
+        rng = np.random.default_rng(12)
+        x = rng.uniform(-0.5, 0.5, 4600)
+        y = 1e-3 * rng.normal(size=4600)
+        pts = np.round(np.stack([x, y], axis=1) * 2.0**20) / 2.0**20
+        mu = AtomicMeasure(pts)
+        cfg = DisplacementConfig.default(1)
+        centers = pts[:8]
+        base = displacement_profile_many(mu, centers, 2.0, 1, cfg)
+        assert base.min() > 0.0
+        for t in ([2.0**23, -2.0**22], [1e5, 0.0], [-3.0 * 2**20, 7.5]):
+            t = np.array(t)
+            shifted = AtomicMeasure(pts + t)
+            assert np.array_equal(displacement_profile_many(shifted, centers + t, 2.0, 1, cfg), base)
+            assert displacement(shifted, centers[0] + t, 2.0, 1, cfg) == base[0]
+
+    @pytest.mark.parametrize("count", [200, 1200])
+    def test_one_ball_equals_batch_at_boundary_radii(self, count):
+        # radius = computed distance to another atom puts that atom on the
+        # boundary, where two different closed-ball predicates disagree
+        rng = np.random.default_rng(count)
+        pts = rng.normal(size=(count, 2)) * 0.5
+        mu = AtomicMeasure(pts, rng.random(count) + 0.1)
+        cfg = DisplacementConfig.default(1)
+        ci = rng.integers(0, count, 40)
+        other = (ci + 1 + rng.integers(0, count - 1, 40)) % count
+        centers = pts[ci]
+        radii = np.linalg.norm(pts[other] - centers, axis=1)
+        for i, r in enumerate(radii):
+            assert mu.mass_in_ball(Ball(centers[i], r)) == ball_masses_many(mu, centers, r)[i]
+            assert displacement(mu, centers[i], r, 1, cfg) == \
+                displacement_profile_many(mu, centers, r, 1, cfg)[i]
 
 
 class TestDyadicProfile:
