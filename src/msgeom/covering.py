@@ -255,14 +255,7 @@ def union_ball_volume(centers, radius, cell=None):
     axes = [np.arange(lo[d], hi[d] + h * 0.5, h) for d in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    count = 0
-    chunk = max(1, 5_000_000 // max(centers.shape[0], 1))
-    for i in range(0, pts.shape[0], chunk):
-        block = pts[i : i + chunk]
-        d = np.min(
-            np.linalg.norm(block[:, None, :] - centers[None, :, :], axis=2), axis=1
-        )
-        count += int((d <= radius).sum())
+    count = int((SpatialIndex(centers).nearest(pts) <= radius).sum())
     return count * h**n
 
 
@@ -341,13 +334,7 @@ def _cover_samples(field, samples, weights, root, k, r_floor, eta, ref_scale=Non
     s_x = np.where(s_x > r_floor * (1 + 1e-12), s_x / 2.0, s_x)
 
     # floor-scale cover: maximal r/5-separated subset of the floor samples
-    U_r = []
-    chosen = []
-    for i in floor_idx:
-        p = pts[i]
-        if all(np.linalg.norm(p - pts[j]) > r_floor / 5.0 for j in chosen):
-            chosen.append(i)
-            U_r.append(Ball(p, r_floor))
+    U_r = [Ball(pts[i], r_floor) for i in tree.greedy_net(floor_idx, r_floor / 5.0)]
 
     # energy-drop cover: Vitali on the tenth-radius balls, then eta-subdivide
     U_plus = []
@@ -357,11 +344,7 @@ def _cover_samples(field, samples, weights, root, k, r_floor, eta, ref_scale=Non
     for pick in sel:
         i = plus_idx[pick]
         x_i, r_i = pts[i], float(s_x[i])
-        inner = tree.query(x_i, r_i / 2.0)
-        net = []
-        for j in inner:
-            if all(np.linalg.norm(pts[j] - pts[m]) > eta * r_i for m in net):
-                net.append(j)
+        net = tree.greedy_net(tree.query(x_i, r_i / 2.0), eta * r_i)
         sub_counts.append(len(net))
         for m in net:
             b = Ball(pts[m], eta * r_i)

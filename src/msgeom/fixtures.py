@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import AffinePlane, AtomicMeasure
-from .moments import unit_ball_volume
+from .geometry import AtomicMeasure
 
 
 def plane_cloud(n, k, count=400, extent=1.0, seed=0, weights="uniform"):

@@ -1,6 +1,8 @@
 """Core geometric types: affine planes, balls, weighted atomic measures,
-subspace/set distances, and an exact fixed-radius spatial index with the
-CSR neighbourhoods and segment sums every per-ball total goes through.
+subspace/set distances, and an exact kd-tree spatial index.  Every per-ball
+total goes through its CSR neighbourhoods and segment sums, and every
+nearest-distance and greedy separated-net query goes through its `nearest`
+and `greedy_net`.
 
 All types are immutable after construction and every operation is pure, so
 instances can be shared freely across threads.
@@ -228,9 +230,7 @@ def hausdorff_distance(A, B):
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[0] == 0 or B.shape[0] == 0:
         raise EmptySupportError("Hausdorff distance of an empty set is undefined")
-    d2 = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=2)
-    d = np.sqrt(d2)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    return float(max(SpatialIndex(B).nearest(A).max(), SpatialIndex(A).nearest(B).max()))
 
 
 def segment_sums(values, indptr):
@@ -286,6 +286,30 @@ class SpatialIndex:
         indices = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
                               count=int(indptr[-1]))
         return indptr, indices
+
+    def nearest(self, points):
+        """Distance from each point to the nearest indexed point."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if self._tree is None:
+            raise EmptySupportError("an empty index has no nearest point")
+        return self._tree.query(points, k=1)[0]
+
+    def greedy_net(self, order, radius):
+        """Greedy maximal separated subset of the indices in `order`.
+
+        An index is kept unless a kept index lies in its closed ball of the
+        given radius, so kept points are pairwise farther apart than the
+        radius and every candidate lies within the radius of a kept one.
+        The closed-ball predicate is symmetric, so each kept index blocks
+        its own neighbourhood.  Returns the kept indices in candidate order.
+        """
+        blocked = np.zeros(len(self), dtype=bool)
+        kept = []
+        for j in np.asarray(order, dtype=np.intp):
+            if not blocked[j]:
+                kept.append(j)
+                blocked[self.neighborhoods(self.points[j], radius)[1]] = True
+        return np.array(kept, dtype=np.intp)
 
     def query_counts(self, centers, radius):
         """Number of points in the closed ball around each center."""

@@ -16,17 +16,18 @@ iteration.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .covering import CoverState
 from .errors import PlaneFitError, SeparationError
-from .geometry import AffinePlane, Ball
+from .geometry import AffinePlane, Ball, SpatialIndex, grassmann_distance
 from .moments import (DisplacementConfig, ball_masses_many, displacement_profile_many,
                       second_moment_spectrum, summability_check, unit_ball_volume)
+from .report import dump_json
 
 
 # ---------------------------------------------------------------------------
@@ -56,17 +57,18 @@ class PartitionOfUnity:
         r = float(r)
         if r <= 0:
             raise ValueError("partition scale must be positive")
-        m = centers.shape[0]
-        for i in range(m):
-            d = np.linalg.norm(centers[i + 1 :] - centers[i], axis=1)
-            bad = np.flatnonzero(d < r * (1.0 - 1e-9))
-            if len(bad):
-                j = int(bad[0]) + i + 1
-                raise SeparationError(
-                    f"centers {i} and {j} are {d[bad[0]]:.6g} apart, "
-                    f"closer than the scale {r:.6g}",
-                    pair=(i, j),
-                )
+        # the first close pair (i, j), i < j, in lexicographic order
+        indptr, nbrs = SpatialIndex(centers).neighborhoods(centers, r * (1.0 - 1e-9))
+        rows = np.repeat(np.arange(centers.shape[0]), np.diff(indptr))
+        later = nbrs > rows
+        if later.any():
+            i = int(rows[later].min())
+            j = int(nbrs[later & (rows == i)].min())
+            raise SeparationError(
+                f"centers {i} and {j} are {np.linalg.norm(centers[j] - centers[i]):.6g} "
+                f"apart, closer than the scale {r:.6g}",
+                pair=(i, j),
+            )
         self.centers = centers
         self.r = r
 
@@ -280,8 +282,6 @@ class ManifoldAtlas:
                     for p in rec.patches
                 ],
             })
-        from .report import dump_json
-
         dump_json(doc, path)
         return doc
 
@@ -290,34 +290,20 @@ class ManifoldAtlas:
 # reconstruction driver
 # ---------------------------------------------------------------------------
 
-def _greedy_separated(positions, candidates, r):
-    """Greedy maximal r-separated subset (by candidate order)."""
-    chosen = []
-    for j in candidates:
-        a = positions[j]
-        if chosen and np.linalg.norm(positions[chosen] - a, axis=1).min() < r:
-            continue
-        chosen.append(j)
-    return np.array(chosen, dtype=int)
-
-
 def _separated_good_centers(mu, r, gamma, k, masses):
     """Greedy maximal r-separated subset of atoms whose r-ball is good;
     masses[j] is mu(B_r(x_j))."""
     cand = np.flatnonzero(masses >= gamma * r**k)
-    idx = _greedy_separated(mu.positions, cand, r)
-    return mu.positions[idx] if len(idx) else np.zeros((0, mu.ambient_dim))
+    return mu.positions[mu._index.greedy_net(cand, r)]
 
 
 def _bad_centers(mu, r, gamma, k, good_centers, masses):
-    """Greedy r-separated centers among atoms with deficient local mass."""
+    """Greedy r-separated centers among atoms with deficient local mass
+    at distance at least r from every good center."""
     cand = np.flatnonzero(masses < gamma * r**k)
     if good_centers.shape[0]:
-        keep = [j for j in cand
-                if np.linalg.norm(good_centers - mu.positions[j], axis=1).min() >= r]
-        cand = np.array(keep, dtype=int)
-    idx = _greedy_separated(mu.positions, cand, r)
-    return mu.positions[idx] if len(idx) else np.zeros((0, mu.ambient_dim))
+        cand = cand[SpatialIndex(good_centers).nearest(mu.positions[cand]) >= r]
+    return mu.positions[mu._index.greedy_net(cand, r)]
 
 
 def _fit_patch_plane(mu, center, r, k, cfg):
@@ -434,6 +420,7 @@ def reconstruct(
         raise PlaneFitError("no good ball at the starting scale", radius=r0)
     planes0 = [_fit_patch_plane(mu, c, r0, k, cfg) for c in centers0]
     spacing = r_final / sample_density
+    index0 = SpatialIndex(centers0)
     pieces = []
     for c, plane in zip(centers0, planes0):
         coords = _grid_disk(k, 1.5 * r0, spacing)
@@ -441,10 +428,8 @@ def reconstruct(
         coords = coords + plane.coordinates(c)[0]
         pts = np.atleast_2d(plane.point_at(coords))
         d_own = np.linalg.norm(pts - c, axis=1)
-        d_all = np.min(
-            np.linalg.norm(pts[:, None, :] - centers0[None, :, :], axis=2), axis=1
-        )
-        keep = d_own <= d_all + 1e-12  # Voronoi dedup across overlapping patches
+        # Voronoi dedup across overlapping patches
+        keep = d_own <= index0.nearest(pts) + 1e-12
         pieces.append(pts[keep])
     samples = np.vstack(pieces)
     component = np.concatenate(
@@ -483,11 +468,7 @@ def reconstruct(
         # holes: excise around bad-mass centers at radius r/6
         bad = _bad_centers(mu, r, cfg.gamma_good, k, centers, masses)
         if bad.shape[0]:
-            d_bad = np.min(
-                np.linalg.norm(samples[:, None, :] - bad[None, :, :], axis=2), axis=1
-            )
-            alive &= d_bad > r / 6.0
-        from .covering import CoverState  # deferred: covering imports harmonic
+            alive &= SpatialIndex(bad).nearest(samples) > r / 6.0
 
         state = CoverState(index=start + step, good_centers=centers,
                            bad_centers=bad, final_centers=np.zeros((0, mu.ambient_dim)),
@@ -510,9 +491,7 @@ def reconstruct(
         prev_centers, prev_planes = centers, planes
 
     # coverage accounting
-    dists = np.array(
-        [np.linalg.norm(samples - a, axis=1).min() for a in mu.positions]
-    )
+    dists = SpatialIndex(samples).nearest(mu.positions)
     tol = coverage_factor * max(spacing, cfg.delta * r_final)
     local_mass = ball_masses_many(mu, mu.positions, r_final)
     covered = (dists <= tol) | (local_mass < cfg.gamma_good * r_final**k)
@@ -634,8 +613,6 @@ def _coplanar_plane(atlas, tol=1e-10):
         return None
     ref = patches[0].plane
     scale = atlas.root_ball.radius
-    from .geometry import grassmann_distance
-
     for p in patches:
         lin_ref = AffinePlane(np.zeros(ref.ambient_dim), ref.directions, _skip_checks=True)
         lin_p = AffinePlane(np.zeros(ref.ambient_dim), p.plane.directions, _skip_checks=True)

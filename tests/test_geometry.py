@@ -30,6 +30,26 @@ def brute_force_query(points, center, radius):
     return np.flatnonzero(d <= radius)
 
 
+def brute_force_net(points, order, radius):
+    """Candidates in order, each kept unless a kept point lies in its
+    closed ball."""
+    kept = []
+    for j in order:
+        if all(np.linalg.norm(points[j] - points[i]) > radius for i in kept):
+            kept.append(j)
+    return kept
+
+
+def check_net(points, order, radius, net):
+    """Kept points pairwise farther apart than the radius, and every
+    candidate within the radius of a kept point."""
+    kept = points[net]
+    d = np.linalg.norm(kept[:, None, :] - kept[None, :, :], axis=2)
+    assert np.all(d[~np.eye(len(net), dtype=bool)] > radius)
+    cover = np.linalg.norm(points[order][:, None, :] - kept[None, :, :], axis=2)
+    assert np.all(cover.min(axis=1) <= radius)
+
+
 class TestProjection:
     def test_coordinate_projection(self):
         xaxis = AffinePlane.coordinate(2, [0])
@@ -188,6 +208,16 @@ class TestHausdorff:
         with pytest.raises(EmptySupportError):
             hausdorff_distance(np.zeros((0, 2)), [[0.0, 0.0]])
 
+    def test_large_sets_without_quadratic_memory(self):
+        # 1e5 points in [0, 1]^3 with the corner (1, 1, 1), plus one far
+        # point whose nearest point of the cube is that corner: the distance
+        # is |(3, 4, 12)| = 13 exactly; a pairwise array would hold 1e10 rows
+        A = np.random.default_rng(12).random((100_000, 3))
+        A[0] = 1.0
+        B = np.vstack([A, [4.0, 5.0, 13.0]])
+        assert hausdorff_distance(A, B) == 13.0
+        assert hausdorff_distance(B, A) == 13.0
+
 
 class TestSpatialIndex:
     @pytest.mark.parametrize("count", [5, 50, 300, 1200])
@@ -205,6 +235,45 @@ class TestSpatialIndex:
     def test_boundary_inclusive(self):
         index = SpatialIndex([[0.0, 0.0], [1.0, 0.0]])
         assert np.array_equal(index.query([0.0, 0.0], 1.0), [0, 1])
+
+    def test_nearest_matches_brute_force_bitwise(self):
+        rng = np.random.default_rng(13)
+        pts = rng.normal(size=(700, 3))
+        queries = rng.normal(size=(300, 3)) * 1.5
+        expected = [np.linalg.norm(pts - q, axis=1).min() for q in queries]
+        assert np.array_equal(SpatialIndex(pts).nearest(queries), expected)
+
+    def test_nearest_of_empty_index_raises(self):
+        with pytest.raises(EmptySupportError):
+            SpatialIndex(np.zeros((0, 2))).nearest([[0.0, 0.0]])
+
+    @pytest.mark.parametrize("radius", [0.05, 0.2, 0.7])
+    def test_greedy_net_matches_brute_force(self, radius):
+        rng = np.random.default_rng(14)
+        pts = rng.random((600, 3))
+        order = rng.permutation(600)[:400]
+        net = SpatialIndex(pts).greedy_net(order, radius)
+        assert net.tolist() == brute_force_net(pts, order, radius)
+        check_net(pts, order, radius, net)
+
+    def test_greedy_net_closed_at_exact_ties(self):
+        # dyadic grid with spacing equal to the radius: axis neighbours are
+        # exactly one radius apart, so the closed ball rejects them
+        radius = 0.125
+        axis = np.arange(16) * radius
+        pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        order = np.random.default_rng(15).permutation(len(pts))
+        net = SpatialIndex(pts).greedy_net(order, radius)
+        assert net.tolist() == brute_force_net(pts, order, radius)
+        check_net(pts, order, radius, net)
+        in_order = SpatialIndex(pts).greedy_net(np.arange(len(pts)), radius)
+        # a checkerboard: diagonal neighbours are sqrt(2) radii apart; an
+        # open ball would keep all 256 points
+        assert len(in_order) == 128
+
+    def test_greedy_net_empty_order(self):
+        net = SpatialIndex([[0.0, 0.0]]).greedy_net([], 1.0)
+        assert net.shape == (0,)
 
 
 class TestAtomicMeasure:

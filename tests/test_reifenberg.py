@@ -66,6 +66,14 @@ class TestPartition:
             build_partition([[0.0, 0.0], [0.3, 0.0]], 1.0)
         assert err.value.pair == (0, 1)
 
+    def test_separation_violation_reports_first_pair(self):
+        # close pairs (1, 3), (1, 4), (3, 4) and (2, 5); the first is (1, 3)
+        centers = [[0.0, 0.0], [5.0, 0.0], [20.0, 0.0], [5.3, 0.0], [4.6, 0.0],
+                   [20.5, 0.0]]
+        with pytest.raises(SeparationError) as err:
+            build_partition(centers, 1.0)
+        assert err.value.pair == (1, 3)
+
     def test_leftover(self):
         pou = build_partition([[0.0, 0.0]], 1.0)
         assert pou.leftover([[0.0, 0.0]])[0] == pytest.approx(0.0)
