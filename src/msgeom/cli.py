@@ -10,14 +10,17 @@ stratify     quantitative stratum of a catalog field, cover, Minkowski fit
 
 Input point clouds are CSV: one row per atom, n coordinate columns and an
 optional trailing weight column; a header row is detected by a non-numeric
-first token.  Reports are deterministic JSON (schema 1, 17 significant
-digits).  Exit codes: 0 ok, 2 parse error, 3 dimension mismatch,
-4 hypothesis violated, 5 numerical failure.
+first token.  Values must be finite, weights nonnegative and the radii of
+`pack` positive; a row breaking this is a parse error.  Reports are
+deterministic JSON (schema 1, 17 significant digits).  Exit codes: 0 ok,
+2 parse error, 3 dimension mismatch, 4 hypothesis violated (including
+overlapping balls for `pack`), 5 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 
@@ -26,7 +29,7 @@ import numpy as np
 from . import fixtures  # noqa: F401  (fixture generators importable for users)
 from .covering import (BallFamily, cover_report_doc, discrete_reifenberg_verify,
                        iterate_cover, union_ball_volume)
-from .errors import EmptySupportError, EnergyInfiniteError, PlaneFitError
+from .errors import DisjointnessError, EmptySupportError, EnergyInfiniteError, PlaneFitError
 from .geometry import AtomicMeasure, Ball, hausdorff_distance
 from .harmonic import FIELD_CATALOG, quantitative_stratum
 from .moments import (
@@ -62,8 +65,9 @@ def _is_number(token):
 def read_cloud_csv(path, dim, extra_columns=0):
     """Parse a point-cloud CSV; returns (coords, extras, weights).
 
-    Rows carry dim coordinates, `extra_columns` mandatory trailing columns,
-    and optionally one more weight column.
+    Rows carry dim coordinates, `extra_columns` mandatory trailing columns
+    (ball radii, so positive), and optionally one more weight column, which
+    must be nonnegative.  Every value must be finite.
     """
     rows = []
     weights = []
@@ -98,10 +102,16 @@ def read_cloud_csv(path, dim, extra_columns=0):
                     )
             if len(vals) != expected[0]:
                 raise CliError(EXIT_PARSE, f"parse error on line {lineno}: ragged row")
+            if not all(math.isfinite(v) for v in vals):
+                raise CliError(EXIT_PARSE, f"parse error on line {lineno}: non-finite value")
             has_weight = expected[1]
             coord = vals[:dim]
             trail = vals[dim : dim + extra_columns]
             w = vals[-1] if has_weight else 1.0
+            if w < 0:
+                raise CliError(EXIT_PARSE, f"parse error on line {lineno}: negative weight")
+            if not all(t > 0 for t in trail):
+                raise CliError(EXIT_PARSE, f"parse error on line {lineno}: radius must be positive")
             rows.append(coord)
             extras.append(trail)
             weights.append(w)
@@ -367,6 +377,9 @@ def main(argv=None):
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
+    except DisjointnessError as err:
+        print(f"hypothesis violated: {err}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
     except (EnergyInfiniteError, PlaneFitError, EmptySupportError,
             np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

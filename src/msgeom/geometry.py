@@ -1,7 +1,7 @@
 """Core geometric types: affine planes, balls, weighted atomic measures,
 subspace/set distances, and an exact kd-tree spatial index.  Every per-ball
 total goes through its CSR neighbourhoods and segment sums, and every
-nearest-distance and greedy separated-net query goes through its `nearest`
+nearest-neighbour and greedy separated-net query goes through its `knn`
 and `greedy_net`.
 
 All types are immutable after construction and every operation is pure, so
@@ -287,12 +287,20 @@ class SpatialIndex:
                               count=int(indptr[-1]))
         return indptr, indices
 
-    def nearest(self, points):
-        """Distance from each point to the nearest indexed point."""
+    def knn(self, points, k):
+        """The k nearest indexed points of each point: (distances, indices),
+        two (N, k) arrays with the nearest first.  Points at equal distance
+        come in the tree's order."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self._tree is None:
             raise EmptySupportError("an empty index has no nearest point")
-        return self._tree.query(points, k=1)[0]
+        if not 1 <= k <= len(self):
+            raise ValueError(f"cannot take {k} nearest of {len(self)} points")
+        return self._tree.query(points, k=np.arange(1, k + 1))
+
+    def nearest(self, points):
+        """Distance from each point to the nearest indexed point."""
+        return self.knn(points, 1)[0][:, 0]
 
     def greedy_net(self, order, radius):
         """Greedy maximal separated subset of the indices in `order`.

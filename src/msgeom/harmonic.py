@@ -25,6 +25,7 @@ from .geometry import AffinePlane, AtomicMeasure, Ball
 from .moments import second_moment_spectrum
 
 QUAD_REL_TOL = 1e-4
+_NODE_BUDGET = 1 << 16       # quadrature nodes whose gradients are held at once
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +283,14 @@ def _theta_level(field, x, r, panel_count, angular_order):
     omega, w_ang = _sphere_rule(n, angular_order)
     mids = np.array([0.5 * (a + b) for a, b in panels])
     widths = np.array([b - a for a, b in panels])
-    nodes = (x[None, None, :] + mids[:, None, None] * omega[None, :, :]).reshape(-1, n)
-    g2 = field.grad_sq(nodes).reshape(len(panels), len(w_ang))
-    g2 = np.minimum(g2, 1e30)  # quadrature guard on exactly-singular nodes
-    shell = g2 @ w_ang
+    # blocks of whole panels, at most _NODE_BUDGET nodes unless a panel holds more
+    per = max(1, _NODE_BUDGET // len(w_ang))
+    shell = np.empty(len(panels))
+    for lo in range(0, len(panels), per):
+        ring = mids[lo:lo + per]
+        nodes = (x[None, None, :] + ring[:, None, None] * omega[None, :, :]).reshape(-1, n)
+        g2 = np.minimum(field.grad_sq(nodes), 1e30)  # guard on exactly-singular nodes
+        shell[lo:lo + per] = g2.reshape(len(ring), len(w_ang)) @ w_ang
     integral = float(np.add.reduce(widths * mids ** (n - 1) * shell))
     return integral * r ** (2 - n)
 

@@ -10,8 +10,9 @@ it down scale by scale through interpolation maps
 one per scale, built from a partition of unity at that scale's good centers.
 The composed map phi, its per-step motion, sampled bi-Lipschitz distortion,
 per-patch graph norms, and plane coherence are all measured and logged; the
-final atlas supports k-measure estimation and inversion by per-patch Newton
-iteration.
+final atlas supports k-measure estimation (polyline clipping for curves,
+batched graph lifts through `SpatialIndex.knn` for k >= 2) and inversion by
+per-patch Newton iteration.
 """
 
 from __future__ import annotations
@@ -33,6 +34,18 @@ from .report import dump_json
 # ---------------------------------------------------------------------------
 # partition of unity
 # ---------------------------------------------------------------------------
+
+def _central_difference(f, x, h):
+    """Central-difference Jacobian of f at x: column a is
+    (f(x + h e_a) - f(x - h e_a)) / (2h)."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for a in range(x.shape[0]):
+        e = np.zeros(x.shape[0])
+        e[a] = h
+        cols.append((f(x + e) - f(x - e)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
 
 def _chi(t):
     """C1 cubic taper: 1 on [0, 2], Hermite ramp on (2, 3), 0 beyond."""
@@ -93,15 +106,7 @@ class PartitionOfUnity:
 
     def weight_gradients(self, point, h=None):
         """(m, n) central-difference gradients of the weights at one point."""
-        point = np.asarray(point, dtype=float)
-        n = point.shape[0]
-        h = h or 1e-6 * self.r
-        grads = np.zeros((self.count, n))
-        for a in range(n):
-            e = np.zeros(n)
-            e[a] = h
-            grads[:, a] = (self.weights(point + e)[0] - self.weights(point - e)[0]) / (2 * h)
-        return grads
+        return _central_difference(lambda p: self.weights(p)[0], point, h or 1e-6 * self.r)
 
 
 def build_partition(centers, r):
@@ -138,15 +143,7 @@ class SigmaMap:
 
     def jacobian(self, point, h=None):
         """Central-difference Jacobian at one point."""
-        point = np.asarray(point, dtype=float)
-        n = point.shape[0]
-        h = h or 1e-6 * self.partition.r
-        J = np.zeros((n, n))
-        for a in range(n):
-            e = np.zeros(n)
-            e[a] = h
-            J[:, a] = (self.apply(point + e) - self.apply(point - e)) / (2 * h)
-        return J
+        return _central_difference(self.apply, point, h or 1e-6 * self.partition.r)
 
 
 def sigma_apply(sigma, x):
@@ -213,10 +210,7 @@ class ManifoldAtlas:
 
     def total_distortion_bound(self):
         """Product of the per-step sampled distortions."""
-        prod = 1.0
-        for rec in self.scales:
-            prod *= max(rec.distortion, 1.0)
-        return prod
+        return math.prod(max(rec.distortion, 1.0) for rec in self.scales)
 
     def invert(self, y, tol=1e-10, max_iter=20):
         """phi^{-1}(y) by Newton iteration in the seed's initial patch chart.
@@ -229,12 +223,9 @@ class ManifoldAtlas:
         j = int(np.argmin(np.linalg.norm(final - y, axis=1)))
         # chart: the initial patch plane nearest the seed's initial position
         x0 = self.initial_samples[j]
-        best = None
-        for patch in self.scales[0].patches:
-            d = np.linalg.norm(patch.center - x0)
-            if best is None or d < best[0]:
-                best = (d, patch.plane)
-        plane = best[1]
+        patches = self.scales[0].patches
+        d = np.linalg.norm(np.array([p.center for p in patches]) - x0, axis=1)
+        plane = patches[int(np.argmin(d))].plane
         u = plane.coordinates(x0)[0]
         for _ in range(max_iter):
             x = plane.point_at(u)
@@ -243,13 +234,8 @@ class ManifoldAtlas:
             if np.linalg.norm(res) < tol:
                 break
             h = 1e-7 * max(1.0, np.linalg.norm(u))
-            J = np.zeros((self.k, self.k))
-            for a in range(self.k):
-                e = np.zeros(self.k)
-                e[a] = h
-                fp = self.apply_phi(plane.point_at(u + e))
-                fm = self.apply_phi(plane.point_at(u - e))
-                J[:, a] = ((fp - fm) @ plane.directions.T) / (2 * h)
+            J = _central_difference(
+                lambda v: self.apply_phi(plane.point_at(v)) @ plane.directions.T, u, h)
             try:
                 step = np.linalg.solve(J, res)
             except np.linalg.LinAlgError:
@@ -366,6 +352,22 @@ def _patch_stats(samples, plane, center, radius, parent_plane):
     return sup, lip, coh
 
 
+def _patch_records(samples, centers, planes, r, parents=None):
+    """Patch records of one scale.  `parents` is (centers, planes, reach) of
+    the previous scale; coherence is measured against the plane of the
+    nearest parent center if it lies within reach."""
+    records = []
+    for c, pl in zip(centers, planes):
+        parent = None
+        if parents is not None:
+            d_parent = np.linalg.norm(parents[0] - c, axis=1)
+            j = int(np.argmin(d_parent))
+            parent = parents[1][j] if d_parent[j] <= parents[2] else None
+        records.append(PatchRecord(c, 1.5 * r, pl,
+                                   *_patch_stats(samples, pl, c, 1.5 * r, parent)))
+    return records
+
+
 def reconstruct(
     mu,
     k,
@@ -414,37 +416,31 @@ def reconstruct(
     r_final = scale_radii[-1]
 
     # initial manifold: union of best-plane disks at the start scale
-    centers0 = _separated_good_centers(mu, r0, cfg.gamma_good, k,
-                                       ball_masses_many(mu, mu.positions, r0))
+    masses = ball_masses_many(mu, mu.positions, r0)
+    centers0 = _separated_good_centers(mu, r0, cfg.gamma_good, k, masses)
     if centers0.shape[0] == 0:
         raise PlaneFitError("no good ball at the starting scale", radius=r0)
     planes0 = [_fit_patch_plane(mu, c, r0, k, cfg) for c in centers0]
     spacing = r_final / sample_density
     index0 = SpatialIndex(centers0)
+    disk = _grid_disk(k, 1.5 * r0, spacing)
     pieces = []
     for c, plane in zip(centers0, planes0):
-        coords = _grid_disk(k, 1.5 * r0, spacing)
-        # recenter the disk on the projection of the patch center
-        coords = coords + plane.coordinates(c)[0]
-        pts = np.atleast_2d(plane.point_at(coords))
+        # the disk recentered on the projection of the patch center
+        pts = np.atleast_2d(plane.point_at(disk + plane.coordinates(c)[0]))
         d_own = np.linalg.norm(pts - c, axis=1)
         # Voronoi dedup across overlapping patches
         keep = d_own <= index0.nearest(pts) + 1e-12
         pieces.append(pts[keep])
     samples = np.vstack(pieces)
-    component = np.concatenate(
-        [np.full(len(piece), ci, dtype=int) for ci, piece in enumerate(pieces)]
-    )
+    component = np.repeat(np.arange(len(pieces)), [len(piece) for piece in pieces])
     initial_samples = samples.copy()
     alive = np.ones(samples.shape[0], dtype=bool)
 
-    patches0 = []
-    for c, pl in zip(centers0, planes0):
-        sup, lip, coh = _patch_stats(samples, pl, c, 1.5 * r0, None)
-        patches0.append(PatchRecord(center=c, radius=1.5 * r0, plane=pl,
-                                    graph_sup=sup, graph_lip=lip, coherence=coh))
-    scales = [ScaleRecord(index=start, radius=r0, patches=patches0, sigma=None,
-                          motion_max=0.0, distortion=1.0, flatness=flats[start])]
+    scales = [ScaleRecord(index=start, radius=r0,
+                          patches=_patch_records(samples, centers0, planes0, r0),
+                          sigma=None, motion_max=0.0, distortion=1.0,
+                          flatness=flats[start])]
     samples_per_scale = [samples.copy()]
     rng = np.random.default_rng(seed)
 
@@ -455,7 +451,7 @@ def reconstruct(
         if centers.shape[0] == 0:
             scales.append(ScaleRecord(index=start + step, radius=r, patches=[],
                                       sigma=None, motion_max=0.0, distortion=1.0,
-                                      flatness=_probe_flatness(mu, r, k, cfg)))
+                                      flatness=flats[start + step]))
             samples_per_scale.append(samples.copy())
             continue
         planes = [_fit_patch_plane(mu, c, r, k, cfg) for c in centers]
@@ -475,26 +471,19 @@ def reconstruct(
                            remainder_count=int((~alive).sum()))
 
         samples = moved
-        patch_records = []
-        for c, pl in zip(centers, planes):
-            d_parent = np.linalg.norm(prev_centers - c, axis=1)
-            j = int(np.argmin(d_parent))
-            parent = prev_planes[j] if d_parent[j] <= 3.0 * r / cfg.rho else None
-            sup, lip, coh = _patch_stats(samples, pl, c, 1.5 * r, parent)
-            patch_records.append(PatchRecord(center=c, radius=1.5 * r, plane=pl,
-                                             graph_sup=sup, graph_lip=lip, coherence=coh))
+        patch_records = _patch_records(samples, centers, planes, r,
+                                       (prev_centers, prev_planes, 3.0 * r / cfg.rho))
         scales.append(ScaleRecord(index=start + step, radius=r, patches=patch_records,
                                   sigma=sigma, motion_max=motion, distortion=distortion,
-                                  flatness=_probe_flatness(mu, r, k, cfg),
-                                  cover_state=state))
+                                  flatness=flats[start + step], cover_state=state))
         samples_per_scale.append(samples.copy())
         prev_centers, prev_planes = centers, planes
 
     # coverage accounting
     dists = SpatialIndex(samples).nearest(mu.positions)
     tol = coverage_factor * max(spacing, cfg.delta * r_final)
-    local_mass = ball_masses_many(mu, mu.positions, r_final)
-    covered = (dists <= tol) | (local_mass < cfg.gamma_good * r_final**k)
+    # masses now holds mu(B_r(x_j)) at the final radius
+    covered = (dists <= tol) | (masses < cfg.gamma_good * r_final**k)
 
     return ManifoldAtlas(
         k=k,
@@ -568,13 +557,12 @@ def _chain_samples_1d(samples):
     used = np.zeros(m, dtype=bool)
     order = [0]
     used[0] = True
-    # median spacing guard
-    d_nn = []
-    for j in range(0, m, max(1, m // 50)):
-        d = np.linalg.norm(samples - samples[j], axis=1)
-        d[j] = np.inf
-        d_nn.append(d.min())
-    guard = 6.0 * np.median(d_nn)
+    # median spacing guard: the second nearest sample of a probe is its
+    # nearest other one
+    guard = np.inf
+    if m > 1:
+        probe = samples[::max(1, m // 50)]
+        guard = 6.0 * np.median(SpatialIndex(samples).knn(probe, 2)[0][:, 1])
     while True:
         cur = samples[order[-1]]
         d = np.linalg.norm(samples - cur, axis=1)
@@ -614,9 +602,8 @@ def _coplanar_plane(atlas, tol=1e-10):
     ref = patches[0].plane
     scale = atlas.root_ball.radius
     for p in patches:
-        lin_ref = AffinePlane(np.zeros(ref.ambient_dim), ref.directions, _skip_checks=True)
-        lin_p = AffinePlane(np.zeros(ref.ambient_dim), p.plane.directions, _skip_checks=True)
-        if grassmann_distance(lin_ref, lin_p) > tol:
+        # the subspace distance reads the directions only
+        if grassmann_distance(ref, p.plane) > tol:
             return None
         if ref.distance(p.plane.base) > tol * scale:
             return None
@@ -629,8 +616,11 @@ def measure_estimate(atlas, ball):
     """k-dimensional measure of the final manifold inside a ball.
 
     Flat atlases use the exact disk formula.  k = 1 uses exact polyline
-    clipping of the chained samples; k >= 2 integrates patch graphs over
-    Voronoi-assigned plane cells with fractional boundary cells.
+    clipping of the chained samples.  k >= 2 integrates each final patch
+    graph over the plane cells whose lifted centre is nearest its center:
+    every probe of a patch is lifted in one batch (see `_lift`), and a cell
+    adds its graph area h^k sqrt(det(G G^T)) times the fraction of its 4^k
+    sub-grid whose lift lies in the ball.
     """
     root = atlas.root_ball
     if np.linalg.norm(ball.center - root.center) > root.radius + ball.radius:
@@ -654,64 +644,45 @@ def measure_estimate(atlas, ball):
             segs.append((chain[-1], chain[0]))
         return float(sum(_clip_segment_to_ball(a, b, ball) for a, b in segs))
 
-    # k >= 2: integrate over final patch graphs
+    # k >= 2: integrate the final patch graphs over Voronoi-owned plane cells
     patches = atlas.final_scale.patches
-    centers = np.array([p.center for p in patches])
+    if not patches:
+        return 0.0
+    owners = SpatialIndex([p.center for p in patches])
     total = 0.0
     for pi, patch in enumerate(patches):
         plane = patch.plane
-        h = patch.radius / 12.0
-        coords = _grid_disk(k, patch.radius, h)
         rel = np.linalg.norm(samples - patch.center, axis=1) <= patch.radius * 1.2
         local = samples[rel]
         if local.shape[0] < k + 1:
             continue
-        u_local = plane.coordinates(local)
-        v_local = local - np.atleast_2d(plane.point_at(u_local))
-        shift = plane.coordinates(patch.center)[0]
-        for cell in coords:
-            u = cell + shift
-            x = _lift(plane, u, u_local, v_local)
-            d_all = np.linalg.norm(centers - x, axis=1)
-            if int(np.argmin(d_all)) != pi:
-                continue
-            # metric factor from neighboring lifts
-            area = h**k * _graph_area_factor(plane, u, u_local, v_local, h)
-            frac = _ball_fraction(plane, u, u_local, v_local, h, ball, k)
-            total += area * frac
-    return float(total)
+        # the probes of a cell of side h: its centre, the centre moved by
+        # +-h/2 along each axis, and the centres of a 4^k sub-grid
+        h = patch.radius / 12.0
+        steps = h * 0.5 * np.eye(k)
+        offs = np.linspace(-0.5 * h + h / 8, 0.5 * h - h / 8, 4)
+        sub = np.stack([m.ravel() for m in np.meshgrid(*([offs] * k), indexing="ij")], axis=1)
+        cells = _grid_disk(k, patch.radius, h) + plane.coordinates(patch.center)[0]
+        probes = cells[:, None, :] + np.vstack([np.zeros((1, k)), steps, -steps, sub])
+        x = _lift(plane, local, probes.reshape(-1, k)).reshape(probes.shape[:2] + (-1,))
+        x = x[owners.knn(x[:, 0], 1)[1][:, 0] == pi]
+        # G: the k x n central differences of the lift at each cell centre
+        G = (x[:, 1:k + 1] - x[:, k + 1:2 * k + 1]) / h
+        area = h**k * np.sqrt(np.maximum(np.linalg.det(G @ G.swapaxes(1, 2)), 0.0))
+        # fraction of the cell whose lift lies in the ball
+        frac = (np.linalg.norm(x[:, 2 * k + 1:] - ball.center, axis=2)
+                <= ball.radius).sum(axis=1) / sub.shape[0]
+        total += float((area * frac).sum())
+    return total
 
 
-def _lift(plane, u, u_local, v_local, neighbors=6):
-    d = np.linalg.norm(u_local - u, axis=1)
-    idx = np.argsort(d, kind="stable")[:neighbors]
-    w = 1.0 / np.maximum(d[idx], 1e-12)
-    v = (v_local[idx] * w[:, None]).sum(axis=0) / w.sum()
-    return np.atleast_2d(plane.point_at(u[None, :]))[0] + v
-
-
-def _graph_area_factor(plane, u, u_local, v_local, h):
-    k = u.shape[0]
-    grads = []
-    for a in range(k):
-        e = np.zeros(k)
-        e[a] = h * 0.5
-        gp = _lift(plane, u + e, u_local, v_local)
-        gm = _lift(plane, u - e, u_local, v_local)
-        grads.append((gp - gm) / h)
-    G = np.array(grads)  # k x n tangent vectors of the lifted graph
-    return math.sqrt(max(np.linalg.det(G @ G.T), 0.0)) if G.size else 1.0
-
-
-def _ball_fraction(plane, u, u_local, v_local, h, ball, k, sub=4):
-    """Fraction of the cell at u whose lift lies in the ball (subgrid count)."""
-    corners_in = []
-    offs = np.linspace(-0.5 * h + h / (2 * sub), 0.5 * h - h / (2 * sub), sub)
-    mesh = np.meshgrid(*([offs] * k), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    count = 0
-    for off in pts:
-        x = _lift(plane, u + off, u_local, v_local)
-        if np.linalg.norm(x - ball.center) <= ball.radius:
-            count += 1
-    return count / len(pts)
+def _lift(plane, local, u, neighbors=6):
+    """Lift of the plane coordinates u (N, k) to the graph of the samples
+    `local`: one kNN query on their plane coordinates, then the
+    inverse-distance average of the neighbours' heights over the plane."""
+    u_local = plane.coordinates(local)
+    v_local = local - np.atleast_2d(plane.point_at(u_local))
+    d, idx = SpatialIndex(u_local).knn(u, min(neighbors, len(local)))
+    w = 1.0 / np.maximum(d, 1e-12)
+    v = (v_local[idx] * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
+    return np.atleast_2d(plane.point_at(u)) + v

@@ -59,6 +59,47 @@ class TestCsv:
         assert np.array_equal(back.weights, mu.weights)
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("rows", ["x,y\n0,0\n1,nan\n2,0\n",
+                                      "x,y\n0,0\ninf,0.5\n2,0\n",
+                                      "x,y,w\n0,0,1\n1,0.5,-1\n2,0,1\n"])
+    def test_bad_value_is_parse_error(self, tmp_path, capsys, rows):
+        # a NaN or inf value, or a negative weight, on line 3
+        path = tmp_path / "bad.csv"
+        path.write_text(rows)
+        code = run_cli(["beta", "--input", str(path), "--dim", "2", "--k", "1"])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius", ["0.0", "-0.1"])
+    def test_nonpositive_radius_is_parse_error(self, tmp_path, capsys, radius):
+        path = tmp_path / "balls.csv"
+        path.write_text(f"0.0,0.0,0.1\n1.0,0.0,{radius}\n")
+        code = run_cli(["pack", "--input", str(path), "--dim", "2", "--k", "1"])
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_overlapping_balls_violate_hypothesis(self, tmp_path):
+        path = tmp_path / "balls.csv"
+        path.write_text("0.0,0.0,0.1\n0.05,0.0,0.1\n")
+        code = run_cli(["pack", "--input", str(path), "--dim", "2", "--k", "1"])
+        assert code == 4
+
+    def test_duplicate_atoms(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("".join(f"{i / 50},0.0\n{i / 50},0.0\n" for i in range(50)))
+        for cmd in (["beta"], ["reconstruct", "--scales", "2"]):
+            assert run_cli(cmd + ["--input", str(path), "--dim", "2", "--k", "1"]) == 0
+
+    def test_exactly_k_plus_one_atoms(self, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text("0.0,0.0\n1.0,0.0\n")
+        args = ["--input", str(path), "--dim", "2", "--k", "1"]
+        assert run_cli(["beta"] + args) == 0
+        # no ball of the ladder holds k + 1 atoms to fit a plane to
+        assert run_cli(["reconstruct", "--scales", "2"] + args) == 5
+
+
 class TestCommands:
     def test_beta_planar_holds(self, tmp_path):
         mu = plane_cloud(2, 1, count=100, seed=2)

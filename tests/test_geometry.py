@@ -243,6 +243,40 @@ class TestSpatialIndex:
         expected = [np.linalg.norm(pts - q, axis=1).min() for q in queries]
         assert np.array_equal(SpatialIndex(pts).nearest(queries), expected)
 
+    def test_knn_matches_brute_force_bitwise(self):
+        rng = np.random.default_rng(16)
+        pts = rng.normal(size=(700, 3))
+        queries = rng.normal(size=(300, 3)) * 1.5
+        d, idx = SpatialIndex(pts).knn(queries, 6)
+        assert d.shape == idx.shape == (300, 6)
+        for q, dq, iq in zip(queries, d, idx):
+            dist = np.linalg.norm(pts - q, axis=1)
+            order = np.argsort(dist, kind="stable")[:6]
+            assert np.array_equal(dq, dist[order])
+            assert np.array_equal(iq, order)
+
+    def test_knn_at_exact_ties(self):
+        # dyadic grid queried at grid points and cell centres: 4 or more
+        # neighbours sit at exactly the same distance, and the tree may
+        # order them differently from a stable sort, so the distances are
+        # compared bitwise and the indices as valid nearest sets
+        axis = np.arange(8) * 0.125
+        pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        queries = np.vstack([pts[::5], pts[::7] + 0.0625])
+        k = 9
+        d, idx = SpatialIndex(pts).knn(queries, k)
+        for q, dq, iq in zip(queries, d, idx):
+            dist = np.linalg.norm(pts - q, axis=1)
+            assert np.array_equal(dq, np.sort(dist)[:k])
+            assert len(set(iq.tolist())) == k
+            assert np.array_equal(dist[iq], dq)
+            # every point strictly closer than the k-th is returned
+            assert set(np.flatnonzero(dist < dq[-1])) <= set(iq.tolist())
+
+    def test_knn_needs_enough_points(self):
+        with pytest.raises(ValueError):
+            SpatialIndex([[0.0, 0.0], [1.0, 0.0]]).knn([[0.0, 0.0]], 3)
+
     def test_nearest_of_empty_index_raises(self):
         with pytest.raises(EmptySupportError):
             SpatialIndex(np.zeros((0, 2))).nearest([[0.0, 0.0]])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
@@ -117,6 +119,18 @@ class TestTheta:
         cone = k_symmetric_cone(4, 1)
         vals = [theta(cone, np.zeros(4), r) for r in (0.25, 0.5, 1.0)]
         assert np.ptp(vals) <= 2e-3 * vals[0]
+
+    def test_memory_bounded_in_r4(self):
+        # the finest level of an R^4 theta has millions of nodes; their
+        # gradients are evaluated a block of panels at a time
+        cone = k_symmetric_cone(4, 1)
+        tracemalloc.start()
+        try:
+            theta(cone, np.zeros(4), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**20
 
 
 class TestEnergyDrop:

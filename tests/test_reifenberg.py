@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from msgeom import reifenberg
 from msgeom.errors import SeparationError
 from msgeom.fixtures import circle_cloud, perturbed_plane_cloud, plane_cloud, sine_graph_cloud
 from msgeom.geometry import AffinePlane, AtomicMeasure, Ball
@@ -281,6 +282,47 @@ class TestReconstructGraph:
         r = 0.5
         got = measure_estimate(atlas, Ball(np.zeros(2), r))
         assert got == pytest.approx(2 * r, rel=0.01)
+
+    def test_perturbed_plane_area_k2(self):
+        # a non-flat k = 2 atlas, so the graph integration runs instead of the
+        # coplanar disk formula; the pinned values were computed one cell and
+        # one lift at a time, and the batched lifts reproduce them to 1e-12
+        mu = perturbed_plane_cloud(3, 2, delta=1e-3, count=3000, seed=14)
+        cfg = DisplacementConfig.default(2)
+        atlas = reconstruct(mu, 2, cfg, max_scale_count=3, check_summability=False)
+        for center, r, pinned in [((0.0, 0.0, 0.0), 0.5, 0.7937861769745367),
+                                  ((0.3, -0.2, 0.0), 0.25, 0.197799373961574)]:
+            got = measure_estimate(atlas, Ball(center, r))
+            assert got == pytest.approx(pinned, rel=1e-12)
+            assert got == pytest.approx(np.pi * r**2, rel=0.02)
+
+    def test_no_final_patches_measure_zero(self):
+        # a final scale without good centers keeps no patches to integrate
+        mu = perturbed_plane_cloud(3, 2, delta=1e-2, count=400, seed=5)
+        cfg = DisplacementConfig.default(2)
+        atlas = reconstruct(mu, 2, cfg, max_scale_count=2, check_summability=False)
+        atlas.scales[-1].patches = []
+        assert measure_estimate(atlas, Ball(np.zeros(3), 0.5)) == 0.0
+
+
+class TestFlatnessProbes:
+    def test_each_scale_probed_once(self, monkeypatch):
+        # the start-scale search probes every scale; the scale records
+        # reuse those values
+        calls = []
+        probe = reifenberg._probe_flatness
+
+        def counting(mu, r, *args, **kwargs):
+            calls.append(r)
+            return probe(mu, r, *args, **kwargs)
+
+        monkeypatch.setattr(reifenberg, "_probe_flatness", counting)
+        mu = plane_cloud(2, 1, count=400, seed=4)
+        cfg = DisplacementConfig.default(1)
+        atlas = reconstruct(mu, 1, cfg, max_scale_count=4)
+        assert len(calls) == 4
+        assert len(atlas.scales) == 4
+        assert [rec.flatness for rec in atlas.scales] == [probe(mu, r, 1, cfg) for r in calls]
 
 
 class TestCoverState:
