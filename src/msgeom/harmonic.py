@@ -10,6 +10,10 @@ The normalized energy of a field f over B_r(x) is
 computed on a tensor grid of radial midpoint panels (dyadically refined
 toward radii where the integrand is singular) times a high-order angular
 rule, with a two-level refinement comparison enforcing the accuracy target.
+Every field carries its energy density |grad f|^2 in closed form, so no
+quadrature builds a Jacobian.  A ball near a point singularity is cut into
+shells about that point, and every shell's cap is evaluated in stacked
+blocks of whole panels.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .geometry import AffinePlane, AtomicMeasure, Ball
 from .moments import second_moment_spectrum
 
 QUAD_REL_TOL = 1e-4
-_NODE_BUDGET = 1 << 16       # quadrature nodes whose gradients are held at once
+_NODE_BUDGET = 1 << 16       # quadrature nodes evaluated at once
 
 
 # ---------------------------------------------------------------------------
@@ -33,19 +37,22 @@ _NODE_BUDGET = 1 << 16       # quadrature nodes whose gradients are held at once
 # ---------------------------------------------------------------------------
 
 class EnergyField:
-    """A map f: R^n -> R^m with closed-form gradient.
+    """A map f: R^n -> R^m with closed-form gradient and energy density.
 
-    `fn(X)` maps (N, n) -> (N, m); `grad(X)` maps (N, n) -> (N, m, n).
-    `singular` is None, ("point", p), or ("subspace", AffinePlane); the
-    integrand |grad f|^2 is assumed to blow up like distance^-2 there.
+    `fn(X)` maps (N, n) -> (N, m); `grad(X)` maps (N, n) -> (N, m, n);
+    `density(X)` maps (N, n) -> (N,), the closed form of |grad f|^2, and is
+    0 at exactly singular points.  `singular` is None, ("point", p), or
+    ("subspace", AffinePlane); the density is assumed to blow up like
+    distance^-2 there.
     """
 
-    def __init__(self, n, m, fn, grad, tag, singular=None, sphere_valued=False,
-                 domain_radius=64.0):
+    def __init__(self, n, m, fn, grad, density, tag, singular=None,
+                 sphere_valued=False, domain_radius=64.0):
         self.n = n
         self.m = m
         self.fn = fn
         self.grad = grad
+        self.density = density
         self.tag = tag
         self.singular = singular
         self.sphere_valued = sphere_valued
@@ -59,8 +66,8 @@ class EnergyField:
         return self.grad(np.atleast_2d(np.asarray(X, dtype=float)))
 
     def grad_sq(self, X):
-        G = self.gradient(X)
-        return np.einsum("qmi,qmi->q", G, G)
+        """|grad f|^2 at each row of X."""
+        return self.density(np.atleast_2d(np.asarray(X, dtype=float)))
 
     def singular_codim(self):
         if self.singular is None:
@@ -81,6 +88,12 @@ class EnergyField:
         return obj.distance(X)
 
 
+def _inverse_square(W, c):
+    """c / |w|^2 for each row w of W, and 0 where w = 0."""
+    sq = np.einsum("ij,ij->i", W, W)
+    return np.divide(c, sq, out=np.zeros_like(sq), where=sq > 0.0)
+
+
 def radial_projection(n=3):
     """f(x) = x/|x|, the degree-zero cone map onto the sphere."""
     if n < 2:
@@ -98,7 +111,10 @@ def radial_projection(n=3):
         return (eye[None, :, :] / nrm[:, None, None]
                 - X[:, :, None] * X[:, None, :] / nrm[:, None, None] ** 3)
 
-    return EnergyField(n, n, fn, grad, "radial_projection",
+    def density(X):
+        return _inverse_square(X, n - 1.0)
+
+    return EnergyField(n, n, fn, grad, density, "radial_projection",
                        singular=("point", np.zeros(n)), sphere_valued=True)
 
 
@@ -115,7 +131,11 @@ def smoothed_projection(n=3, core=0.05):
         return (eye[None, :, :] / g[:, None, None]
                 - X[:, :, None] * X[:, None, :] / g[:, None, None] ** 3)
 
-    return EnergyField(n, n, fn, grad, "homogeneous_custom")
+    def density(X):
+        g2 = (X**2).sum(axis=1) + core**2
+        return (n - 1) / g2 + core**4 / g2**3
+
+    return EnergyField(n, n, fn, grad, density, "homogeneous_custom")
 
 
 def linear_field(A):
@@ -129,7 +149,10 @@ def linear_field(A):
     def grad(X):
         return np.broadcast_to(A[None, :, :], (X.shape[0], m, n)).copy()
 
-    return EnergyField(n, m, fn, grad, "smooth")
+    def density(X):
+        return np.full(X.shape[0], float((A**2).sum()))
+
+    return EnergyField(n, m, fn, grad, density, "smooth")
 
 
 def smooth_wave(n=3, freq=1.0):
@@ -146,7 +169,11 @@ def smooth_wave(n=3, freq=1.0):
         g2 = (-0.7 * np.sin(0.7 * t + 0.3))[:, None] * a[None, :]
         return np.stack([g1, g2], axis=1)
 
-    return EnergyField(n, 2, fn, grad, "smooth")
+    def density(X):
+        t = X @ a
+        return (a @ a) * (np.cos(t) ** 2 + 0.49 * np.sin(0.7 * t + 0.3) ** 2)
+
+    return EnergyField(n, 2, fn, grad, density, "smooth")
 
 
 def k_symmetric_cone(n, k):
@@ -176,8 +203,11 @@ def k_symmetric_cone(n, k):
         out[:, :, k:] = inner
         return out
 
+    def density(X):
+        return _inverse_square(X[:, k:], d - 1.0)
+
     plane = AffinePlane.coordinate(n, list(range(k)))
-    return EnergyField(n, d, fn, grad, "k_symmetric_extension",
+    return EnergyField(n, d, fn, grad, density, "k_symmetric_extension",
                        singular=("subspace", plane), sphere_valued=True)
 
 
@@ -196,7 +226,11 @@ def translation_invariant(n, k):
         g2 = (-1.3 * np.sin(1.3 * t))[:, None] * a[None, :]
         return np.stack([g1, g2], axis=1)
 
-    return EnergyField(n, 2, fn, grad, "k_symmetric_extension")
+    def density(X):
+        t = X @ a
+        return (a @ a) * (np.cos(t) ** 2 + 1.69 * np.sin(1.3 * t) ** 2)
+
+    return EnergyField(n, 2, fn, grad, density, "k_symmetric_extension")
 
 
 FIELD_CATALOG = {
@@ -238,16 +272,9 @@ def _sphere_rule_build(n, order):
         z, wz = roots_jacobi(order, (n - 3) / 2.0, (n - 3) / 2.0)
     sub_nodes, sub_w = _sphere_rule(n - 1, order)
     sin_t = np.sqrt(np.maximum(1.0 - z**2, 0.0))
-    nodes = np.zeros((len(z) * len(sub_w), n))
-    weights = np.zeros(len(z) * len(sub_w))
-    row = 0
-    for zi, wzi, si in zip(z, wz, sin_t):
-        cnt = len(sub_w)
-        nodes[row : row + cnt, 0] = zi
-        nodes[row : row + cnt, 1:] = si * sub_nodes
-        weights[row : row + cnt] = wzi * sub_w
-        row += cnt
-    return nodes, weights
+    # one block of rows per polar node z: (z, sin * sub_nodes), weight wz * sub_w
+    nodes = np.column_stack([np.repeat(z, len(sub_w)), np.kron(sin_t[:, None], sub_nodes)])
+    return nodes, np.kron(wz, sub_w)
 
 
 def _radial_panels(r, critical, base_count, min_width_factor=1e-10):
@@ -270,6 +297,13 @@ def _radial_panels(r, critical, base_count, min_width_factor=1e-10):
     return out
 
 
+def _panel_blocks(count, per_panel):
+    """Slices of whole panels holding at most _NODE_BUDGET nodes, unless one
+    panel alone holds more."""
+    per = max(1, _NODE_BUDGET // per_panel)
+    return [slice(lo, lo + per) for lo in range(0, count, per)]
+
+
 def _theta_level(field, x, r, panel_count, angular_order):
     n = field.n
     d_sing = float(field.singular_distance(x)[0])
@@ -283,14 +317,12 @@ def _theta_level(field, x, r, panel_count, angular_order):
     omega, w_ang = _sphere_rule(n, angular_order)
     mids = np.array([0.5 * (a + b) for a, b in panels])
     widths = np.array([b - a for a, b in panels])
-    # blocks of whole panels, at most _NODE_BUDGET nodes unless a panel holds more
-    per = max(1, _NODE_BUDGET // len(w_ang))
     shell = np.empty(len(panels))
-    for lo in range(0, len(panels), per):
-        ring = mids[lo:lo + per]
+    for blk in _panel_blocks(len(panels), len(w_ang)):
+        ring = mids[blk]
         nodes = (x[None, None, :] + ring[:, None, None] * omega[None, :, :]).reshape(-1, n)
-        g2 = np.minimum(field.grad_sq(nodes), 1e30)  # guard on exactly-singular nodes
-        shell[lo:lo + per] = g2.reshape(len(ring), len(w_ang)) @ w_ang
+        g2 = np.minimum(field.grad_sq(nodes), 1e30)  # guard on near-singular nodes
+        shell[blk] = g2.reshape(len(ring), len(w_ang)) @ w_ang
     integral = float(np.add.reduce(widths * mids ** (n - 1) * shell))
     return integral * r ** (2 - n)
 
@@ -299,49 +331,50 @@ def _theta_cap_shells(field, x, r, d, panel_count, angular_order):
     """Shells centered at the singular point p, clipped to B_r(x).
 
     The sphere of radius s about p meets the ball in the polar cap
-    cos(angle to x - p) >= (s^2 + d^2 - r^2) / (2 s d); the integrand is
+    cos(angle to x - p) >= z* = (s^2 + d^2 - r^2) / (2 s d); the integrand is
     smooth on every such shell, so the angular rule converges fast and the
-    only radial kinks sit at s = |d - r| and s = d + r.
+    only radial kinks sit at s = |d - r| and s = d + r.  Each cap is a polar
+    rule in the angle to x - p times the sphere S^(n-2) of directions
+    orthogonal to it; the caps of all panels are stacked and evaluated in
+    blocks of whole panels.
     """
     n = field.n
     p = np.asarray(field.singular[1], dtype=float)
     e = (x - p) / d
-    basis = _perp_basis(e[None, :], n)  # rows: complement of e
-    lo, hi = max(0.0, d - r), d + r
-    panels = _radial_panels(hi, [abs(d - r), d], panel_count)
-    panels = [(a, b) for a, b in panels if b > lo]
-    panels = [(max(a, lo), b) for a, b in panels]
-    z_nodes, z_weights = roots_legendre(max(8, angular_order))
-    if n > 2:
-        sub_nodes, sub_w = _sphere_rule(n - 1, angular_order)
-    integral = 0.0
-    for a, b in panels:
-        s = 0.5 * (a + b)
-        width = b - a
-        zstar = (s * s + d * d - r * r) / (2.0 * s * d)
-        if zstar >= 1.0:
-            continue
-        zstar = max(zstar, -1.0)
-        if n == 2:
-            phi_star = math.acos(zstar)
-            ang = np.linspace(-phi_star, phi_star, 4 * angular_order + 9)
-            mid_ang = 0.5 * (ang[:-1] + ang[1:])
-            w_row = np.full(len(mid_ang), ang[1] - ang[0])
-            dirs = np.cos(mid_ang)[:, None] * e[None, :] + np.sin(mid_ang)[:, None] * basis
-            nodes = p[None, :] + s * dirs
-            g2 = np.minimum(field.grad_sq(nodes), 1e30)
-            shell_val = float(np.add.reduce(w_row * g2))
-        else:
-            z = 0.5 * (zstar + 1.0) + 0.5 * (1.0 - zstar) * z_nodes
-            wz = 0.5 * (1.0 - zstar) * z_weights * (1.0 - z * z) ** ((n - 3) / 2.0)
-            sin_t = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-            dirs = (z[:, None, None] * e[None, None, :]
-                    + sin_t[:, None, None] * (sub_nodes @ basis)[None, :, :])
-            nodes = (p[None, None, :] + s * dirs).reshape(-1, n)
-            g2 = np.minimum(field.grad_sq(nodes), 1e30).reshape(len(z), len(sub_w))
-            shell_val = float(wz @ g2 @ sub_w)
-        integral += width * s ** (n - 1) * shell_val
-    return integral * r ** (2 - n)
+    lo = max(0.0, d - r)
+    a, b = np.array(_radial_panels(d + r, [abs(d - r), d], panel_count)).T
+    a, b = np.maximum(a[b > lo], lo), b[b > lo]
+    s = 0.5 * (a + b)
+    width = b - a
+    zstar = (s * s + d * d - r * r) / (2.0 * s * d)
+    keep = zstar < 1.0
+    s, width, zstar = s[keep], width[keep], np.maximum(zstar[keep], -1.0)
+    # polar rule per panel: cosine and sine of the angle to e, and weights
+    if n == 2:
+        # midpoints of [0, phi*] in 2 * order + 4 equal steps, mirrored by S^0
+        half = 2 * angular_order + 4
+        phi_star = np.arccos(zstar)
+        phi = phi_star[:, None] * ((np.arange(half) + 0.5) / half)
+        cos_t, sin_t = np.cos(phi), np.sin(phi)
+        w_polar = np.repeat((phi_star / half)[:, None], half, axis=1)
+    else:
+        # Gauss-Legendre in z = cos on [z*, 1], weight (1 - z^2)^((n - 3) / 2)
+        z_nodes, z_weights = roots_legendre(max(8, angular_order))
+        cos_t = 0.5 * (zstar + 1.0)[:, None] + 0.5 * (1.0 - zstar)[:, None] * z_nodes
+        w_polar = (0.5 * (1.0 - zstar)[:, None] * z_weights
+                   * (1.0 - cos_t * cos_t) ** ((n - 3) / 2.0))
+        sin_t = np.sqrt(np.maximum(1.0 - cos_t * cos_t, 0.0))
+    sub_nodes, sub_w = _sphere_rule(n - 1, angular_order)
+    ring = sub_nodes @ _perp_basis(e[None, :], n)  # rows: S^(n-2) orthogonal to e
+    # nodes p + s cos(t) e + s sin(t) u: panel radius s, polar node t, u in ring
+    axial = p + (s[:, None] * cos_t)[:, :, None] * e        # (panels, q, n)
+    radial = s[:, None] * sin_t                             # (panels, q)
+    shell = np.empty(len(s))
+    for blk in _panel_blocks(len(s), cos_t.shape[1] * len(sub_w)):
+        nodes = radial[blk, :, None, None] * ring + axial[blk, :, None, :]
+        g2 = np.minimum(field.grad_sq(nodes.reshape(-1, n)), 1e30).reshape(nodes.shape[:3])
+        shell[blk] = np.einsum("pq,pqs->ps", w_polar[blk], g2) @ sub_w
+    return float((width * s ** (n - 1)) @ shell) * r ** (2 - n)
 
 
 def theta(field, x, r, panels=24, order=10):
@@ -643,8 +676,7 @@ def _sampled_grad_sup(field, x, r, angular_order=6, radial_count=6):
     d = field.singular_distance(pts)
     if np.any(d <= 1e-14):
         return np.inf
-    G = field.gradient(pts)
-    return float(np.sqrt(np.einsum("qmi,qmi->q", G, G)).max())
+    return float(np.sqrt(field.grad_sq(pts)).max())
 
 
 def regularity_scale(field, x, cap=1.0):

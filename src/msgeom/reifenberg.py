@@ -552,26 +552,30 @@ def bilipschitz_distortion(atlas, step, pair_count=4000, seed=1):
 
 def _chain_samples_1d(samples):
     """Order curve samples by nearest-neighbor walking; returns index order
-    and whether the chain closes into a loop."""
+    and whether the chain closes into a loop.  A step takes the nearest
+    unused sample (first in index order among equals) within the guard, so
+    it scans one tree ball of slightly larger radius, not every sample."""
     m = samples.shape[0]
-    used = np.zeros(m, dtype=bool)
     order = [0]
-    used[0] = True
     # median spacing guard: the second nearest sample of a probe is its
     # nearest other one
     guard = np.inf
     if m > 1:
+        used = np.zeros(m, dtype=bool)
+        used[0] = True
+        index = SpatialIndex(samples)
         probe = samples[::max(1, m // 50)]
-        guard = 6.0 * np.median(SpatialIndex(samples).knn(probe, 2)[0][:, 1])
-    while True:
-        cur = samples[order[-1]]
-        d = np.linalg.norm(samples - cur, axis=1)
-        d[used] = np.inf
-        j = int(np.argmin(d))
-        if not np.isfinite(d[j]) or d[j] > guard:
-            break
-        order.append(j)
-        used[j] = True
+        guard = 6.0 * np.median(index.knn(probe, 2)[0][:, 1])
+        while True:
+            cur = samples[order[-1]]
+            cand = index.query(cur, guard * (1.0 + 1e-9))
+            cand = cand[~used[cand]]
+            d = np.linalg.norm(samples[cand] - cur, axis=1)
+            if len(cand) == 0 or d.min() > guard:
+                break
+            j = int(cand[np.argmin(d)])
+            order.append(j)
+            used[j] = True
     closes = np.linalg.norm(samples[order[0]] - samples[order[-1]]) <= guard
     return np.array(order, dtype=int), bool(closes)
 
@@ -618,9 +622,10 @@ def measure_estimate(atlas, ball):
     Flat atlases use the exact disk formula.  k = 1 uses exact polyline
     clipping of the chained samples.  k >= 2 integrates each final patch
     graph over the plane cells whose lifted centre is nearest its center:
-    every probe of a patch is lifted in one batch (see `_lift`), and a cell
-    adds its graph area h^k sqrt(det(G G^T)) times the fraction of its 4^k
-    sub-grid whose lift lies in the ball.
+    the cell centres of a patch are lifted in one batch and the other probes
+    of its owned cells in a second (see `_lift`), and a cell adds its graph
+    area h^k sqrt(det(G G^T)) times the fraction of its 4^k sub-grid whose
+    lift lies in the ball.
     """
     root = atlas.root_ball
     if np.linalg.norm(ball.center - root.center) > root.radius + ball.radius:
@@ -663,14 +668,18 @@ def measure_estimate(atlas, ball):
         offs = np.linspace(-0.5 * h + h / 8, 0.5 * h - h / 8, 4)
         sub = np.stack([m.ravel() for m in np.meshgrid(*([offs] * k), indexing="ij")], axis=1)
         cells = _grid_disk(k, patch.radius, h) + plane.coordinates(patch.center)[0]
-        probes = cells[:, None, :] + np.vstack([np.zeros((1, k)), steps, -steps, sub])
+        # the patch owns the cells whose lifted centre is nearest its center;
+        # the other probes are lifted for those cells only
+        owned = owners.knn(_lift(plane, local, cells), 1)[1][:, 0] == pi
+        if not owned.any():
+            continue
+        probes = cells[owned][:, None, :] + np.vstack([steps, -steps, sub])
         x = _lift(plane, local, probes.reshape(-1, k)).reshape(probes.shape[:2] + (-1,))
-        x = x[owners.knn(x[:, 0], 1)[1][:, 0] == pi]
         # G: the k x n central differences of the lift at each cell centre
-        G = (x[:, 1:k + 1] - x[:, k + 1:2 * k + 1]) / h
+        G = (x[:, :k] - x[:, k:2 * k]) / h
         area = h**k * np.sqrt(np.maximum(np.linalg.det(G @ G.swapaxes(1, 2)), 0.0))
         # fraction of the cell whose lift lies in the ball
-        frac = (np.linalg.norm(x[:, 2 * k + 1:] - ball.center, axis=2)
+        frac = (np.linalg.norm(x[:, 2 * k:] - ball.center, axis=2)
                 <= ball.radius).sum(axis=1) / sub.shape[0]
         total += float((area * frac).sum())
     return total

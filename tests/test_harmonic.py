@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
+from scipy.special import gamma, roots_legendre
 
 from msgeom.errors import EnergyInfiniteError
 from msgeom.geometry import AtomicMeasure, Ball
@@ -27,6 +27,19 @@ from msgeom.harmonic import (
 
 EIGHT_PI = 8.0 * np.pi
 
+# one of each field builder, with the cones in every tested dimension
+FIELD_MAKERS = {
+    "radial_projection(2)": lambda: radial_projection(2),
+    "radial_projection(3)": lambda: radial_projection(3),
+    "radial_projection(4)": lambda: radial_projection(4),
+    "smoothed_projection": lambda: smoothed_projection(3, core=0.3),
+    "linear_field": lambda: linear_field(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])),
+    "smooth_wave": lambda: smooth_wave(3, freq=1.7),
+    "k_symmetric_cone(3, 1)": lambda: k_symmetric_cone(3, 1),
+    "k_symmetric_cone(4, 2)": lambda: k_symmetric_cone(4, 2),
+    "translation_invariant": lambda: translation_invariant(4, 1),
+}
+
 
 def radial_theta_oracle(d, r):
     """1-d reduction of theta for x/|x| in R^3 via spherical shells about 0."""
@@ -44,6 +57,24 @@ def radial_theta_oracle(d, r):
 
     val, _ = quad(lambda s: 2.0 / s**2 * area(s), max(1e-14, d - r), d + r, limit=800)
     return val / r
+
+
+def cap_shell_oracle(n, d, r):
+    """theta_r(x) of x/|x| in R^n at |x| = d by shells about 0: the shell of
+    radius s carries (n-1) s^(n-3) |S^(n-2)| int_{z*(s)}^1 (1-z^2)^((n-3)/2) dz
+    with z*(s) = (s^2 + d^2 - r^2) / (2 s d) clipped to [-1, 1]; the inner
+    integral is taken in the angle, z = cos(phi), where it is smooth."""
+    from scipy.integrate import quad
+
+    sphere = 2 * np.pi ** ((n - 1) / 2) / gamma((n - 1) / 2)
+
+    def cap(s):
+        zstar = min(max((s * s + d * d - r * r) / (2 * s * d), -1.0), 1.0)
+        return quad(lambda phi: np.sin(phi) ** (n - 2), 0.0, np.arccos(zstar))[0]
+
+    val, _ = quad(lambda s: (n - 1) * s ** (n - 3) * sphere * cap(s),
+                  max(d - r, 0.0), d + r, points=[abs(d - r)], limit=200)
+    return val * r ** (2 - n)
 
 
 class TestFields:
@@ -75,6 +106,71 @@ class TestFields:
                 fd = (field(x + e)[0] - field(x - e)[0]) / (2 * h)
                 assert np.allclose(G[:, j], fd, rtol=1e-5, atol=1e-7)
             checked += 1
+
+
+class TestEnergyDensity:
+    @pytest.mark.parametrize("name", sorted(FIELD_MAKERS))
+    def test_density_matches_jacobian(self, name):
+        field = FIELD_MAKERS[name]()
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(400, field.n))
+        X = X[field.singular_distance(X) > 0.05][:200]
+        assert X.shape[0] == 200
+        G = field.gradient(X)
+        want = np.einsum("qmi,qmi->q", G, G)
+        np.testing.assert_allclose(field.grad_sq(X), want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", [n for n in sorted(FIELD_MAKERS)
+                                      if "radial" in n or "cone" in n])
+    def test_density_zero_on_singular_set(self, name):
+        field = FIELD_MAKERS[name]()
+        kind, obj = field.singular
+        if kind == "point":
+            X = np.asarray(obj, dtype=float)[None, :]
+        else:
+            t = np.random.default_rng(12).normal(size=(5, obj.k))
+            X = obj.base + t @ obj.directions
+        assert np.all(field.singular_distance(X) == 0.0)
+        assert np.all(field.grad_sq(X) == 0.0)
+        # the Jacobian path gives the same 0
+        G = field.gradient(X)
+        assert np.all(np.einsum("qmi,qmi->q", G, G) == 0.0)
+
+
+    def test_quadrature_never_builds_a_jacobian(self):
+        def no_jacobian(X):
+            raise AssertionError("a quadrature asked for the Jacobian")
+
+        # the plain shell path, the cap-shell path for n = 3 and n = 2, and
+        # the sampled gradient sup of the regularity scale
+        for field, x, r in [(radial_projection(3), np.zeros(3), 0.5),
+                            (radial_projection(3), np.array([0.3, 0.0, 0.0]), 0.5),
+                            (radial_projection(2), np.array([0.6, 0.0]), 0.5),
+                            (k_symmetric_cone(3, 1), np.array([0.0, 0.4, 0.3]), 0.2)]:
+            field.grad = no_jacobian
+            assert theta(field, x, r) > 0.0
+            assert regularity_scale(field, x) >= 0.0
+
+
+class TestCapShells:
+    # off-centre balls of x/|x| with 0 < d <= 1.5 r take the shell path about
+    # the singular point; for n = 2 the ball must miss 0 (r < d)
+    @pytest.mark.parametrize("n, d, r, pinned", [
+        (2, 0.6, 0.5, 3.7261299395313476),
+        (2, 0.7, 0.5, 2.2432066118822824),
+        (2, 0.35, 0.3, 4.169887116288396),
+        (3, 0.3, 0.5, 21.856350366585534),
+        (3, 0.6, 0.5, 7.0429950054829495),
+        (4, 0.3, 0.5, 24.279984719995007),
+        (4, 0.6, 0.5, 10.281218038793533),
+        (4, 0.2, 1.0, 29.018125173333043),
+    ])
+    def test_radial_theta_matches_shell_oracle(self, n, d, r, pinned):
+        u = np.arange(1.0, n + 1.0)
+        x = d * u / np.linalg.norm(u)
+        got = theta(radial_projection(n), x, r)
+        assert got == pytest.approx(pinned, rel=1e-12)
+        assert got == pytest.approx(cap_shell_oracle(n, d, r), rel=5e-4)
 
 
 class TestTheta:

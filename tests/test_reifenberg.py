@@ -305,6 +305,59 @@ class TestReconstructGraph:
         assert measure_estimate(atlas, Ball(np.zeros(3), 0.5)) == 0.0
 
 
+def _brute_force_chain(samples, guard):
+    """Nearest-unused walk over every sample per step (first minimum in index
+    order), stopping past the guard."""
+    used = np.zeros(len(samples), dtype=bool)
+    order = [0]
+    used[0] = True
+    while True:
+        d = np.linalg.norm(samples - samples[order[-1]], axis=1)
+        d[used] = np.inf
+        j = int(np.argmin(d))
+        if not np.isfinite(d[j]) or d[j] > guard:
+            break
+        order.append(j)
+        used[j] = True
+    return order
+
+
+class TestChain:
+    @staticmethod
+    def _guard(samples):
+        m = len(samples)
+        probe = samples[::max(1, m // 50)]
+        d = np.linalg.norm(probe[:, None, :] - samples[None, :, :], axis=2)
+        return 6.0 * np.median(np.sort(d, axis=1)[:, 1])
+
+    @pytest.mark.parametrize("case", ["noisy_circle", "square_lattice", "two_arcs"])
+    def test_matches_brute_force_walk(self, case):
+        rng = np.random.default_rng(21)
+        if case == "noisy_circle":
+            ang = np.linspace(0.0, 2 * np.pi, 700, endpoint=False)
+            samples = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+            samples += 1e-3 * rng.normal(size=samples.shape)
+        elif case == "square_lattice":
+            # unit steps on the boundary of a square: every step has exact ties
+            t = np.arange(40.0)
+            sides = [np.stack([t, 0 * t], 1), np.stack([40 + 0 * t, t], 1),
+                     np.stack([40 - t, 40 + 0 * t], 1), np.stack([0 * t, 40 - t], 1)]
+            samples = np.vstack(sides)
+        else:
+            ang = np.concatenate([np.linspace(0.0, 2.0, 300), np.linspace(3.0, 5.0, 300)])
+            samples = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        samples = samples[rng.permutation(len(samples))]
+        guard = self._guard(samples)
+        want = _brute_force_chain(samples, guard)
+        order, closes = reifenberg._chain_samples_1d(samples)
+        assert order.tolist() == want
+        assert closes == bool(np.linalg.norm(samples[want[0]] - samples[want[-1]]) <= guard)
+        if case == "two_arcs":
+            assert len(order) < len(samples) and not closes
+        else:
+            assert len(order) == len(samples) and closes
+
+
 class TestFlatnessProbes:
     def test_each_scale_probed_once(self, monkeypatch):
         # the start-scale search probes every scale; the scale records
