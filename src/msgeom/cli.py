@@ -129,13 +129,37 @@ def write_cloud_csv(path, mu):
 
 
 def _config(args, k):
-    base = DisplacementConfig.default(k, delta=args.delta)
-    return DisplacementConfig(
-        eps_mass=args.eps_mass if args.eps_mass is not None else base.eps_mass,
-        gamma_good=args.gamma_good if args.gamma_good is not None else base.gamma_good,
-        rho=args.rho,
-        delta=args.delta,
-    )
+    """The displacement coefficients of the options; a value outside its
+    range is a parse error."""
+    try:
+        base = DisplacementConfig.default(k, delta=args.delta)
+        return DisplacementConfig(
+            eps_mass=args.eps_mass if args.eps_mass is not None else base.eps_mass,
+            gamma_good=args.gamma_good if args.gamma_good is not None else base.gamma_good,
+            rho=args.rho,
+            delta=args.delta,
+        )
+    except ValueError as err:
+        raise CliError(EXIT_PARSE, f"bad option value: {err}")
+
+
+def _check_options(args):
+    """Reject option values outside their range before any work is done."""
+    if args.dim > 16:
+        raise CliError(EXIT_DIMENSION, f"ambient dimension {args.dim} exceeds 16")
+    if args.k >= args.dim:
+        raise CliError(EXIT_DIMENSION,
+                       f"intrinsic dimension {args.k} must be below {args.dim}")
+    if args.k < 0:
+        raise CliError(EXIT_PARSE, f"intrinsic dimension {args.k} must be >= 0")
+    for name in ("scales", "grid_step", "eta"):
+        if getattr(args, name, 1) <= 0:
+            raise CliError(EXIT_PARSE, f"--{name.replace('_', '-')} must be positive")
+    if getattr(args, "r_min", 0) < 0:
+        raise CliError(EXIT_PARSE, "--r-min must be >= 0")
+    if getattr(args, "alpha_min", 0) > getattr(args, "alpha_max", 0):
+        raise CliError(EXIT_PARSE, "--alpha-min must not exceed --alpha-max")
+    _config(args, args.k)
 
 
 def cmd_beta(args):
@@ -152,7 +176,7 @@ def cmd_beta(args):
     profiles = dyadic_profiles(mu, mu.positions[::step], args.k,
                                args.alpha_min, args.alpha_max, cfg)
     for prof, w in zip(profiles, weights[::step]):
-        for scale, disp, mass in prof.entries():
+        for scale, disp, _ in prof.entries():
             if disp * w > worst[0]:
                 worst = (disp * w, prof.center, scale)
         profile_rows.append({
@@ -232,7 +256,7 @@ def cmd_reconstruct(args):
 
 
 def cmd_pack(args):
-    coords, extras, weights = read_cloud_csv(args.input, args.dim, extra_columns=1)
+    coords, extras, _ = read_cloud_csv(args.input, args.dim, extra_columns=1)
     radii = extras[:, 0]
     fam = BallFamily(coords, radii)
     cfg = _config(args, args.k)
@@ -276,14 +300,9 @@ def cmd_stratify(args):
                               grid_step=args.grid_step, stratum=stratum)
     cover = levels[0][0]
     rhos = [2.0**-a for a in range(-1, 3)]
-    vols = []
-    for rho in rhos:
-        if stratum.count:
-            vols.append(union_ball_volume(stratum.positions, rho, cell=rho / 8.0))
-        else:
-            vols.append(0.0)
+    vols = [union_ball_volume(stratum.positions, rho, cell=rho / 8.0) for rho in rhos]
     slope = None
-    if stratum.count and all(v > 0 for v in vols):
+    if all(v > 0 for v in vols):
         slope = float(np.polyfit(np.log(rhos), np.log(vols), 1)[0])
     doc = {
         "schema": 1,
@@ -367,11 +386,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.dim > 16:
-            raise CliError(EXIT_DIMENSION, f"ambient dimension {args.dim} exceeds 16")
-        if getattr(args, "k", 0) >= args.dim:
-            raise CliError(EXIT_DIMENSION,
-                           f"intrinsic dimension {args.k} must be below {args.dim}")
+        _check_options(args)
         code, _ = args.fn(args)
         return code
     except CliError as err:

@@ -7,7 +7,9 @@ the associated measure mu = sum omega_k r_j^k delta_{x_j}, checks the summed
 displacement hypothesis on every ball with enough mass, and reports the
 packing sum over the unit ball.  The inductive driver covers a quantitative
 stratum by balls whose energy sup has dropped by eta, plus a residual set at
-the floor scale, tracking packing and volume content.
+the floor scale, tracking packing and volume content.  Its sups of theta go
+through one helper over CSR neighbourhoods and one table per driver call,
+in which each (sample, radius) is evaluated once for all balls and levels.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisjointnessError, EnergyInfiniteError
+from .errors import DisjointnessError
 from .geometry import AtomicMeasure, Ball, SpatialIndex
 from .harmonic import quantitative_stratum, theta
 from .moments import ball_masses_many, dyadic_displacement_sums, unit_ball_volume
@@ -47,7 +49,7 @@ class BallFamily:
         c, r = self.centers, self.radii * shrink
         for i in range(len(r)):
             d = np.linalg.norm(c[i + 1 :] - c[i], axis=1)
-            if np.any(d < r[i + 1 :] + r[i] - 1e-12):
+            if np.any(d < (r[i + 1 :] + r[i]) * (1 - 1e-12)):
                 return False
         return True
 
@@ -274,31 +276,55 @@ class CoverReport:
     packing_sum: float         # sum r_i^k over U_plus
     vol_term: float            # r^{k-n} Vol(B_r(U_r))
     content: float             # omega_k * packing_sum + vol_term
-    skipped: int               # quadrature failures
+    skipped: int               # failed theta values (NaN, left out of sups)
     subdivision_counts: list
 
 
-def _theta_safe(field, x, r, skipped):
-    try:
-        return theta(field, x, r)
-    except (EnergyInfiniteError, ValueError):
-        skipped[0] += 1
-        return np.nan
+class _ThetaTable:
+    """theta_r at the stratum samples by index, for one cover driver call:
+    each (sample, r) is evaluated once, however many balls and levels ask
+    for it.  NaN where the ball meets a singular set of codimension <= 2 or
+    leaves the field domain."""
+
+    def __init__(self, field, samples):
+        self.field, self.samples, self._known = field, samples, {}
+
+    def __call__(self, idx, r):
+        known = self._known
+        for j in idx:
+            if (j, r) not in known:
+                try:
+                    known[j, r] = theta(self.field, self.samples[j], r)
+                except ValueError:  # EnergyInfiniteError included
+                    known[j, r] = np.nan
+        return np.array([known[j, r] for j in idx])
 
 
-def _cover_samples(field, samples, weights, root, k, r_floor, eta, ref_scale=None):
-    """Energy-scale covering of the given stratum samples inside one ball."""
-    skipped = [0]
+def _ball_sups(thetas, inside, hoods, r):
+    """Sup of theta_r over each CSR neighbourhood of the samples `inside` the
+    covered ball (-inf where every value failed), and the count of failed
+    values among its distinct samples.  Every centre is a sample, so no
+    neighbourhood is empty and np.fmax.reduceat takes each ball's sup."""
+    indptr, indices = hoods
+    needed, at = np.unique(indices, return_inverse=True)
+    vals = thetas(inside[needed], r)
+    sups = np.fmax.reduceat(vals[at], indptr[:-1])
+    return np.where(np.isnan(sups), -np.inf, sups), int(np.isnan(vals).sum())
+
+
+def _cover_samples(thetas, root, k, r_floor, eta, ref_scale=None):
+    """Energy-scale covering of the stratum samples of a _ThetaTable inside
+    one ball."""
     radius = ref_scale or root.radius
-    inside = root.contains(samples)
-    pts = samples[inside]
-    w = weights[inside]
-    n = field.n
+    inside = np.flatnonzero(root.contains(thetas.samples))
+    pts = thetas.samples[inside]
+    n = pts.shape[1]
     if pts.shape[0] == 0:
         return CoverReport(root=root, energy_sup=0.0, eta=eta, U_r=[], U_plus=[],
                            U_0=None, packing_sum=0.0, vol_term=0.0, content=0.0,
                            skipped=0, subdivision_counts=[])
-    thetas_top = np.array([_theta_safe(field, p, radius, skipped) for p in pts])
+    thetas_top = thetas(inside, radius)
+    skipped = int(np.isnan(thetas_top).sum())
     E = float(np.nanmax(thetas_top))
 
     scales = []
@@ -312,20 +338,17 @@ def _cover_samples(field, samples, weights, root, k, r_floor, eta, ref_scale=Non
     tree = SpatialIndex(pts)
     # s_x: first dyadic rung at which the eta-scale energy sup recovers to
     # E - eta; capped at 2 * radius when the energy stays dropped throughout
-    s_x = np.full(pts.shape[0], np.nan)
-    for i, p in enumerate(pts):
-        for s in scales:
-            hood = tree.query(p, s)
-            sup = -np.inf
-            for j in hood:
-                v = _theta_safe(field, pts[j], eta * s, skipped)
-                if not np.isnan(v):
-                    sup = max(sup, v)
-            if sup >= E - eta:
-                s_x[i] = s
-                break
-        if np.isnan(s_x[i]):
-            s_x[i] = 2.0 * radius
+    s_x = np.full(pts.shape[0], 2.0 * radius)
+    undecided = np.arange(pts.shape[0])
+    for s in scales:
+        if not len(undecided):
+            break
+        sups, failed = _ball_sups(thetas, inside, tree.neighborhoods(pts[undecided], s),
+                                  eta * s)
+        skipped += failed
+        crossed = sups >= E - eta
+        s_x[undecided[crossed]] = s
+        undecided = undecided[~crossed]
 
     floor_idx = np.flatnonzero(s_x <= r_floor * (1 + 1e-12))
     # the drop ball radius is the rung below the crossing, where the failed
@@ -334,40 +357,47 @@ def _cover_samples(field, samples, weights, root, k, r_floor, eta, ref_scale=Non
     s_x = np.where(s_x > r_floor * (1 + 1e-12), s_x / 2.0, s_x)
 
     # floor-scale cover: maximal r/5-separated subset of the floor samples
-    U_r = [Ball(pts[i], r_floor) for i in tree.greedy_net(floor_idx, r_floor / 5.0)]
+    floor_net = tree.greedy_net(floor_idx, r_floor / 5.0)
+    U_r = [Ball(pts[i], r_floor) for i in floor_net]
 
     # energy-drop cover: Vitali on the tenth-radius balls, then eta-subdivide
-    U_plus = []
-    sub_counts = []
-    tenth = [Ball(pts[i], s_x[i] / 10.0) for i in plus_idx]
-    _, sel = vitali_subcover(tenth)
-    for pick in sel:
-        i = plus_idx[pick]
-        x_i, r_i = pts[i], float(s_x[i])
-        net = tree.greedy_net(tree.query(x_i, r_i / 2.0), eta * r_i)
+    # each selected ball by an (eta r_i)-net of its half-radius samples
+    U_plus, sub_counts = [], []
+    _, sel = vitali_subcover([Ball(pts[i], s_x[i] / 10.0) for i in plus_idx])
+    for i in plus_idx[sel]:
+        r_i = float(s_x[i])
+        rad = eta * r_i
+        net = tree.greedy_net(tree.query(pts[i], r_i / 2.0), rad)
         sub_counts.append(len(net))
-        for m in net:
-            b = Ball(pts[m], eta * r_i)
-            in_b = tree.query(pts[m], b.radius)
-            sup = -np.inf
-            for q in in_b:
-                v = _theta_safe(field, pts[q], b.radius, skipped)
-                if not np.isnan(v):
-                    sup = max(sup, v)
-            U_plus.append((b, float(sup)))
+        sups, failed = _ball_sups(thetas, inside, tree.neighborhoods(pts[net], rad), rad)
+        skipped += failed
+        U_plus += [(Ball(pts[m], rad), float(sup)) for m, sup in zip(net, sups)]
 
     packing = float(sum(b.radius**k for b, _ in U_plus))
-    vol = union_ball_volume(np.array([b.center for b in U_r]), r_floor) if U_r else 0.0
-    vol_term = r_floor ** (k - n) * vol
+    vol_term = r_floor ** (k - n) * union_ball_volume(pts[floor_net], r_floor)
     content = unit_ball_volume(k) * packing + vol_term
     return CoverReport(root=root, energy_sup=E, eta=eta, U_r=U_r, U_plus=U_plus,
                        U_0=None, packing_sum=packing, vol_term=vol_term,
-                       content=content, skipped=skipped[0],
+                       content=content, skipped=skipped,
                        subdivision_counts=sub_counts)
 
 
+def _cover_setup(field, root_ball, k, epsilon, r, grid_step, stratum):
+    """(grid_step, r_floor, thetas) of a cover driver call.  The grid step
+    defaults to r, or to the root radius / 16 when r == 0; the floor scale is
+    r, or the grid step when r == 0.  thetas is the call's _ThetaTable over
+    the stratum, which is computed unless one is given."""
+    grid_step = grid_step or (r if r > 0 else root_ball.radius / 16.0)
+    r_floor = r if r > 0 else grid_step
+    if stratum is None:
+        stratum = quantitative_stratum(field, k, epsilon, r_floor, grid_step,
+                                       center=root_ball.center,
+                                       radius=root_ball.radius, plane_count=32)
+    return grid_step, r_floor, _ThetaTable(field, stratum.positions)
+
+
 def inductive_cover(field, root_ball, k, epsilon, r, eta, grid_step=None,
-                    plane_count=32, stratum=None):
+                    stratum=None):
     """Cover the quantitative stratum of the field inside the root ball.
 
     Returns a CoverReport whose U_plus balls each record the sup of theta at
@@ -376,17 +406,10 @@ def inductive_cover(field, root_ball, k, epsilon, r, eta, grid_step=None,
     was requested) carries the Minkowski-type content bound.  When r == 0
     the floor scale is the grid step (the discrete stand-in for scale zero).
     """
-    want_atoms = r == 0
-    grid_step = grid_step or (r if r > 0 else root_ball.radius / 16.0)
-    r_floor = r if r > 0 else grid_step
-    if stratum is None:
-        stratum = quantitative_stratum(field, k, epsilon, r_floor, grid_step,
-                                       center=root_ball.center,
-                                       radius=root_ball.radius,
-                                       plane_count=plane_count)
-    report = _cover_samples(field, stratum.positions, stratum.weights,
-                            root_ball, k, r_floor, eta)
-    if want_atoms:
+    grid_step, r_floor, thetas = _cover_setup(field, root_ball, k, epsilon, r,
+                                              grid_step, stratum)
+    report = _cover_samples(thetas, root_ball, k, r_floor, eta)
+    if r == 0:
         centers = np.array([b.center for b in report.U_r])
         report.U_0 = AtomicMeasure(centers, np.full(len(centers), grid_step**k)) \
             if len(centers) else AtomicMeasure(np.zeros((0, field.n)), np.zeros(0))
@@ -425,7 +448,7 @@ def cover_report_doc(levels):
 
 
 def iterate_cover(field, root_ball, k, epsilon, r, eta, grid_step=None,
-                  plane_count=32, max_levels=None, stratum=None):
+                  stratum=None):
     """Apply the covering inductively inside every energy-drop ball until
     none remains; the energy sup falls by eta per level, so at most
     ceil(E / eta) levels can occur.
@@ -434,27 +457,18 @@ def iterate_cover(field, root_ball, k, epsilon, r, eta, grid_step=None,
     CoverReport lists.  A precomputed stratum may be passed, as for
     inductive_cover.
     """
-    grid_step = grid_step or (r if r > 0 else root_ball.radius / 16.0)
-    r_floor = r if r > 0 else grid_step
-    if stratum is None:
-        stratum = quantitative_stratum(field, k, epsilon, r_floor, grid_step,
-                                       center=root_ball.center,
-                                       radius=root_ball.radius,
-                                       plane_count=plane_count)
-    first = _cover_samples(field, stratum.positions, stratum.weights,
-                           root_ball, k, r_floor, eta)
-    if max_levels is None:
-        max_levels = max(1, math.ceil(max(first.energy_sup, eta) / eta)) + 1
+    _, r_floor, thetas = _cover_setup(field, root_ball, k, epsilon, r, grid_step,
+                                      stratum)
+    first = _cover_samples(thetas, root_ball, k, r_floor, eta)
     levels = [[first]]
     floor_balls = list(first.U_r)
-    for _ in range(max_levels):
+    for _ in range(max(1, math.ceil(max(first.energy_sup, eta) / eta)) + 1):
         active = [b for rep in levels[-1] for (b, _) in rep.U_plus]
         if not active:
             break
         reports = []
         for b in active:
-            rep = _cover_samples(field, stratum.positions, stratum.weights,
-                                 b, k, r_floor, eta, ref_scale=b.radius)
+            rep = _cover_samples(thetas, b, k, r_floor, eta, ref_scale=b.radius)
             reports.append(rep)
             floor_balls.extend(rep.U_r)
         levels.append(reports)

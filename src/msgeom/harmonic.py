@@ -13,11 +13,14 @@ rule, with a two-level refinement comparison enforcing the accuracy target.
 Every field carries its energy density |grad f|^2 in closed form, so no
 quadrature builds a Jacobian.  A ball near a point singularity is cut into
 shells about that point, and every shell's cap is evaluated in stacked
-blocks of whole panels.
+blocks of whole panels.  `theta` is a pure function of its arguments and
+stores nothing on the field; only the angular rules and the panel
+rotations, which depend on small integers alone, are memoized.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,7 +60,6 @@ class EnergyField:
         self.singular = singular
         self.sphere_valued = sphere_valued
         self.domain_radius = domain_radius
-        self._theta_cache = {}
 
     def __call__(self, X):
         return self.fn(np.atleast_2d(np.asarray(X, dtype=float)))
@@ -244,21 +246,10 @@ FIELD_CATALOG = {
 # ball quadrature
 # ---------------------------------------------------------------------------
 
-_SPHERE_RULE_CACHE = {}
-_ROTATION_CACHE = {}
-
-
+@functools.cache
 def _sphere_rule(n, order):
-    """Nodes/weights on S^{n-1}; exact for high angular polynomial degree."""
-    hit = _SPHERE_RULE_CACHE.get((n, order))
-    if hit is not None:
-        return hit
-    out = _sphere_rule_build(n, order)
-    _SPHERE_RULE_CACHE[(n, order)] = out
-    return out
-
-
-def _sphere_rule_build(n, order):
+    """Nodes/weights on S^{n-1}; exact for high angular polynomial degree.
+    Memoized: the arguments are small integers, so the memo stays small."""
     if n == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if n == 2:
@@ -398,15 +389,10 @@ def theta(field, x, r, panels=24, order=10):
             raise EnergyInfiniteError(
                 "energy infinite: singular set of codimension <= 2 meets the ball"
             )
-    key = (x.tobytes(), float(r), panels, order)
-    hit = field._theta_cache.get(key)
-    if hit is not None:
-        return hit
     coarse = _theta_level(field, x, r, panels, order)
     fine = _theta_level(field, x, r, 2 * panels, order + 6)
     if abs(fine - coarse) > QUAD_REL_TOL * max(abs(fine), 1e-12):
         fine = _theta_level(field, x, r, 4 * panels, order + 14)
-    field._theta_cache[key] = fine
     return fine
 
 
@@ -426,12 +412,13 @@ class EnergyPoint:
 
 
 def energy_point(field, x, r, alpha_range=(3, 6)):
-    """theta at (x, r) plus the standard three-scale dyadic drops."""
-    drops = []
-    for a in range(alpha_range[0], alpha_range[1] + 1):
-        drops.append((a, theta(field, x, 2.0 ** (3 - a)) - theta(field, x, 2.0**-a)))
-    return EnergyPoint(x=np.asarray(x, dtype=float), r=r, theta=theta(field, x, r),
-                       drops=drops)
+    """theta at (x, r) plus the standard three-scale dyadic drops; theta is
+    evaluated once per distinct radius."""
+    alphas = range(alpha_range[0], alpha_range[1] + 1)
+    radii = {r} | {2.0 ** (3 - a) for a in alphas} | {2.0**-a for a in alphas}
+    th = {s: theta(field, x, s) for s in radii}
+    return EnergyPoint(x=np.asarray(x, dtype=float), r=r, theta=th[r],
+                       drops=[(a, th[2.0 ** (3 - a)] - th[2.0**-a]) for a in alphas])
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +450,10 @@ def grassmann_candidates(n, k, count, seed=0):
     return frames
 
 
+@functools.cache
 def _panel_rotation(n, index):
-    hit = _ROTATION_CACHE.get((n, index))
-    if hit is not None:
-        return hit
     rng = np.random.default_rng(1000 + index)
-    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    _ROTATION_CACHE[(n, index)] = Q
-    return Q
+    return np.linalg.qr(rng.normal(size=(n, n)))[0]
 
 
 def _ball_quadrature(field, center, r, panel_count=10, angular_order=10):

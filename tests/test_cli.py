@@ -85,6 +85,12 @@ class TestBadInput:
         code = run_cli(["pack", "--input", str(path), "--dim", "2", "--k", "1"])
         assert code == 4
 
+    def test_tiny_overlapping_balls_violate_hypothesis(self, tmp_path):
+        path = tmp_path / "balls.csv"
+        path.write_text("0.0,0.0,1e-13\n0.0,0.0,1e-13\n")
+        code = run_cli(["pack", "--input", str(path), "--dim", "2", "--k", "1"])
+        assert code == 4
+
     def test_duplicate_atoms(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("".join(f"{i / 50},0.0\n{i / 50},0.0\n" for i in range(50)))
@@ -98,6 +104,32 @@ class TestBadInput:
         assert run_cli(["beta"] + args) == 0
         # no ball of the ladder holds k + 1 atoms to fit a plane to
         assert run_cli(["reconstruct", "--scales", "2"] + args) == 5
+
+
+class TestOptionRanges:
+    CLOUD = ["--input", "{cloud}", "--dim", "2", "--k", "1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["beta", *CLOUD, "--rho", "0.3"],
+        ["beta", *CLOUD, "--delta", "0"],
+        ["beta", *CLOUD, "--eps-mass", "-1"],
+        ["beta", *CLOUD, "--gamma-good", "0"],
+        ["beta", *CLOUD, "--alpha-min", "5", "--alpha-max", "2"],
+        ["reconstruct", *CLOUD, "--scales", "0"],
+        ["fit-plane", "--input", "{cloud}", "--dim", "2", "--k", "-1"],
+        ["stratify", "--fixture", "smooth", "--dim", "3", "--k", "0", "--grid-step", "0"],
+        ["stratify", "--fixture", "smooth", "--dim", "3", "--k", "0", "--eta", "0"],
+        ["stratify", "--fixture", "smooth", "--dim", "3", "--k", "0", "--r-min", "-1"],
+    ], ids=["rho", "delta", "eps-mass", "gamma-good", "alpha-range", "scales", "k",
+            "grid-step", "eta", "r-min"])
+    def test_bad_value_is_parse_error(self, tmp_path, capsys, argv):
+        # rejected before any work, with a message and no traceback
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("0,0\n1,0.1\n2,0\n3,0.2\n")
+        code = run_cli([a.format(cloud=cloud) for a in argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestCommands:

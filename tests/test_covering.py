@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from msgeom import covering
 from msgeom.covering import (
     BallFamily,
     CoverReport,
@@ -22,7 +23,7 @@ from msgeom.fixtures import (
     plane_cloud,
 )
 from msgeom.geometry import AffinePlane, AtomicMeasure, Ball
-from msgeom.harmonic import radial_projection, smooth_wave, smoothed_projection
+from msgeom.harmonic import radial_projection, smooth_wave, smoothed_projection, theta
 from msgeom.moments import (DisplacementConfig, ball_masses_many, best_affine_plane,
                             unit_ball_volume)
 
@@ -158,6 +159,14 @@ class TestSeparatedDecomposition:
 
 
 class TestPackingVerifier:
+    def test_tiny_coincident_balls_overlap(self):
+        # the disjointness slack is relative, so it cannot swallow tiny radii
+        fam = BallFamily([[0.0, 0.0], [0.0, 0.0]], [1e-13, 1e-13],
+                         require_disjoint=False)
+        assert not fam.disjoint
+        with pytest.raises(DisjointnessError):
+            BallFamily([[0.0, 0.0], [0.0, 0.0]], [1e-13, 1e-13])
+
     def test_planar_centers_pass(self):
         centers, radii = dyadic_segment_family(levels=5)
         fam = BallFamily(centers, radii)
@@ -233,6 +242,21 @@ class TestInductiveCover:
         assert len(report.U_plus) >= 1
         for b, sup in report.U_plus:
             assert sup <= report.energy_sup - report.eta + 1e-3 * report.energy_sup
+
+    def test_each_theta_evaluated_once(self, monkeypatch):
+        # one driver call, all its levels and balls: no (x, r) twice
+        f = smoothed_projection(3, core=0.02)
+        calls = []
+
+        def counted(field, x, r):
+            calls.append((np.asarray(x).tobytes(), float(r)))
+            return theta(field, x, r)
+
+        monkeypatch.setattr(covering, "theta", counted)
+        levels, _ = iterate_cover(f, Ball(np.zeros(3), 0.5), 0, 0.25, 2.0**-4, 0.5,
+                                  grid_step=2.0**-3)
+        assert len(levels) >= 2 and calls
+        assert len(set(calls)) == len(calls)
 
     def test_iterated_cover_empties_u_plus(self):
         f = smoothed_projection(3, core=0.02)

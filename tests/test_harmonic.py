@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma, roots_legendre
 
+from msgeom import harmonic
 from msgeom.errors import EnergyInfiniteError
 from msgeom.geometry import AtomicMeasure, Ball
 from msgeom.harmonic import (
@@ -216,6 +217,15 @@ class TestTheta:
         vals = [theta(cone, np.zeros(4), r) for r in (0.25, 0.5, 1.0)]
         assert np.ptp(vals) <= 2e-3 * vals[0]
 
+    def test_pure_function_of_its_arguments(self):
+        # repr catches a mutated container as well as a rebound attribute
+        f = radial_projection(3)
+        before = {key: repr(value) for key, value in vars(f).items()}
+        x = np.array([0.3, -0.1, 0.2])
+        first, second = theta(f, x, 0.5), theta(f, x, 0.5)
+        assert first.hex() == second.hex()
+        assert {key: repr(value) for key, value in vars(f).items()} == before
+
     def test_memory_bounded_in_r4(self):
         # the finest level of an R^4 theta has millions of nodes; their
         # gradients are evaluated a block of panels at a time
@@ -258,6 +268,22 @@ class TestEnergyDrop:
         ts = 0.5 * (s + r) + 0.5 * (r - s) * zn
         integral = 0.5 * (r - s) * float(zw @ np.array([boundary(t) for t in ts]))
         assert W == pytest.approx(integral, rel=0.01)
+
+    def test_energy_point_evaluates_each_radius_once(self, monkeypatch):
+        f = radial_projection(3)
+        x = np.array([0.2, 0.1, -0.3])
+        calls = []
+
+        def counted(field, y, r, *args, **kwargs):
+            calls.append(r)
+            return theta(field, y, r, *args, **kwargs)
+
+        monkeypatch.setattr(harmonic, "theta", counted)
+        ep = energy_point(f, x, 1.0, alpha_range=(3, 6))
+        assert sorted(calls) == [2.0**-a for a in range(6, -1, -1)]
+        assert ep.theta == theta(f, x, 1.0)
+        for a, w in ep.drops:
+            assert w == theta(f, x, 2.0 ** (3 - a)) - theta(f, x, 2.0**-a)
 
     def test_energy_point_drops(self):
         f = radial_projection(3)
