@@ -152,6 +152,8 @@ def _check_options(args):
                        f"intrinsic dimension {args.k} must be below {args.dim}")
     if args.k < 0:
         raise CliError(EXIT_PARSE, f"intrinsic dimension {args.k} must be >= 0")
+    if args.command == "reconstruct" and args.k < 1:
+        raise CliError(EXIT_PARSE, "reconstruct needs --k >= 1")
     for name in ("scales", "grid_step", "eta"):
         if getattr(args, name, 1) <= 0:
             raise CliError(EXIT_PARSE, f"--{name.replace('_', '-')} must be positive")

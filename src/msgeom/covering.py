@@ -73,23 +73,6 @@ class BallFamily:
                           require_disjoint=False)
 
 
-@dataclass
-class CoverState:
-    """Per-scale bookkeeping of one covering step: which centers carried
-    enough mass to continue (good), which were mass-deficient (bad), which
-    terminated at their own scale (final), what was sent to the remainder,
-    and the energy envelope when a field drives the covering."""
-
-    index: int
-    good_centers: np.ndarray
-    bad_centers: np.ndarray
-    final_centers: np.ndarray
-    remainder_count: int
-    energy_sup: float | None = None
-    eta: float | None = None
-    sup_theta: dict | None = None
-
-
 # ---------------------------------------------------------------------------
 # classification, excess, Vitali
 # ---------------------------------------------------------------------------
@@ -188,8 +171,7 @@ class PackingReport:
     values_by_scale: dict      # test radius -> max value over centers
 
 
-def discrete_reifenberg_verify(family, k, cfg, root_ball=None, packing_bound=None,
-                               max_test_radius=2.0):
+def discrete_reifenberg_verify(family, k, cfg, packing_bound=None):
     """Check the summed-displacement hypothesis on a disjoint ball family and
     report the packing sum.
 
@@ -198,19 +180,18 @@ def discrete_reifenberg_verify(family, k, cfg, root_ball=None, packing_bound=Non
 
         r^-k * sum_{r_alpha <= 2r} int_{B_r(x)} D(y, r_alpha) dmu(y)
 
-    must stay below delta^2.  The packing sum is sum r_j^k over centers in
-    the root ball (default: the unit ball at the origin).
+    must stay below delta^2, for the dyadic r from 2 down to the smallest
+    family radius.  The packing sum is sum r_j^k over centers in the unit
+    ball at the origin.
     """
     if not family.disjoint:
         raise DisjointnessError("packing verifier needs disjoint balls")
     mu = family.measure(k)
-    root = root_ball or Ball(np.zeros(family.centers.shape[1]), 1.0)
 
     r_min = float(family.radii.min())
-    alpha = math.floor(-math.log2(max_test_radius))
-    test_radii = [2.0**-a for a in range(alpha, alpha + 61) if 2.0**-a >= r_min]
+    test_radii = [2.0**-a for a in range(-1, 60) if 2.0**-a >= r_min]
     # row i: sum over r_alpha <= 2 * test_radii[i] of D(x_m, r_alpha), per atom
-    sums = dyadic_displacement_sums(mu, mu.positions, 2.0 ** (1 - alpha), k, cfg)
+    sums = dyadic_displacement_sums(mu, mu.positions, 4.0, k, cfg)
 
     worst = (-np.inf, None, None)
     values_by_scale = {}
@@ -229,7 +210,7 @@ def discrete_reifenberg_verify(family, k, cfg, root_ball=None, packing_bound=Non
             worst = (float(vals[j]), mu.positions[eligible[j]], r)
 
     hypothesis_ok = worst[0] < cfg.delta**2 if worst[1] is not None else True
-    inside = root.contains(family.centers)
+    inside = Ball(np.zeros(family.centers.shape[1]), 1.0).contains(family.centers)
     packing_sum = float((family.radii[inside] ** k).sum())
     return PackingReport(
         hypothesis_ok=bool(hypothesis_ok),
@@ -396,8 +377,7 @@ def _cover_setup(field, root_ball, k, epsilon, r, grid_step, stratum):
     return grid_step, r_floor, _ThetaTable(field, stratum.positions)
 
 
-def inductive_cover(field, root_ball, k, epsilon, r, eta, grid_step=None,
-                    stratum=None):
+def inductive_cover(field, root_ball, k, epsilon, r, eta, grid_step=None):
     """Cover the quantitative stratum of the field inside the root ball.
 
     Returns a CoverReport whose U_plus balls each record the sup of theta at
@@ -407,7 +387,7 @@ def inductive_cover(field, root_ball, k, epsilon, r, eta, grid_step=None,
     the floor scale is the grid step (the discrete stand-in for scale zero).
     """
     grid_step, r_floor, thetas = _cover_setup(field, root_ball, k, epsilon, r,
-                                              grid_step, stratum)
+                                              grid_step, None)
     report = _cover_samples(thetas, root_ball, k, r_floor, eta)
     if r == 0:
         centers = np.array([b.center for b in report.U_r])
@@ -454,8 +434,8 @@ def iterate_cover(field, root_ball, k, epsilon, r, eta, grid_step=None,
     ceil(E / eta) levels can occur.
 
     Returns (levels, final_floor_balls) where levels is a list of per-level
-    CoverReport lists.  A precomputed stratum may be passed, as for
-    inductive_cover.
+    CoverReport lists.  A precomputed stratum may be passed; it is computed
+    otherwise.
     """
     _, r_floor, thetas = _cover_setup(field, root_ball, k, epsilon, r, grid_step,
                                       stratum)

@@ -49,16 +49,13 @@ class EnergyField:
     distance^-2 there.
     """
 
-    def __init__(self, n, m, fn, grad, density, tag, singular=None,
-                 sphere_valued=False, domain_radius=64.0):
+    def __init__(self, n, m, fn, grad, density, singular=None, domain_radius=64.0):
         self.n = n
         self.m = m
         self.fn = fn
         self.grad = grad
         self.density = density
-        self.tag = tag
         self.singular = singular
-        self.sphere_valued = sphere_valued
         self.domain_radius = domain_radius
 
     def __call__(self, X):
@@ -116,8 +113,7 @@ def radial_projection(n=3):
     def density(X):
         return _inverse_square(X, n - 1.0)
 
-    return EnergyField(n, n, fn, grad, density, "radial_projection",
-                       singular=("point", np.zeros(n)), sphere_valued=True)
+    return EnergyField(n, n, fn, grad, density, singular=("point", np.zeros(n)))
 
 
 def smoothed_projection(n=3, core=0.05):
@@ -137,7 +133,7 @@ def smoothed_projection(n=3, core=0.05):
         g2 = (X**2).sum(axis=1) + core**2
         return (n - 1) / g2 + core**4 / g2**3
 
-    return EnergyField(n, n, fn, grad, density, "homogeneous_custom")
+    return EnergyField(n, n, fn, grad, density)
 
 
 def linear_field(A):
@@ -154,7 +150,7 @@ def linear_field(A):
     def density(X):
         return np.full(X.shape[0], float((A**2).sum()))
 
-    return EnergyField(n, m, fn, grad, density, "smooth")
+    return EnergyField(n, m, fn, grad, density)
 
 
 def smooth_wave(n=3, freq=1.0):
@@ -175,7 +171,7 @@ def smooth_wave(n=3, freq=1.0):
         t = X @ a
         return (a @ a) * (np.cos(t) ** 2 + 0.49 * np.sin(0.7 * t + 0.3) ** 2)
 
-    return EnergyField(n, 2, fn, grad, density, "smooth")
+    return EnergyField(n, 2, fn, grad, density)
 
 
 def k_symmetric_cone(n, k):
@@ -209,8 +205,7 @@ def k_symmetric_cone(n, k):
         return _inverse_square(X[:, k:], d - 1.0)
 
     plane = AffinePlane.coordinate(n, list(range(k)))
-    return EnergyField(n, d, fn, grad, density, "k_symmetric_extension",
-                       singular=("subspace", plane), sphere_valued=True)
+    return EnergyField(n, d, fn, grad, density, singular=("subspace", plane))
 
 
 def translation_invariant(n, k):
@@ -232,7 +227,7 @@ def translation_invariant(n, k):
         t = X @ a
         return (a @ a) * (np.cos(t) ** 2 + 1.69 * np.sin(1.3 * t) ** 2)
 
-    return EnergyField(n, 2, fn, grad, density, "k_symmetric_extension")
+    return EnergyField(n, 2, fn, grad, density)
 
 
 FIELD_CATALOG = {

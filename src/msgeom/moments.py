@@ -17,10 +17,11 @@ neighbourhoods of a batch of centers (geometry.SpatialIndex) are walked in
 chunks of whole balls under a fixed pair budget; each ball's atoms are
 taken relative to its own query center, their mass and mean offset are
 summed, and the second moments are summed about that mean (two passes).  The
-stack of moment matrices goes through one batched cyclic-Jacobi solve.  A
-single ball is a batch of one, so one-ball and batched results agree
-bitwise, and translating mu and the centers together by an exact shift
-leaves every result bitwise unchanged.
+stack of moment matrices goes through one batched cyclic-Jacobi solve.
+Every spectrum and plane fit is a `second_moment_spectra` batch; a single
+ball is a batch of one, so one-ball and batched results agree bitwise, and
+translating mu and the centers together by an exact shift leaves every
+result bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from .geometry import AffinePlane, Ball, segment_sums
 MAX_MOMENT_DIM = 16
 _PAIR_BUDGET = 1 << 18       # (ball, atom) pairs held at once by the kernel
 _MAX_DYADIC_SCALES = 60
+_JACOBI_TOL = 1e-14          # relative size of an off-diagonal entry left unrotated
+_JACOBI_SWEEPS = 64
 
 
 def unit_ball_volume(k):
@@ -102,7 +105,7 @@ class DisplacementConfig:
 # eigensolver: cyclic Jacobi for stacks of small symmetric matrices
 # ---------------------------------------------------------------------------
 
-def jacobi_eigh(A, tol=1e-14, max_sweeps=64, check_symmetry=True):
+def jacobi_eigh(A):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps run in a fixed row-major order of the upper triangle so results
@@ -115,11 +118,9 @@ def jacobi_eigh(A, tol=1e-14, max_sweeps=64, check_symmetry=True):
         raise ValueError("matrix must be square")
     if n > MAX_MOMENT_DIM:
         raise ValueError(f"jacobi_eigh supports n <= {MAX_MOMENT_DIM}, got {n}")
-    if check_symmetry:
-        if not np.allclose(A, A.T, atol=1e-12 * max(1.0, np.abs(A).max())):
-            raise ValueError("matrix must be symmetric")
-        A = 0.5 * (A + A.T)
-    ev, vecs = _jacobi_stack(A[None], tol, max_sweeps)
+    if not np.allclose(A, A.T, atol=1e-12 * max(1.0, np.abs(A).max())):
+        raise ValueError("matrix must be symmetric")
+    ev, vecs = _jacobi_stack(0.5 * (A + A.T)[None])
     return ev[0], vecs[0]
 
 
@@ -128,19 +129,20 @@ def _rotate(X, p, q, c, s):
     X[:, p], X[:, q] = c * X[:, p] - s * X[:, q], s * X[:, p] + c * X[:, q]
 
 
-def _jacobi_stack(A, tol=1e-14, max_sweeps=64):
+def _jacobi_stack(A):
     """Cyclic Jacobi on a stack of symmetric matrices, shape (m, n, n).
 
     A rotation at (p, q) is applied only to the matrices whose entry there
-    exceeds tol times their largest entry, so each result is independent
-    of the rest of the stack.  Returns descending eigenvalues (m, n) and
-    the matching eigenvector rows (m, n, n).
+    exceeds _JACOBI_TOL times their largest entry, so each result is
+    independent of the rest of the stack; at most _JACOBI_SWEEPS sweeps
+    run.  Returns descending eigenvalues (m, n) and the matching
+    eigenvector rows (m, n, n).
     """
     A = np.array(A, dtype=float)
     n = A.shape[1]
     V = np.broadcast_to(np.eye(n), A.shape).copy()
-    cut = tol * np.abs(A).max(axis=(1, 2), initial=0.0)
-    for _ in range(max_sweeps):
+    cut = _JACOBI_TOL * np.abs(A).max(axis=(1, 2), initial=0.0)
+    for _ in range(_JACOBI_SWEEPS):
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -218,14 +220,6 @@ def ball_masses_many(mu, centers, r):
     return masses
 
 
-def _one_ball(mu, ball):
-    """(mass, center of mass, centred second-moment matrix) of one ball."""
-    _, mass, x_cm, mats = _ball_moments(mu, ball.center[None, :], ball.radius)
-    if not mass[0] > 0.0:
-        raise EmptySupportError("empty support: no mass in the requested ball")
-    return float(mass[0]), x_cm[0], mats[0]
-
-
 # ---------------------------------------------------------------------------
 # moment spectra and best planes
 # ---------------------------------------------------------------------------
@@ -248,9 +242,16 @@ class MomentSpectrum:
         return AffinePlane(self.x_cm, self.eigenvectors[:k], _skip_checks=True)
 
 
-def center_of_mass(mu, ball):
-    """Mass-weighted mean of the atoms inside the ball."""
-    return _one_ball(mu, ball)[1]
+def second_moment_spectra(mu, centers, r):
+    """Atom counts and second-moment spectra of the balls B_r(c) for many
+    centers: one kernel pass and one batched Jacobi solve.  An empty ball
+    has mass 0, its center as x_cm and a zero spectrum."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    counts, masses, x_cm, mats = _ball_moments(mu, centers, r)
+    ev, vecs = _jacobi_stack(mats)
+    ev = np.maximum(ev, 0.0)  # clamp rounding noise on rank-deficient clouds
+    return counts, [MomentSpectrum(x_cm=c, eigenvalues=e, eigenvectors=v, mass=float(m))
+                    for c, e, v, m in zip(x_cm, ev, vecs, masses)]
 
 
 def second_moment_spectrum(mu, ball):
@@ -260,10 +261,15 @@ def second_moment_spectrum(mu, ball):
     satisfy the stationarity identity sum w_j <x_j - x_cm, v_i>(x_j - x_cm)
     = lambda_i v_i, and lambda_i = sum w_j <x_j - x_cm, v_i>^2.
     """
-    mass, x_cm, M = _one_ball(mu, ball)
-    ev, vecs = jacobi_eigh(M)
-    ev = np.maximum(ev, 0.0)  # clamp rounding noise on rank-deficient clouds
-    return MomentSpectrum(x_cm=x_cm, eigenvalues=ev, eigenvectors=vecs, mass=mass)
+    _, (spec,) = second_moment_spectra(mu, ball.center[None, :], ball.radius)
+    if not spec.mass > 0.0:
+        raise EmptySupportError("empty support: no mass in the requested ball")
+    return spec
+
+
+def center_of_mass(mu, ball):
+    """Mass-weighted mean of the atoms inside the ball."""
+    return second_moment_spectrum(mu, ball).x_cm
 
 
 def best_affine_plane(mu, ball, k):

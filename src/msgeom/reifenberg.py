@@ -7,9 +7,11 @@ it down scale by scale through interpolation maps
 
     sigma(x) = x + sum_i lambda_i(x) * proj_{V_i^perp}(p_i - x),
 
-one per scale, built from a partition of unity at that scale's good centers.
-The composed map phi, its per-step motion, sampled bi-Lipschitz distortion,
-per-patch graph norms, and plane coherence are all measured and logged; the
+one per scale, built from a partition of unity at that scale's good centers
+(David & Toro, Reifenberg parameterizations, 2012).  A scale's best-fit
+planes come from one `second_moment_spectra` batch.  The composed map phi,
+its per-step motion, sampled bi-Lipschitz distortion, per-patch graph
+norms, and plane coherence are all measured and logged; the
 final atlas supports k-measure estimation (polyline clipping for curves,
 batched graph lifts through `SpatialIndex.knn` for k >= 2) and inversion by
 per-patch Newton iteration.
@@ -23,12 +25,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covering import CoverState
 from .errors import PlaneFitError, SeparationError
 from .geometry import AffinePlane, Ball, SpatialIndex, grassmann_distance
-from .moments import (DisplacementConfig, ball_masses_many, displacement_profile_many,
-                      second_moment_spectrum, summability_check, unit_ball_volume)
+from .moments import (ball_masses_many, displacement_profile_many, second_moment_spectra,
+                      summability_check, unit_ball_volume)
 from .report import dump_json
+
+_SAMPLE_DENSITY = 10         # manifold samples per final radius
+_COVERAGE_FACTOR = 4.0       # coverage tolerance in sample spacings (or delta r)
+_PROBE_LIMIT = 400           # atoms probed per flatness test
+_LIFT_NEIGHBORS = 6          # graph samples averaged by a lift
+_COPLANAR_TOL = 1e-10        # relative tolerance of the flat-atlas test
+_NEWTON_TOL = 1e-10
+_NEWTON_STEPS = 20
+_DISTORTION_PAIRS = 4000     # sample pairs of bilipschitz_distortion
+_DISTORTION_SEED = 1
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +100,10 @@ class PartitionOfUnity:
     def count(self):
         return self.centers.shape[0]
 
-    def raw_weights(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = np.linalg.norm(pts[:, None, :] - self.centers[None, :, :], axis=2)
-        return _chi(d / self.r)
-
     def weights(self, points):
         """(N, m) weight matrix lambda_i(x_j)."""
-        raw = self.raw_weights(points)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        raw = _chi(np.linalg.norm(pts[:, None, :] - self.centers[None, :, :], axis=2) / self.r)
         denom = np.maximum(raw.sum(axis=1), 1.0)
         return raw / denom[:, None]
 
@@ -104,9 +111,9 @@ class PartitionOfUnity:
         """psi = 1 - sum_i lambda_i."""
         return 1.0 - self.weights(points).sum(axis=1)
 
-    def weight_gradients(self, point, h=None):
+    def weight_gradients(self, point):
         """(m, n) central-difference gradients of the weights at one point."""
-        return _central_difference(lambda p: self.weights(p)[0], point, h or 1e-6 * self.r)
+        return _central_difference(lambda p: self.weights(p)[0], point, 1e-6 * self.r)
 
 
 def build_partition(centers, r):
@@ -141,9 +148,9 @@ class SigmaMap:
             out[active] += lam[active, i, None] * perp
         return out[0] if single else out
 
-    def jacobian(self, point, h=None):
+    def jacobian(self, point):
         """Central-difference Jacobian at one point."""
-        return _central_difference(self.apply, point, h or 1e-6 * self.partition.r)
+        return _central_difference(self.apply, point, 1e-6 * self.partition.r)
 
 
 def sigma_apply(sigma, x):
@@ -166,6 +173,15 @@ class PatchRecord:
 
 
 @dataclass
+class CoverState:
+    """Centers of one scale that carried enough mass to continue (good) and
+    the mass-deficient ones excised as holes (bad)."""
+
+    good_centers: np.ndarray
+    bad_centers: np.ndarray
+
+
+@dataclass
 class ScaleRecord:
     index: int
     radius: float
@@ -174,23 +190,25 @@ class ScaleRecord:
     motion_max: float          # max |sigma(y) - y| over incoming samples
     distortion: float          # max sampled bi-Lipschitz ratio of this step
     flatness: float            # sqrt(max displacement) driving this scale
-    cover_state: object = None # good/bad/remainder bookkeeping at this scale
+    cover_state: CoverState | None = None
 
 
 @dataclass
 class ManifoldAtlas:
     k: int
     root_ball: Ball
-    cfg: DisplacementConfig
     scales: list                    # ScaleRecord, coarse to fine
     samples_per_scale: list         # sample arrays, aligned with `scales`
     sample_alive: np.ndarray        # holes variant: samples kept in T'
     sample_component: np.ndarray    # originating initial patch of each sample
-    initial_samples: np.ndarray
     summability_ok: bool
     atom_distances: np.ndarray      # final distance of each atom to the manifold
     covered: np.ndarray             # atoms within the coverage tolerance
     coverage_tol: float
+
+    @property
+    def initial_samples(self):
+        return self.samples_per_scale[0]
 
     @property
     def final_samples(self):
@@ -212,7 +230,7 @@ class ManifoldAtlas:
         """Product of the per-step sampled distortions."""
         return math.prod(max(rec.distortion, 1.0) for rec in self.scales)
 
-    def invert(self, y, tol=1e-10, max_iter=20):
+    def invert(self, y):
         """phi^{-1}(y) by Newton iteration in the seed's initial patch chart.
 
         The seed is the initial position of the tracer sample whose image is
@@ -227,11 +245,11 @@ class ManifoldAtlas:
         d = np.linalg.norm(np.array([p.center for p in patches]) - x0, axis=1)
         plane = patches[int(np.argmin(d))].plane
         u = plane.coordinates(x0)[0]
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_STEPS):
             x = plane.point_at(u)
             fx = self.apply_phi(x)
             res = (fx - y) @ plane.directions.T
-            if np.linalg.norm(res) < tol:
+            if np.linalg.norm(res) < _NEWTON_TOL:
                 break
             h = 1e-7 * max(1.0, np.linalg.norm(u))
             J = _central_difference(
@@ -292,18 +310,20 @@ def _bad_centers(mu, r, gamma, k, good_centers, masses):
     return mu.positions[mu._index.greedy_net(cand, r)]
 
 
-def _fit_patch_plane(mu, center, r, k, cfg):
-    ball = Ball(center, r)
-    idx = mu.indices_in_ball(ball)
-    mass = float(mu.weights[idx].sum())
-    if len(idx) < k + 1 or mass < cfg.eps_mass * r**k:
-        raise PlaneFitError(
-            f"plane fit impossible on the good ball at {np.round(center, 6).tolist()} "
-            f"radius {r:.6g}: {len(idx)} atoms, mass {mass:.3g}",
-            center=center,
-            radius=r,
-        )
-    return second_moment_spectrum(mu, ball).plane(k)
+def _fit_patch_planes(mu, centers, r, k, cfg):
+    """Best k-planes of the balls B_r(c), c in centers, from one batch;
+    the first ball in center order with fewer than k+1 atoms or less mass
+    than the cutoff raises PlaneFitError."""
+    counts, spectra = second_moment_spectra(mu, centers, r)
+    for center, count, spec in zip(centers, counts, spectra):
+        if count < k + 1 or spec.mass < cfg.eps_mass * r**k:
+            raise PlaneFitError(
+                f"plane fit impossible on the good ball at {np.round(center, 6).tolist()} "
+                f"radius {r:.6g}: {count} atoms, mass {spec.mass:.3g}",
+                center=center,
+                radius=r,
+            )
+    return [spec.plane(k) for spec in spectra]
 
 
 def _grid_disk(k, radius, spacing):
@@ -314,9 +334,9 @@ def _grid_disk(k, radius, spacing):
     return coords[np.linalg.norm(coords, axis=1) <= radius]
 
 
-def _probe_flatness(mu, r, k, cfg, probe_limit=400):
+def _probe_flatness(mu, r, k, cfg):
     """sqrt(max displacement at scale 2r over a deterministic atom probe)."""
-    step = max(1, mu.count // probe_limit)
+    step = max(1, mu.count // _PROBE_LIMIT)
     probe = mu.positions[::step]
     vals = displacement_profile_many(mu, probe, 2.0 * r, k, cfg)
     return math.sqrt(vals.max()) if len(vals) else 0.0
@@ -368,18 +388,7 @@ def _patch_records(samples, centers, planes, r, parents=None):
     return records
 
 
-def reconstruct(
-    mu,
-    k,
-    cfg,
-    max_scale_count,
-    root_ball=None,
-    flat_tol=0.2,
-    sample_density=10,
-    coverage_factor=4.0,
-    seed=0,
-    check_summability=True,
-):
+def reconstruct(mu, k, cfg, max_scale_count, flat_tol=0.2, seed=0, check_summability=True):
     """Run the multiscale flattening construction on a weighted point set.
 
     Scales shrink by cfg.rho per step starting from the coarsest scale whose
@@ -387,11 +396,14 @@ def reconstruct(
     get best-fit planes and a partition of unity, the resulting sigma map is
     applied to the tracked manifold samples, and graph/distortion statistics
     are recorded.  Balls failing the good-mass test are excised from the
-    hole-tracking copy of the manifold at radius scale/6.
+    hole-tracking copy of the manifold at radius scale/6.  The root ball is
+    the bounding ball of mu; k must be at least 1.
     """
+    if k < 1:
+        raise ValueError(f"reconstruct needs k >= 1, got {k}")
     if mu.count == 0:
         raise PlaneFitError("cannot reconstruct from an empty measure")
-    root = root_ball or mu.bounding_ball(margin=1e-9)
+    root = mu.bounding_ball(margin=1e-9)
     if check_summability:
         ok, value = summability_check(mu, root, k, cfg)
         if not ok:
@@ -420,8 +432,8 @@ def reconstruct(
     centers0 = _separated_good_centers(mu, r0, cfg.gamma_good, k, masses)
     if centers0.shape[0] == 0:
         raise PlaneFitError("no good ball at the starting scale", radius=r0)
-    planes0 = [_fit_patch_plane(mu, c, r0, k, cfg) for c in centers0]
-    spacing = r_final / sample_density
+    planes0 = _fit_patch_planes(mu, centers0, r0, k, cfg)
+    spacing = r_final / _SAMPLE_DENSITY
     index0 = SpatialIndex(centers0)
     disk = _grid_disk(k, 1.5 * r0, spacing)
     pieces = []
@@ -434,14 +446,13 @@ def reconstruct(
         pieces.append(pts[keep])
     samples = np.vstack(pieces)
     component = np.repeat(np.arange(len(pieces)), [len(piece) for piece in pieces])
-    initial_samples = samples.copy()
     alive = np.ones(samples.shape[0], dtype=bool)
 
     scales = [ScaleRecord(index=start, radius=r0,
                           patches=_patch_records(samples, centers0, planes0, r0),
                           sigma=None, motion_max=0.0, distortion=1.0,
                           flatness=flats[start])]
-    samples_per_scale = [samples.copy()]
+    samples_per_scale = [samples]
     rng = np.random.default_rng(seed)
 
     prev_centers, prev_planes = centers0, planes0
@@ -452,48 +463,44 @@ def reconstruct(
             scales.append(ScaleRecord(index=start + step, radius=r, patches=[],
                                       sigma=None, motion_max=0.0, distortion=1.0,
                                       flatness=flats[start + step]))
-            samples_per_scale.append(samples.copy())
+            samples_per_scale.append(samples)
             continue
-        planes = [_fit_patch_plane(mu, c, r, k, cfg) for c in centers]
+        planes = _fit_patch_planes(mu, centers, r, k, cfg)
         sigma = SigmaMap(build_partition(centers, r), planes)
 
         moved = sigma.apply(samples)
         motion = float(np.linalg.norm(moved - samples, axis=1).max())
-        distortion = _sampled_distortion(samples, moved, r, rng, component=component)
+        distortion = _sampled_distortion(samples, moved, r, rng, pair_count=2000,
+                                         component=component)
 
         # holes: excise around bad-mass centers at radius r/6
         bad = _bad_centers(mu, r, cfg.gamma_good, k, centers, masses)
         if bad.shape[0]:
             alive &= SpatialIndex(bad).nearest(samples) > r / 6.0
 
-        state = CoverState(index=start + step, good_centers=centers,
-                           bad_centers=bad, final_centers=np.zeros((0, mu.ambient_dim)),
-                           remainder_count=int((~alive).sum()))
-
         samples = moved
         patch_records = _patch_records(samples, centers, planes, r,
                                        (prev_centers, prev_planes, 3.0 * r / cfg.rho))
         scales.append(ScaleRecord(index=start + step, radius=r, patches=patch_records,
                                   sigma=sigma, motion_max=motion, distortion=distortion,
-                                  flatness=flats[start + step], cover_state=state))
-        samples_per_scale.append(samples.copy())
+                                  flatness=flats[start + step],
+                                  cover_state=CoverState(centers, bad)))
+        samples_per_scale.append(samples)
         prev_centers, prev_planes = centers, planes
 
     # coverage accounting
     dists = SpatialIndex(samples).nearest(mu.positions)
-    tol = coverage_factor * max(spacing, cfg.delta * r_final)
+    tol = _COVERAGE_FACTOR * max(spacing, cfg.delta * r_final)
     # masses now holds mu(B_r(x_j)) at the final radius
     covered = (dists <= tol) | (masses < cfg.gamma_good * r_final**k)
 
     return ManifoldAtlas(
         k=k,
         root_ball=root,
-        cfg=cfg,
         scales=scales,
         samples_per_scale=samples_per_scale,
         sample_alive=alive,
         sample_component=component,
-        initial_samples=initial_samples,
         summability_ok=ok,
         atom_distances=dists,
         covered=covered,
@@ -501,11 +508,11 @@ def reconstruct(
     )
 
 
-def _sampled_distortion(before, after, r, rng, pair_count=2000, component=None):
+def _sampled_distortion(before, after, r, rng, pair_count, component):
     """Max two-sided stretch ratio over random sample pairs at scale <= r.
 
-    Pairs straddling two initial patches are excluded when component labels
-    are given: the graph there has a seam-sized jump that measures initial
+    Pairs straddling two initial patches (by the component labels) are
+    excluded: the graph there has a seam-sized jump that measures initial
     patch mismatch, not the stretching of the map.
     """
     m = before.shape[0]
@@ -514,9 +521,7 @@ def _sampled_distortion(before, after, r, rng, pair_count=2000, component=None):
     ii = rng.integers(0, m, size=pair_count * 6)
     jj = rng.integers(0, m, size=pair_count * 6)
     d0 = np.linalg.norm(before[ii] - before[jj], axis=1)
-    keep = (d0 > 1e-12) & (d0 <= 1.5 * r)
-    if component is not None:
-        keep &= component[ii] == component[jj]
+    keep = (d0 > 1e-12) & (d0 <= 1.5 * r) & (component[ii] == component[jj])
     ii, jj, d0 = ii[keep][:pair_count], jj[keep][:pair_count], d0[keep][:pair_count]
     if len(d0) == 0:
         return 1.0
@@ -528,7 +533,7 @@ def _sampled_distortion(before, after, r, rng, pair_count=2000, component=None):
     return float(max(ratios.max(), (1.0 / ratios).max()))
 
 
-def bilipschitz_distortion(atlas, step, pair_count=4000, seed=1):
+def bilipschitz_distortion(atlas, step):
     """Recompute the sampled bi-Lipschitz constant of sigma_step on T_{step-1}.
 
     Pairs are drawn from the stored samples at the previous scale; coincident
@@ -540,10 +545,10 @@ def bilipschitz_distortion(atlas, step, pair_count=4000, seed=1):
     if rec.sigma is None:
         return 1.0
     before = atlas.samples_per_scale[step - 1]
-    rng = np.random.default_rng(seed)
     after = rec.sigma.apply(before)
-    return _sampled_distortion(before, after, rec.radius, rng, pair_count,
-                               component=atlas.sample_component)
+    return _sampled_distortion(before, after, rec.radius,
+                               np.random.default_rng(_DISTORTION_SEED), _DISTORTION_PAIRS,
+                               atlas.sample_component)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +603,7 @@ def _clip_segment_to_ball(a, b, ball):
     return max(0.0, t1 - t0) * math.sqrt(A)
 
 
-def _coplanar_plane(atlas, tol=1e-10):
+def _coplanar_plane(atlas):
     """The common plane when every final patch is flat and coplanar, else None."""
     patches = atlas.final_scale.patches or atlas.scales[0].patches
     if not patches:
@@ -607,11 +612,11 @@ def _coplanar_plane(atlas, tol=1e-10):
     scale = atlas.root_ball.radius
     for p in patches:
         # the subspace distance reads the directions only
-        if grassmann_distance(ref, p.plane) > tol:
+        if grassmann_distance(ref, p.plane) > _COPLANAR_TOL:
             return None
-        if ref.distance(p.plane.base) > tol * scale:
+        if ref.distance(p.plane.base) > _COPLANAR_TOL * scale:
             return None
-        if p.graph_sup > tol * scale:
+        if p.graph_sup > _COPLANAR_TOL * scale:
             return None
     return ref
 
@@ -685,13 +690,13 @@ def measure_estimate(atlas, ball):
     return total
 
 
-def _lift(plane, local, u, neighbors=6):
+def _lift(plane, local, u):
     """Lift of the plane coordinates u (N, k) to the graph of the samples
     `local`: one kNN query on their plane coordinates, then the
     inverse-distance average of the neighbours' heights over the plane."""
     u_local = plane.coordinates(local)
     v_local = local - np.atleast_2d(plane.point_at(u_local))
-    d, idx = SpatialIndex(u_local).knn(u, min(neighbors, len(local)))
+    d, idx = SpatialIndex(u_local).knn(u, min(_LIFT_NEIGHBORS, len(local)))
     w = 1.0 / np.maximum(d, 1e-12)
     v = (v_local[idx] * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
     return np.atleast_2d(plane.point_at(u)) + v

@@ -116,11 +116,13 @@ class TestOptionRanges:
         ["beta", *CLOUD, "--gamma-good", "0"],
         ["beta", *CLOUD, "--alpha-min", "5", "--alpha-max", "2"],
         ["reconstruct", *CLOUD, "--scales", "0"],
+        ["reconstruct", "--input", "{cloud}", "--dim", "2", "--k", "0"],
         ["fit-plane", "--input", "{cloud}", "--dim", "2", "--k", "-1"],
         ["stratify", "--fixture", "smooth", "--dim", "3", "--k", "0", "--grid-step", "0"],
         ["stratify", "--fixture", "smooth", "--dim", "3", "--k", "0", "--eta", "0"],
         ["stratify", "--fixture", "smooth", "--dim", "3", "--k", "0", "--r-min", "-1"],
-    ], ids=["rho", "delta", "eps-mass", "gamma-good", "alpha-range", "scales", "k",
+    ], ids=["rho", "delta", "eps-mass", "gamma-good", "alpha-range", "scales",
+            "reconstruct-k", "k",
             "grid-step", "eta", "r-min"])
     def test_bad_value_is_parse_error(self, tmp_path, capsys, argv):
         # rejected before any work, with a message and no traceback

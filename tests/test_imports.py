@@ -1,14 +1,17 @@
 """Every name a package module imports at module level is referenced in that
 module or listed in its __all__, unless the import carries `# noqa: F401`,
 and every local name a package function assigns is read somewhere in that
-function (`_` is exempt).  No linter ships with the project, so these AST
-scans stand in for the unused import and unused variable checks (pyflakes
-F401 and F841)."""
+function (`_` is exempt), and every defaulted parameter of a private package
+function is passed by some call in the package or the tests.  No linter
+ships with the project, so these AST scans stand in for the unused import
+and unused variable checks (pyflakes F401 and F841) and for a dead-parameter
+check."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "msgeom"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source, filename="<source>"):
@@ -119,3 +122,82 @@ def test_no_dead_stores():
         for line, fn, name in dead_stores(path.read_text(encoding="utf-8"), str(path))
     ]
     assert not found, "locals assigned and never read:\n" + "\n".join(found)
+
+
+def _defaulted(fn, is_method):
+    """{name: position} of a function's defaulted parameters; keyword-only
+    ones get position None, and a method's positions skip self or cls."""
+    positional = fn.args.posonlyargs + fn.args.args
+    skip = 1 if is_method else 0
+    out = {a.arg: i - skip
+           for i, a in enumerate(positional)
+           if i >= len(positional) - len(fn.args.defaults)}
+    out.update({a.arg: None for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if d is not None})
+    return out
+
+
+def unpassed_defaults(package_sources, caller_sources):
+    """(function, parameter) of each defaulted parameter of a private
+    function (leading underscore, not a dunder) in the package sources that
+    no call in the package or caller sources passes, by position or by
+    keyword.  Calls are matched by name, as f(...) or obj.f(...); a call
+    with *args or **kwargs counts as passing everything."""
+    defined = {}
+    for source in package_sources:
+        tree = ast.parse(source)
+        methods = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef) and not any(
+                       isinstance(d, ast.Name) and d.id == "staticmethod"
+                       for d in fn.decorator_list)}
+        for fn in ast.walk(tree):
+            if (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+                    and not fn.name.endswith("__")):
+                params = _defaulted(fn, id(fn) in methods)
+                if params:
+                    defined.setdefault(fn.name, {}).update(params)
+    unpassed = {(name, p) for name, params in defined.items() for p in params}
+    for source in list(package_sources) + list(caller_sources):
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in defined:
+                continue
+            if (any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(kw.arg is None for kw in call.keywords)):
+                unpassed -= {(name, p) for p in defined[name]}
+                continue
+            keywords = {kw.arg for kw in call.keywords}
+            unpassed -= {(name, p) for p, i in defined[name].items()
+                         if p in keywords or (i is not None and i < len(call.args))}
+    return sorted(unpassed)
+
+
+def test_dead_parameter_scan_flags_only_unpassed_defaults():
+    package = (
+        "def _f(a, b=1, c=2, *, d=3):\n"
+        "    return _g(a) + _h(*a)\n"
+        "def _g(a, e=4):\n"
+        "    return a\n"
+        "def _h(a, e=4):\n"
+        "    return a\n"
+        "def public(a, b=1):\n"
+        "    return a\n"
+        "class C:\n"
+        "    def _m(self, x=0, y=1):\n"
+        "        return x\n"
+        "    def __init__(self, z=0):\n"
+        "        self._m(5)\n"
+    )
+    callers = "_f(1, 2)\n_f(0, d=1)\n"
+    assert unpassed_defaults([package], [callers]) == [("_f", "c"), ("_g", "e"),
+                                                         ("_m", "y")]
+
+
+def test_no_unpassed_private_defaults():
+    read = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    tests = [path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))]
+    found = [f"{fn}({param})" for fn, param in unpassed_defaults(read, tests)]
+    assert not found, "private defaults no call passes:\n" + "\n".join(found)

@@ -13,6 +13,7 @@ from msgeom.moments import (
     dyadic_profile,
     effective_spanning_points,
     jacobi_eigh,
+    second_moment_spectra,
     second_moment_spectrum,
     summability_check,
     unit_ball_volume,
@@ -256,6 +257,28 @@ class TestDisplacement:
             shifted = AtomicMeasure(pts + t)
             assert np.array_equal(displacement_profile_many(shifted, centers + t, 2.0, 1, cfg), base)
             assert displacement(shifted, centers[0] + t, 2.0, 1, cfg) == base[0]
+
+    def test_batch_spectra_equal_one_ball_spectra(self):
+        # one batch holding an empty ball gives, ball by ball, the bits of
+        # the one-ball path; the empty ball has mass 0 in the batch and
+        # raises on its own
+        rng = np.random.default_rng(5)
+        pts = rng.normal(size=(300, 3))
+        mu = AtomicMeasure(pts, rng.random(300) + 0.1)
+        centers = np.vstack([pts[:6], [[50.0, 50.0, 50.0]], pts[6:9]])
+        counts, spectra = second_moment_spectra(mu, centers, 0.8)
+        assert counts[6] == 0 and spectra[6].mass == 0.0
+        for i, (c, spec) in enumerate(zip(centers, spectra)):
+            ball = Ball(c, 0.8)
+            assert counts[i] == len(mu.indices_in_ball(ball))
+            if i == 6:
+                with pytest.raises(EmptySupportError):
+                    second_moment_spectrum(mu, ball)
+                continue
+            one = second_moment_spectrum(mu, ball)
+            assert one.mass == spec.mass
+            for name in ("x_cm", "eigenvalues", "eigenvectors"):
+                assert np.array_equal(getattr(one, name), getattr(spec, name))
 
     @pytest.mark.parametrize("count", [200, 1200])
     def test_one_ball_equals_batch_at_boundary_radii(self, count):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from msgeom import reifenberg
-from msgeom.errors import SeparationError
+from msgeom import moments, reifenberg
+from msgeom.errors import PlaneFitError, SeparationError
 from msgeom.fixtures import circle_cloud, perturbed_plane_cloud, plane_cloud, sine_graph_cloud
 from msgeom.geometry import AffinePlane, AtomicMeasure, Ball
 from msgeom.moments import DisplacementConfig, dyadic_profile
@@ -409,3 +409,52 @@ class TestInverse:
             y = final[j]
             x = atlas.invert(y)
             assert np.linalg.norm(atlas.apply_phi(x) - y) <= 1e-8
+
+
+class TestPlaneFits:
+    def test_one_spectra_batch_per_scale(self, monkeypatch):
+        spectra_calls, spectrum_calls = [], []
+        batch = reifenberg.second_moment_spectra
+
+        def counting_batch(mu, centers, r):
+            spectra_calls.append(r)
+            return batch(mu, centers, r)
+
+        def counting_one(*args):
+            spectrum_calls.append(args)
+
+        monkeypatch.setattr(reifenberg, "second_moment_spectra", counting_batch)
+        monkeypatch.setattr(moments, "second_moment_spectrum", counting_one)
+        monkeypatch.setattr(reifenberg, "second_moment_spectrum", counting_one,
+                            raising=False)
+        mu = plane_cloud(2, 1, count=400, seed=4)
+        atlas = reconstruct(mu, 1, DisplacementConfig.default(1), max_scale_count=4)
+        assert spectrum_calls == []
+        assert spectra_calls == [rec.radius for rec in atlas.scales if rec.patches]
+
+    def test_first_failing_start_center_raises(self, monkeypatch):
+        # the mass cutoff exceeds every ball's mass, so the first start-scale
+        # center fails its plane fit
+        found = []
+        good = reifenberg._separated_good_centers
+
+        def recording(*args):
+            found.append(good(*args))
+            return found[-1]
+
+        monkeypatch.setattr(reifenberg, "_separated_good_centers", recording)
+        mu = plane_cloud(2, 1, count=200, seed=3)
+        cfg = DisplacementConfig(eps_mass=50, gamma_good=1e-3)
+        with pytest.raises(PlaneFitError, match="plane fit impossible") as err:
+            reconstruct(mu, 1, cfg, max_scale_count=4, check_summability=False)
+        assert len(found) == 1 and len(found[0]) >= 2
+        assert np.array_equal(err.value.center, found[0][0])
+        assert str(err.value).startswith(
+            f"plane fit impossible on the good ball at {np.round(found[0][0], 6).tolist()} "
+            f"radius {err.value.radius:.6g}: ")
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_rejected(self, k):
+        with pytest.raises(ValueError, match="k >= 1"):
+            reconstruct(plane_cloud(3, 1, count=200), k, DisplacementConfig.default(1),
+                        max_scale_count=3)
