@@ -8,13 +8,17 @@ reconstruct  multiscale flattening; atlas JSON plus a summary
 pack         discrete packing verifier on a ball family (coords + radius)
 stratify     quantitative stratum of a catalog field, cover, Minkowski fit
 
+Every command takes --output, --dim, --k, --seed and --threads; beta,
+reconstruct and pack also take --rho, --delta, --eps-mass and --gamma-good.
+
 Input point clouds are CSV: one row per atom, n coordinate columns and an
 optional trailing weight column; a header row is detected by a non-numeric
 first token.  Values must be finite, weights nonnegative and the radii of
 `pack` positive; a row breaking this is a parse error.  Reports are
 deterministic JSON (schema 1, 17 significant digits).  Exit codes: 0 ok,
 2 parse error, 3 dimension mismatch, 4 hypothesis violated (including
-overlapping balls for `pack`), 5 numerical failure.
+overlapping balls for `pack`), 5 numerical failure (including a `stratify`
+cover where every theta is infinite).
 """
 
 from __future__ import annotations
@@ -154,14 +158,13 @@ def _check_options(args):
         raise CliError(EXIT_PARSE, f"intrinsic dimension {args.k} must be >= 0")
     if args.command == "reconstruct" and args.k < 1:
         raise CliError(EXIT_PARSE, "reconstruct needs --k >= 1")
-    for name in ("scales", "grid_step", "eta"):
+    for name in ("scales", "grid_step", "eta", "plane_count", "r_min"):
         if getattr(args, name, 1) <= 0:
             raise CliError(EXIT_PARSE, f"--{name.replace('_', '-')} must be positive")
-    if getattr(args, "r_min", 0) < 0:
-        raise CliError(EXIT_PARSE, "--r-min must be >= 0")
     if getattr(args, "alpha_min", 0) > getattr(args, "alpha_max", 0):
         raise CliError(EXIT_PARSE, "--alpha-min must not exceed --alpha-max")
-    _config(args, args.k)
+    if hasattr(args, "delta"):  # beta, reconstruct and pack
+        _config(args, args.k)
 
 
 def cmd_beta(args):
@@ -343,16 +346,19 @@ def build_parser():
         sp.add_argument("--output", default=None, help="JSON report path")
         sp.add_argument("--dim", type=int, required=True, help="ambient dimension n")
         sp.add_argument("--k", type=int, default=1, help="intrinsic dimension k")
-        sp.add_argument("--rho", type=float, default=0.5)
-        sp.add_argument("--delta", type=float, default=0.1)
-        sp.add_argument("--eps-mass", dest="eps_mass", type=float, default=None)
-        sp.add_argument("--gamma-good", dest="gamma_good", type=float, default=None)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--threads", type=int, default=1,
                         help="worker threads; results are identical for any count")
 
+    def displacement(sp):
+        sp.add_argument("--rho", type=float, default=0.5)
+        sp.add_argument("--delta", type=float, default=0.1)
+        sp.add_argument("--eps-mass", dest="eps_mass", type=float, default=None)
+        sp.add_argument("--gamma-good", dest="gamma_good", type=float, default=None)
+
     sp = sub.add_parser("beta", help="dyadic displacement profiles + summability")
     common(sp)
+    displacement(sp)
     sp.add_argument("--alpha-min", dest="alpha_min", type=int, default=0)
     sp.add_argument("--alpha-max", dest="alpha_max", type=int, default=8)
     sp.set_defaults(fn=cmd_beta)
@@ -363,12 +369,14 @@ def build_parser():
 
     sp = sub.add_parser("reconstruct", help="multiscale flattening")
     common(sp)
+    displacement(sp)
     sp.add_argument("--scales", type=int, default=5, help="scale-ladder length")
     sp.add_argument("--truth", default=None, help="truth cloud CSV for Hausdorff")
     sp.set_defaults(fn=cmd_reconstruct)
 
     sp = sub.add_parser("pack", help="discrete packing verifier")
     common(sp)
+    displacement(sp)
     sp.add_argument("--packing-bound", dest="packing_bound", type=float, default=None)
     sp.set_defaults(fn=cmd_pack)
 
@@ -376,7 +384,8 @@ def build_parser():
     common(sp, needs_input=False)
     sp.add_argument("--fixture", required=True, help="catalog field tag")
     sp.add_argument("--epsilon", type=float, default=0.3)
-    sp.add_argument("--r-min", dest="r_min", type=float, default=2.0**-6)
+    sp.add_argument("--r-min", dest="r_min", type=float, default=2.0**-6,
+                    help="floor scale, > 0")
     sp.add_argument("--grid-step", dest="grid_step", type=float, default=2.0**-3)
     sp.add_argument("--eta", type=float, default=0.5)
     sp.add_argument("--plane-count", dest="plane_count", type=int, default=32)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisjointnessError
+from .errors import DisjointnessError, EnergyInfiniteError
 from .geometry import AtomicMeasure, Ball, SpatialIndex
 from .harmonic import quantitative_stratum, theta
 from .moments import ball_masses_many, dyadic_displacement_sums, unit_ball_volume
@@ -64,9 +64,6 @@ class BallFamily:
         """mu = sum omega_k r_j^k delta_{x_j}."""
         wk = unit_ball_volume(k)
         return AtomicMeasure(self.centers, wk * self.radii**k)
-
-    def balls(self):
-        return [Ball(c, r) for c, r in zip(self.centers, self.radii)]
 
     def subset(self, indices):
         return BallFamily(self.centers[indices], self.radii[indices],
@@ -248,7 +245,6 @@ def union_ball_volume(centers, radius, cell=None):
 
 @dataclass
 class CoverReport:
-    root: Ball
     energy_sup: float          # E over stratum samples in the root
     eta: float
     U_r: list                  # floor-scale balls
@@ -258,7 +254,6 @@ class CoverReport:
     vol_term: float            # r^{k-n} Vol(B_r(U_r))
     content: float             # omega_k * packing_sum + vol_term
     skipped: int               # failed theta values (NaN, left out of sups)
-    subdivision_counts: list
 
 
 class _ThetaTable:
@@ -295,17 +290,20 @@ def _ball_sups(thetas, inside, hoods, r):
 
 def _cover_samples(thetas, root, k, r_floor, eta, ref_scale=None):
     """Energy-scale covering of the stratum samples of a _ThetaTable inside
-    one ball."""
+    one ball.  Raises EnergyInfiniteError when theta fails at every sample
+    of the ball at its top scale."""
     radius = ref_scale or root.radius
     inside = np.flatnonzero(root.contains(thetas.samples))
     pts = thetas.samples[inside]
     n = pts.shape[1]
     if pts.shape[0] == 0:
-        return CoverReport(root=root, energy_sup=0.0, eta=eta, U_r=[], U_plus=[],
-                           U_0=None, packing_sum=0.0, vol_term=0.0, content=0.0,
-                           skipped=0, subdivision_counts=[])
+        return CoverReport(energy_sup=0.0, eta=eta, U_r=[], U_plus=[], U_0=None,
+                           packing_sum=0.0, vol_term=0.0, content=0.0, skipped=0)
     thetas_top = thetas(inside, radius)
     skipped = int(np.isnan(thetas_top).sum())
+    if skipped == len(inside):
+        raise EnergyInfiniteError(
+            f"theta fails at every stratum sample of the ball ({skipped})")
     E = float(np.nanmax(thetas_top))
 
     scales = []
@@ -343,13 +341,12 @@ def _cover_samples(thetas, root, k, r_floor, eta, ref_scale=None):
 
     # energy-drop cover: Vitali on the tenth-radius balls, then eta-subdivide
     # each selected ball by an (eta r_i)-net of its half-radius samples
-    U_plus, sub_counts = [], []
+    U_plus = []
     _, sel = vitali_subcover([Ball(pts[i], s_x[i] / 10.0) for i in plus_idx])
     for i in plus_idx[sel]:
         r_i = float(s_x[i])
         rad = eta * r_i
         net = tree.greedy_net(tree.query(pts[i], r_i / 2.0), rad)
-        sub_counts.append(len(net))
         sups, failed = _ball_sups(thetas, inside, tree.neighborhoods(pts[net], rad), rad)
         skipped += failed
         U_plus += [(Ball(pts[m], rad), float(sup)) for m, sup in zip(net, sups)]
@@ -357,10 +354,9 @@ def _cover_samples(thetas, root, k, r_floor, eta, ref_scale=None):
     packing = float(sum(b.radius**k for b, _ in U_plus))
     vol_term = r_floor ** (k - n) * union_ball_volume(pts[floor_net], r_floor)
     content = unit_ball_volume(k) * packing + vol_term
-    return CoverReport(root=root, energy_sup=E, eta=eta, U_r=U_r, U_plus=U_plus,
-                       U_0=None, packing_sum=packing, vol_term=vol_term,
-                       content=content, skipped=skipped,
-                       subdivision_counts=sub_counts)
+    return CoverReport(energy_sup=E, eta=eta, U_r=U_r, U_plus=U_plus, U_0=None,
+                       packing_sum=packing, vol_term=vol_term, content=content,
+                       skipped=skipped)
 
 
 def _cover_setup(field, root_ball, k, epsilon, r, grid_step, stratum):

@@ -8,49 +8,47 @@ import numpy as np
 from .geometry import AtomicMeasure
 
 
-def plane_cloud(n, k, count=400, extent=1.0, seed=0, weights="uniform"):
-    """Atoms exactly on the coordinate k-plane {x_{k+1} = ... = x_n = 0}."""
+def plane_cloud(n, k, count=400, extent=1.0, seed=0):
+    """Atoms exactly on the coordinate k-plane {x_{k+1} = ... = x_n = 0},
+    uniform in [-extent, extent]^k, with total mass (2 extent)^k."""
     rng = np.random.default_rng(seed)
     coords = rng.uniform(-extent, extent, size=(count, k))
     pts = np.zeros((count, n))
     pts[:, :k] = coords
-    if weights == "uniform":
-        w = np.full(count, (2.0 * extent) ** k / count)
-    else:
-        w = np.ones(count)
-    return AtomicMeasure(pts, w)
+    return AtomicMeasure(pts, np.full(count, (2.0 * extent) ** k / count))
 
 
-def perturbed_plane_cloud(n, k, delta, count=400, extent=1.0, seed=0):
-    """Plane cloud displaced orthogonally by uniform noise of size <= delta."""
+def perturbed_plane_cloud(n, k, delta, count=400, seed=0):
+    """Plane cloud over [-1, 1]^k displaced orthogonally by uniform noise of
+    size <= delta."""
     rng = np.random.default_rng(seed)
-    mu = plane_cloud(n, k, count, extent, seed)
+    mu = plane_cloud(n, k, count, seed=seed)
     pts = mu.positions.copy()
     pts[:, k:] += rng.uniform(-delta, delta, size=(count, n - k))
     return AtomicMeasure(pts, mu.weights)
 
 
-def circle_cloud(count=2000, noise=0.0, seed=0, radius=1.0):
-    """Samples of a circle of given radius, perturbed by uniform noise <= noise.
+def circle_cloud(count=2000, noise=0.0, seed=0):
+    """Samples of the unit circle, perturbed by uniform noise <= noise.
 
     Weights are arc-length cell sizes so the total mass is the circumference.
     """
     rng = np.random.default_rng(seed)
     theta = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-    pts = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     if noise > 0:
         ang = rng.uniform(0, 2 * np.pi, count)
         rad = noise * np.sqrt(rng.random(count))
         pts = pts + rad[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    w = np.full(count, 2.0 * np.pi * radius / count)
+    w = np.full(count, 2.0 * np.pi / count)
     return AtomicMeasure(pts, w)
 
 
-def sine_graph_cloud(count=10_000, amplitude=0.05, extent=1.0):
-    """Samples of the graph {(x, amplitude * sin(x))} over [-extent, extent]."""
-    xs = np.linspace(-extent, extent, count)
+def sine_graph_cloud(count=10_000, amplitude=0.05):
+    """Samples of the graph {(x, amplitude * sin(x))} over [-1, 1]."""
+    xs = np.linspace(-1.0, 1.0, count)
     pts = np.stack([xs, amplitude * np.sin(xs)], axis=1)
-    w = np.full(count, 2.0 * extent / count)
+    w = np.full(count, 2.0 / count)
     return AtomicMeasure(pts, w)
 
 
@@ -93,14 +91,15 @@ def koch_polyline_measure(levels=4, samples_per_edge=2):
     return AtomicMeasure(pts, np.full(len(pts), seg))
 
 
-def dyadic_segment_family(levels=6, base_radius=0.05, gap=0.05):
+def dyadic_segment_family(levels=6):
     """Disjoint dyadic-radius balls with centers on the segment [-1, 1] x {0}.
 
     Balls are laid left to right; level j contributes 2^j balls of radius
-    base_radius * 2^-j, each separated from its neighbor by a relative gap.
-    All centers stay strictly inside the unit ball.  Returns (centers, radii).
+    0.05 * 2^-j, each separated from its neighbor by a gap of 5 percent of
+    its radius.  All centers stay strictly inside the unit ball.  Returns
+    (centers, radii).
     """
-    sizes = [base_radius * 2.0**-j for j in range(levels) for _ in range(2**j)]
+    sizes = [0.05 * 2.0**-j for j in range(levels) for _ in range(2**j)]
     centers, radii = [], []
     x = -0.95
     for r in sizes:
@@ -109,7 +108,7 @@ def dyadic_segment_family(levels=6, base_radius=0.05, gap=0.05):
             break
         centers.append([x, 0.0])
         radii.append(r)
-        x += r * (1.0 + gap)
+        x += r * 1.05
     return np.array(centers), np.array(radii)
 
 

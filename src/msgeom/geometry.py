@@ -96,9 +96,6 @@ class Ball:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.linalg.norm(pts - self.center, axis=1) <= self.radius
 
-    def scaled(self, factor):
-        return Ball(self.center, self.radius * factor)
-
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
 

@@ -16,6 +16,8 @@ shells about that point, and every shell's cap is evaluated in stacked
 blocks of whole panels.  `theta` is a pure function of its arguments and
 stores nothing on the field; only the angular rules and the panel
 rotations, which depend on small integers alone, are memoized.
+Every field lives on B_64(0).  The symmetry distance uses one fixed ball
+rule and one seeded Halton sample of planes; strata need a floor r > 0.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .geometry import AffinePlane, AtomicMeasure, Ball
 from .moments import second_moment_spectrum
 
 QUAD_REL_TOL = 1e-4
+DOMAIN_RADIUS = 64.0          # every field is defined on B_64(0)
 _NODE_BUDGET = 1 << 16       # quadrature nodes evaluated at once
 
 
@@ -49,14 +52,12 @@ class EnergyField:
     distance^-2 there.
     """
 
-    def __init__(self, n, m, fn, grad, density, singular=None, domain_radius=64.0):
+    def __init__(self, n, fn, grad, density, singular=None):
         self.n = n
-        self.m = m
         self.fn = fn
         self.grad = grad
         self.density = density
         self.singular = singular
-        self.domain_radius = domain_radius
 
     def __call__(self, X):
         return self.fn(np.atleast_2d(np.asarray(X, dtype=float)))
@@ -113,7 +114,7 @@ def radial_projection(n=3):
     def density(X):
         return _inverse_square(X, n - 1.0)
 
-    return EnergyField(n, n, fn, grad, density, singular=("point", np.zeros(n)))
+    return EnergyField(n, fn, grad, density, singular=("point", np.zeros(n)))
 
 
 def smoothed_projection(n=3, core=0.05):
@@ -133,7 +134,7 @@ def smoothed_projection(n=3, core=0.05):
         g2 = (X**2).sum(axis=1) + core**2
         return (n - 1) / g2 + core**4 / g2**3
 
-    return EnergyField(n, n, fn, grad, density)
+    return EnergyField(n, fn, grad, density)
 
 
 def linear_field(A):
@@ -150,7 +151,7 @@ def linear_field(A):
     def density(X):
         return np.full(X.shape[0], float((A**2).sum()))
 
-    return EnergyField(n, m, fn, grad, density)
+    return EnergyField(n, fn, grad, density)
 
 
 def smooth_wave(n=3, freq=1.0):
@@ -171,7 +172,7 @@ def smooth_wave(n=3, freq=1.0):
         t = X @ a
         return (a @ a) * (np.cos(t) ** 2 + 0.49 * np.sin(0.7 * t + 0.3) ** 2)
 
-    return EnergyField(n, 2, fn, grad, density)
+    return EnergyField(n, fn, grad, density)
 
 
 def k_symmetric_cone(n, k):
@@ -205,7 +206,7 @@ def k_symmetric_cone(n, k):
         return _inverse_square(X[:, k:], d - 1.0)
 
     plane = AffinePlane.coordinate(n, list(range(k)))
-    return EnergyField(n, d, fn, grad, density, singular=("subspace", plane))
+    return EnergyField(n, fn, grad, density, singular=("subspace", plane))
 
 
 def translation_invariant(n, k):
@@ -227,13 +228,13 @@ def translation_invariant(n, k):
         t = X @ a
         return (a @ a) * (np.cos(t) ** 2 + 1.69 * np.sin(1.3 * t) ** 2)
 
-    return EnergyField(n, 2, fn, grad, density)
+    return EnergyField(n, fn, grad, density)
 
 
 FIELD_CATALOG = {
-    "radial_projection": lambda n=3: radial_projection(n),
-    "smoothed_projection": lambda n=3: smoothed_projection(n),
-    "smooth": lambda n=3: smooth_wave(n),
+    "radial_projection": radial_projection,
+    "smoothed_projection": smoothed_projection,
+    "smooth": smooth_wave,
 }
 
 
@@ -376,7 +377,7 @@ def theta(field, x, r, panels=24, order=10):
     x = np.asarray(x, dtype=float)
     if r <= 0:
         raise ValueError("theta needs r > 0")
-    if np.linalg.norm(x) + r > field.domain_radius:
+    if np.linalg.norm(x) + r > DOMAIN_RADIUS:
         raise ValueError("ball exceeds the field domain")
     codim = field.singular_codim()
     if codim is not None and codim <= 2:
@@ -400,8 +401,6 @@ def energy_drop(field, x, s, r):
 
 @dataclass
 class EnergyPoint:
-    x: np.ndarray
-    r: float
     theta: float
     drops: list  # (alpha, W_alpha) with W_alpha = theta_{2^-(a-3)} - theta_{2^-a}
 
@@ -412,7 +411,7 @@ def energy_point(field, x, r, alpha_range=(3, 6)):
     alphas = range(alpha_range[0], alpha_range[1] + 1)
     radii = {r} | {2.0 ** (3 - a) for a in alphas} | {2.0**-a for a in alphas}
     th = {s: theta(field, x, s) for s in radii}
-    return EnergyPoint(x=np.asarray(x, dtype=float), r=r, theta=th[r],
+    return EnergyPoint(theta=th[r],
                        drops=[(a, th[2.0 ** (3 - a)] - th[2.0**-a]) for a in alphas])
 
 
@@ -424,17 +423,16 @@ def energy_point(field, x, r, alpha_range=(3, 6)):
 class SymmetryResult:
     value: float
     plane: AffinePlane | None
-    homogeneity_point: np.ndarray
 
 
-def grassmann_candidates(n, k, count, seed=0):
+def grassmann_candidates(n, k, count):
     """Deterministic low-discrepancy sample of k-frames in R^n."""
     if k == 0:
         return [np.zeros((0, n))]
     # local: at module level it raised `import msgeom.harmonic` from 0.70 s to 1.06-1.38 s
     from scipy.stats import qmc
 
-    h = qmc.Halton(d=n * k, scramble=True, seed=seed)
+    h = qmc.Halton(d=n * k, scramble=True, seed=0)
     raw = h.random(count)
     raw = np.clip(raw, 1e-12, 1 - 1e-12)
     gauss = ndtri(raw).reshape(count, n, k)
@@ -451,14 +449,15 @@ def _panel_rotation(n, index):
     return np.linalg.qr(rng.normal(size=(n, n)))[0]
 
 
-def _ball_quadrature(field, center, r, panel_count=10, angular_order=10):
-    """Nodes/weights over the ball; the angular rule is rotated per shell so
-    the node directions do not repeat (repetition lets an adversarial plane
-    overfit the binned competitor)."""
+def _ball_quadrature(field, center, r):
+    """Nodes/weights over the ball: 10 base radial panels times the angular
+    rule of order 8.  The angular rule is rotated per shell so the node
+    directions do not repeat (repetition lets an adversarial plane overfit
+    the binned competitor)."""
     d_sing = float(field.singular_distance(center)[0])
     critical = [d_sing] if np.isfinite(d_sing) and d_sing <= 1.5 * r else []
-    panels = _radial_panels(r, critical, panel_count, min_width_factor=1e-6)
-    omega, w_ang = _sphere_rule(field.n, angular_order)
+    panels = _radial_panels(r, critical, 10, min_width_factor=1e-6)
+    omega, w_ang = _sphere_rule(field.n, 8)
     mids = np.array([0.5 * (a + b) for a, b in panels])
     widths = np.array([b - a for a, b in panels])
     blocks = []
@@ -481,7 +480,7 @@ def _direction_bins(dirs, bin_spec):
     # d >= 3: latitude-longitude boxes on the first two angles
     lat = np.clip(dirs[:, 0], -1.0, 1.0)
     band = np.floor((lat + 1.0) / 2.0 * bin_spec).astype(int) % bin_spec
-    ang = np.arctan2(dirs[:, 2] if d > 2 else dirs[:, 1], dirs[:, 1])
+    ang = np.arctan2(dirs[:, 2], dirs[:, 1])
     sector = np.floor((ang + np.pi) / (2 * np.pi) * (2 * bin_spec)).astype(int) % (2 * bin_spec)
     return band * (2 * bin_spec) + sector
 
@@ -502,8 +501,7 @@ def _conditional_mean_residual(values, weights, labels):
     return res
 
 
-def symmetry_distance(field, ball, k, plane_candidates=None, bins=24,
-                      panel_count=10, angular_order=8, stop_below=None):
+def symmetry_distance(field, ball, k, plane_candidates=None, bins=24, stop_below=None):
     """Upper bound for the L2 distance of f on the ball from the nearest
     k-symmetric competitor.
 
@@ -514,17 +512,14 @@ def symmetry_distance(field, ball, k, plane_candidates=None, bins=24,
     candidates; it is an upper bound of the true infimum.
     """
     center = ball.center
-    offsets, weights = _ball_quadrature(field, center, ball.radius,
-                                        panel_count, angular_order)
+    offsets, weights = _ball_quadrature(field, center, ball.radius)
     values = field(center[None, :] + offsets)
     total = weights.sum()
     mean = (weights[:, None] * values).sum(axis=0) / total
     const_value = float((weights * ((values - mean) ** 2).sum(axis=1)).sum() / total)
 
-    if k >= field.n:
-        return SymmetryResult(value=const_value, plane=None, homogeneity_point=center)
-    if stop_below is not None and const_value < stop_below:
-        return SymmetryResult(value=const_value, plane=None, homogeneity_point=center)
+    if k >= field.n or (stop_below is not None and const_value < stop_below):
+        return SymmetryResult(value=const_value, plane=None)
     if plane_candidates is None:
         plane_candidates = grassmann_candidates(field.n, k, 64)
 
@@ -563,7 +558,7 @@ def symmetry_distance(field, ball, k, plane_candidates=None, bins=24,
                           if k > 0 else AffinePlane(center))
             if stop_below is not None and best < stop_below:
                 break
-    return SymmetryResult(value=best, plane=best_plane, homogeneity_point=center)
+    return SymmetryResult(value=best, plane=best_plane)
 
 
 def _perp_basis(frame, n):
@@ -600,8 +595,11 @@ def quantitative_stratum(field, k, epsilon, r, grid_step, center=None, radius=1.
 
     Membership uses the sampled upper bound of the symmetry distance, so it
     is approximate in the outward direction (see module docs).  Weights are
-    the k-content grid_step^k of each grid cell.
+    the k-content grid_step^k of each grid cell.  Raises ValueError unless
+    r > 0.
     """
+    if r <= 0:
+        raise ValueError("quantitative_stratum needs r > 0")
     n = field.n
     center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
     axes = [np.arange(-radius, radius + grid_step * 0.5, grid_step)] * n
@@ -657,8 +655,8 @@ def _sampled_grad_sup(field, x, r, angular_order=6, radial_count=6):
     return float(np.sqrt(field.grad_sq(pts)).max())
 
 
-def regularity_scale(field, x, cap=1.0):
-    """Largest r <= cap with sampled sup_{B_r(x)} |grad f| <= 1/r.
+def regularity_scale(field, x):
+    """Largest r <= 1 with sampled sup_{B_r(x)} |grad f| <= 1/r.
 
     Bisection keeps a monotone bracket; returns 0 at singular points.
     """
@@ -667,15 +665,11 @@ def regularity_scale(field, x, cap=1.0):
     def ok(r):
         return _sampled_grad_sup(field, x, r) <= 1.0 / r
 
-    if ok(cap):
-        return cap
-    lo, hi = 0.0, cap
-    if float(field.singular_distance(x)[0]) <= 1e-14:
+    if ok(1.0):
+        return 1.0
+    if float(field.singular_distance(x)[0]) <= 1e-14 or not ok(1e-9):
         return 0.0
-    tiny = cap * 1e-9
-    if not ok(tiny):
-        return 0.0
-    lo = tiny
+    lo, hi = 1e-9, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if ok(mid):
@@ -689,14 +683,14 @@ def regularity_scale(field, x, cap=1.0):
 # best-approximation inequality check
 # ---------------------------------------------------------------------------
 
-def best_approx_check(field, mu, p, r, k, epsilon, delta=0.1, plane_count=48,
-                      quad_panels=24, quad_order=10):
+def best_approx_check(field, mu, p, r, k, epsilon, quad_panels=24, quad_order=10):
     """Evaluate both sides of the subspace-approximation inequality.
 
     lhs: displacement of mu at (p, r) with the mass cutoff disabled (the
     fitted infimum).  rhs: r^-k times the mu-integral of the three-octave
     energy drop theta_{8r} - theta_r.  Symmetry preconditions on B_{9r}(p)
-    are evaluated and reported, not enforced.
+    are evaluated and reported, not enforced: 0-symmetry below 0.1, and
+    no (k+1)-symmetry better than epsilon over 48 candidate planes.
     """
     p = np.asarray(p, dtype=float)
     ball = Ball(p, r)
@@ -716,14 +710,14 @@ def best_approx_check(field, mu, p, r, k, epsilon, delta=0.1, plane_count=48,
     zero_sym = symmetry_distance(field, big, 0).value
     k1_sym = symmetry_distance(
         field, big, k + 1,
-        plane_candidates=grassmann_candidates(field.n, k + 1, plane_count)
+        plane_candidates=grassmann_candidates(field.n, k + 1, 48)
         if k + 1 < field.n else None,
     ).value
     return {
         "lhs": float(lhs),
         "rhs": rhs,
         "ratio": float(lhs / rhs) if rhs > 0 else math.inf,
-        "zero_symmetric_ok": bool(zero_sym < delta),
+        "zero_symmetric_ok": bool(zero_sym < 0.1),
         "zero_symmetry_value": float(zero_sym),
         "not_k1_symmetric_ok": bool(k1_sym > epsilon),
         "k1_symmetry_value": float(k1_sym),

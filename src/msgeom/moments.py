@@ -83,12 +83,13 @@ class DisplacementConfig:
         return cls(eps_mass=1e-3 * wk, gamma_good=wk * 4.0 ** (-k), delta=delta)
 
     @classmethod
-    def strict(cls, n, k, delta=0.1):
+    def strict(cls, n, k):
         """Literal worst-case constants; vacuously small for numerical work.
 
         eps_mass = (1000 n)^(-7 n^2), gamma_good = omega_k 40^-k, and
-        rho = 10^-10 (100 n)^(-3n) rounded down to a power of 1/2.  These
-        underflow to zero for moderate n, which is a valid lower bound.
+        rho = 10^-10 (100 n)^(-3n) rounded down to a power of 1/2; delta
+        keeps its default.  These underflow to zero for moderate n, which is
+        a valid lower bound.
         """
         eps = math.exp(-7.0 * n * n * math.log(1000.0 * n))
         rho_raw = 1e-10 * (100.0 * n) ** (-3.0 * n)
@@ -97,7 +98,6 @@ class DisplacementConfig:
             eps_mass=eps,
             gamma_good=unit_ball_volume(k) * 40.0 ** (-k),
             rho=2.0 ** (-q),
-            delta=delta,
         )
 
 

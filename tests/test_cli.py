@@ -121,9 +121,11 @@ class TestOptionRanges:
         ["stratify", "--fixture", "smooth", "--dim", "3", "--k", "0", "--grid-step", "0"],
         ["stratify", "--fixture", "smooth", "--dim", "3", "--k", "0", "--eta", "0"],
         ["stratify", "--fixture", "smooth", "--dim", "3", "--k", "0", "--r-min", "-1"],
+        ["stratify", "--fixture", "smooth", "--dim", "3", "--k", "0", "--r-min", "0"],
+        ["stratify", "--fixture", "smooth", "--dim", "3", "--k", "0", "--plane-count", "-1"],
     ], ids=["rho", "delta", "eps-mass", "gamma-good", "alpha-range", "scales",
             "reconstruct-k", "k",
-            "grid-step", "eta", "r-min"])
+            "grid-step", "eta", "r-min", "r-min-zero", "plane-count"])
     def test_bad_value_is_parse_error(self, tmp_path, capsys, argv):
         # rejected before any work, with a message and no traceback
         cloud = tmp_path / "cloud.csv"
@@ -132,6 +134,27 @@ class TestOptionRanges:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["fit-plane", "--input", "{cloud}", "--dim", "2", "--k", "1"],
+        ["stratify", "--fixture", "smooth", "--dim", "3", "--k", "0"],
+    ], ids=["fit-plane", "stratify"])
+    @pytest.mark.parametrize("option", ["--rho", "--delta", "--eps-mass", "--gamma-good"])
+    def test_displacement_options_only_where_read(self, tmp_path, command, option):
+        # fit-plane and stratify read no displacement coefficient
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("0,0\n1,0.1\n2,0\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli([a.format(cloud=cloud) for a in command] + [option, "0.5"])
+        assert exc.value.code == 2
+
+    def test_stratify_where_every_theta_is_infinite(self, capsys):
+        # x/|x| in R^2: the codimension-2 point lies in every top-scale ball
+        code = run_cli(["stratify", "--fixture", "radial_projection", "--dim", "2",
+                        "--k", "0", "--grid-step", "0.5", "--r-min", "0.25"])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "Traceback" not in err
 
 
 class TestCommands:

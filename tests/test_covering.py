@@ -14,7 +14,7 @@ from msgeom.covering import (
     union_ball_volume,
     vitali_subcover,
 )
-from msgeom.errors import DisjointnessError
+from msgeom.errors import DisjointnessError, EnergyInfiniteError
 from msgeom.fixtures import (
     circle_ball_family,
     circle_cloud,
@@ -281,6 +281,14 @@ class TestInductiveCover:
                                  grid_step=2.0**-3)
         assert report.U_r == []
         assert report.U_0 is not None and report.U_0.count >= 1
+
+    def test_every_theta_infinite_raises(self):
+        # x/|x| in R^2: every unit ball about a sample meets the codimension-2
+        # point, so no energy sup exists
+        stratum = AtomicMeasure(np.array([[0.1, 0.0], [0.0, -0.5]]), np.ones(2))
+        with pytest.raises(EnergyInfiniteError, match=r"every stratum sample .* \(2\)"):
+            iterate_cover(radial_projection(2), Ball(np.zeros(2), 1.0), 0, 0.3, 0.25,
+                          0.5, stratum=stratum)
 
 
 class TestVolume:

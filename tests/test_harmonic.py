@@ -346,6 +346,13 @@ class TestStratum:
         for p in s0.positions:
             assert tuple(np.round(p, 9)) in set1
 
+    @pytest.mark.parametrize("r", [0.0, -0.25])
+    def test_scale_must_be_positive(self, r):
+        # r = 0 used to test one scale of 1.5e-300, where every symmetry
+        # distance is NaN and every grid point joined the stratum
+        with pytest.raises(ValueError, match="r > 0"):
+            quantitative_stratum(radial_projection(3), 0, 0.3, r, grid_step=0.5)
+
 
 class TestRegularityScale:
     def test_constant_capped_at_one(self):

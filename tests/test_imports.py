@@ -1,17 +1,19 @@
 """Every name a package module imports at module level is referenced in that
 module or listed in its __all__, unless the import carries `# noqa: F401`,
 and every local name a package function assigns is read somewhere in that
-function (`_` is exempt), and every defaulted parameter of a private package
-function is passed by some call in the package or the tests.  No linter
-ships with the project, so these AST scans stand in for the unused import
-and unused variable checks (pyflakes F401 and F841) and for a dead-parameter
-check."""
+function (`_` is exempt), and every defaulted parameter of a package
+function, method or constructor is passed by some call in the package, the
+tests or the benchmark (whose sources are parsed, never imported).  No
+linter ships with the project, so these AST scans stand in for the unused
+import and unused variable checks (pyflakes F401 and F841) and for a
+dead-parameter check."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "msgeom"
 TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 
 
 def unused_imports(source, filename="<source>"):
@@ -137,41 +139,56 @@ def _defaulted(fn, is_method):
     return out
 
 
-def unpassed_defaults(package_sources, caller_sources):
-    """(function, parameter) of each defaulted parameter of a private
-    function (leading underscore, not a dunder) in the package sources that
-    no call in the package or caller sources passes, by position or by
-    keyword.  Calls are matched by name, as f(...) or obj.f(...); a call
-    with *args or **kwargs counts as passing everything."""
-    defined = {}
-    for source in package_sources:
-        tree = ast.parse(source)
-        methods = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-                   for fn in cls.body if isinstance(fn, ast.FunctionDef) and not any(
-                       isinstance(d, ast.Name) and d.id == "staticmethod"
-                       for d in fn.decorator_list)}
-        for fn in ast.walk(tree):
-            if (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
-                    and not fn.name.endswith("__")):
-                params = _defaulted(fn, id(fn) in methods)
-                if params:
-                    defined.setdefault(fn.name, {}).update(params)
-    unpassed = {(name, p) for name, params in defined.items() for p in params}
-    for source in list(package_sources) + list(caller_sources):
-        for call in ast.walk(ast.parse(source)):
-            if not isinstance(call, ast.Call):
-                continue
+def _calls(tree):
+    """(call, name) of each call in the tree: f(...) and obj.f(...) are
+    named f, and cls(...) inside a class body is named after that class."""
+    owner = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            owner.update({id(node): cls.name for node in ast.walk(cls)})
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call):
             func = call.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name not in defined:
+            yield call, owner.get(id(call)) if name == "cls" else name
+
+
+def unpassed_defaults(package_sources, caller_sources):
+    """(function, parameter) of each defaulted parameter of a package
+    function, method or constructor that no call in the package or caller
+    sources passes, by position or by keyword.  Calls are matched by name,
+    as f(...) or obj.f(...); a constructor is called by its class name and a
+    method is reported as Class.method.  A call with *args or **kwargs
+    counts as passing everything.  Dunders other than __init__ are left
+    out."""
+    defined = {}   # call name -> [(reported name, {parameter: position})]
+    for source in package_sources:
+        tree = ast.parse(source)
+        owners = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or (
+                    fn.name.startswith("__") and fn.name != "__init__"):
                 continue
-            if (any(isinstance(a, ast.Starred) for a in call.args)
-                    or any(kw.arg is None for kw in call.keywords)):
-                unpassed -= {(name, p) for p in defined[name]}
-                continue
+            cls = owners.get(id(fn))
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            params = _defaulted(fn, cls is not None and not static)
+            if params:
+                call_name = cls.name if fn.name == "__init__" else fn.name
+                reported = fn.name if cls is None else f"{cls.name}.{fn.name}"
+                defined.setdefault(call_name, []).append((reported, params))
+    unpassed = {(reported, p) for defs in defined.values()
+                for reported, params in defs for p in params}
+    for source in list(package_sources) + list(caller_sources):
+        for call, name in _calls(ast.parse(source)):
+            starred = (any(isinstance(a, ast.Starred) for a in call.args)
+                       or any(kw.arg is None for kw in call.keywords))
             keywords = {kw.arg for kw in call.keywords}
-            unpassed -= {(name, p) for p, i in defined[name].items()
-                         if p in keywords or (i is not None and i < len(call.args))}
+            for reported, params in defined.get(name, ()):
+                unpassed -= {(reported, p) for p, i in params.items()
+                             if starred or p in keywords
+                             or (i is not None and i < len(call.args))}
     return sorted(unpassed)
 
 
@@ -185,19 +202,34 @@ def test_dead_parameter_scan_flags_only_unpassed_defaults():
         "    return a\n"
         "def public(a, b=1):\n"
         "    return a\n"
+        "def used(a, b=1):\n"
+        "    return a\n"
         "class C:\n"
         "    def _m(self, x=0, y=1):\n"
         "        return x\n"
-        "    def __init__(self, z=0):\n"
+        "    def __init__(self, z=0, w=1):\n"
         "        self._m(5)\n"
+        "    def __eq__(self, other=None):\n"
+        "        return True\n"
+        "    @classmethod\n"
+        "    def make(cls, v=0):\n"
+        "        return cls(1)\n"
+        "    @staticmethod\n"
+        "    def s(a=0):\n"
+        "        return a\n"
+        "class D:\n"
+        "    def __init__(self, q=0):\n"
+        "        pass\n"
     )
-    callers = "_f(1, 2)\n_f(0, d=1)\n"
-    assert unpassed_defaults([package], [callers]) == [("_f", "c"), ("_g", "e"),
-                                                         ("_m", "y")]
+    callers = "_f(1, 2)\n_f(0, d=1)\nused(1, b=2)\nobj.make(v=1)\nC.s(3)\nm.D()\n"
+    assert unpassed_defaults([package], [callers]) == [
+        ("C.__init__", "w"), ("C._m", "y"), ("D.__init__", "q"), ("_f", "c"),
+        ("_g", "e"), ("public", "b")]
 
 
-def test_no_unpassed_private_defaults():
+def test_no_unpassed_defaults():
     read = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
-    tests = [path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))]
-    found = [f"{fn}({param})" for fn, param in unpassed_defaults(read, tests)]
-    assert not found, "private defaults no call passes:\n" + "\n".join(found)
+    callers = [path.read_text(encoding="utf-8")
+               for path in sorted(TESTS.glob("*.py")) + sorted(BENCH.glob("*.py"))]
+    found = [f"{fn}({param})" for fn, param in unpassed_defaults(read, callers)]
+    assert not found, "defaults no call passes:\n" + "\n".join(found)
