@@ -35,7 +35,7 @@ from .covering import (BallFamily, cover_report_doc, discrete_reifenberg_verify,
                        iterate_cover, union_ball_volume)
 from .errors import DisjointnessError, EmptySupportError, EnergyInfiniteError, PlaneFitError
 from .geometry import AtomicMeasure, Ball, hausdorff_distance
-from .harmonic import FIELD_CATALOG, quantitative_stratum
+from .harmonic import FIELD_CATALOG, FINEST_SCALE, quantitative_stratum
 from .moments import (
     DisplacementConfig,
     dyadic_profiles,
@@ -158,9 +158,11 @@ def _check_options(args):
         raise CliError(EXIT_PARSE, f"intrinsic dimension {args.k} must be >= 0")
     if args.command == "reconstruct" and args.k < 1:
         raise CliError(EXIT_PARSE, "reconstruct needs --k >= 1")
-    for name in ("scales", "grid_step", "eta", "plane_count", "r_min"):
+    for name in ("scales", "grid_step", "eta", "plane_count"):
         if getattr(args, name, 1) <= 0:
             raise CliError(EXIT_PARSE, f"--{name.replace('_', '-')} must be positive")
+    if not getattr(args, "r_min", 1.0) >= FINEST_SCALE:  # the ladder's deepest rung
+        raise CliError(EXIT_PARSE, "--r-min must be at least 2**-60")
     if getattr(args, "alpha_min", 0) > getattr(args, "alpha_max", 0):
         raise CliError(EXIT_PARSE, "--alpha-min must not exceed --alpha-max")
     if hasattr(args, "delta"):  # beta, reconstruct and pack
@@ -385,7 +387,7 @@ def build_parser():
     sp.add_argument("--fixture", required=True, help="catalog field tag")
     sp.add_argument("--epsilon", type=float, default=0.3)
     sp.add_argument("--r-min", dest="r_min", type=float, default=2.0**-6,
-                    help="floor scale, > 0")
+                    help="floor scale, at least 2**-60")
     sp.add_argument("--grid-step", dest="grid_step", type=float, default=2.0**-3)
     sp.add_argument("--eta", type=float, default=0.5)
     sp.add_argument("--plane-count", dest="plane_count", type=int, default=32)

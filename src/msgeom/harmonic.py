@@ -16,13 +16,16 @@ shells about that point, and every shell's cap is evaluated in stacked
 blocks of whole panels.  `theta` is a pure function of its arguments and
 stores nothing on the field; only the angular rules and the panel
 rotations, which depend on small integers alone, are memoized.
-Every field lives on B_64(0).  The symmetry distance uses one fixed ball
-rule and one seeded Halton sample of planes; strata need a floor r > 0.
+Every field lives on B_64(0).  The symmetry distance uses one ball rule per
+distance to the singular set and candidate planes from an in-repo scrambled
+Halton sequence; a stratum walks the dyadic ladder once, finest rung first,
+in one batch per rule and rung, down to a floor r >= 2^-60.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +39,7 @@ from .moments import second_moment_spectrum
 QUAD_REL_TOL = 1e-4
 DOMAIN_RADIUS = 64.0          # every field is defined on B_64(0)
 _NODE_BUDGET = 1 << 16       # quadrature nodes evaluated at once
+_KEPT_TABLES = 16            # frame tables (of at most _NODE_BUDGET nodes) a stratum keeps
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +77,7 @@ class EnergyField:
         if self.singular is None:
             return None
         kind, obj = self.singular
-        if kind == "point":
-            return self.n
-        return self.n - obj.k
+        return self.n if kind == "point" else self.n - obj.k
 
     def singular_distance(self, X):
         """Distance of points to the singular set (inf when there is none)."""
@@ -83,9 +85,7 @@ class EnergyField:
         if self.singular is None:
             return np.full(X.shape[0], np.inf)
         kind, obj = self.singular
-        if kind == "point":
-            return np.linalg.norm(X - obj, axis=1)
-        return obj.distance(X)
+        return np.linalg.norm(X - obj, axis=1) if kind == "point" else obj.distance(X)
 
 
 def _inverse_square(W, c):
@@ -94,35 +94,37 @@ def _inverse_square(W, c):
     return np.divide(c, sq, out=np.zeros_like(sq), where=sq > 0.0)
 
 
+def _sum_last(a):
+    """a.sum(axis=-1) bit for bit, several times faster on a short axis:
+    numpy adds fewer than 8 terms left to right, and so do these column adds."""
+    if a.shape[-1] >= 8:
+        return a.sum(axis=-1)
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out
+
+
+def _norms(X):
+    """np.linalg.norm(X, axis=-1, keepdims=True), bit for bit."""
+    return np.sqrt(_sum_last(X * X))[..., None]
+
+
 def radial_projection(n=3):
-    """f(x) = x/|x|, the degree-zero cone map onto the sphere."""
+    """f(x) = x/|x|, the degree-zero cone map onto the sphere: the 0-symmetric
+    cone, with its singular set recorded as the point 0."""
     if n < 2:
         raise ValueError("needs n >= 2")
-
-    def fn(X):
-        nrm = np.linalg.norm(X, axis=1, keepdims=True)
-        nrm = np.where(nrm == 0.0, 1.0, nrm)
-        return X / nrm
-
-    def grad(X):
-        nrm = np.linalg.norm(X, axis=1)
-        nrm = np.where(nrm == 0.0, np.inf, nrm)
-        eye = np.eye(n)
-        return (eye[None, :, :] / nrm[:, None, None]
-                - X[:, :, None] * X[:, None, :] / nrm[:, None, None] ** 3)
-
-    def density(X):
-        return _inverse_square(X, n - 1.0)
-
-    return EnergyField(n, fn, grad, density, singular=("point", np.zeros(n)))
+    field = k_symmetric_cone(n, 0)
+    field.singular = ("point", np.zeros(n))
+    return field
 
 
 def smoothed_projection(n=3, core=0.05):
     """f(x) = x / sqrt(|x|^2 + core^2): conical far out, smooth at the origin."""
 
     def fn(X):
-        g = np.sqrt((X**2).sum(axis=1, keepdims=True) + core**2)
-        return X / g
+        return X / np.sqrt(_sum_last(X**2) + core**2)[:, None]
 
     def grad(X):
         g = np.sqrt((X**2).sum(axis=1) + core**2)
@@ -154,25 +156,29 @@ def linear_field(A):
     return EnergyField(n, fn, grad, density)
 
 
-def smooth_wave(n=3, freq=1.0):
-    """A bounded smooth field with no symmetry and no singular set."""
-    a = freq * np.arange(1, n + 1) / math.sqrt(n)
+def _wave(n, a, c, c_sq, phase):
+    """f(x) = (sin t, cos(c t + phase)) with t = <a, x>; c_sq is c^2 as written
+    in the density."""
 
     def fn(X):
         t = X @ a
-        return np.stack([np.sin(t), np.cos(0.7 * t + 0.3)], axis=1)
+        return np.stack([np.sin(t), np.cos(c * t + phase)], axis=1)
 
     def grad(X):
         t = X @ a
-        g1 = np.cos(t)[:, None] * a[None, :]
-        g2 = (-0.7 * np.sin(0.7 * t + 0.3))[:, None] * a[None, :]
-        return np.stack([g1, g2], axis=1)
+        return np.stack([np.cos(t)[:, None] * a[None, :],
+                         (-c * np.sin(c * t + phase))[:, None] * a[None, :]], axis=1)
 
     def density(X):
         t = X @ a
-        return (a @ a) * (np.cos(t) ** 2 + 0.49 * np.sin(0.7 * t + 0.3) ** 2)
+        return (a @ a) * (np.cos(t) ** 2 + c_sq * np.sin(c * t + phase) ** 2)
 
     return EnergyField(n, fn, grad, density)
+
+
+def smooth_wave(n=3, freq=1.0):
+    """A bounded smooth field with no symmetry and no singular set."""
+    return _wave(n, freq * np.arange(1, n + 1) / math.sqrt(n), 0.7, 0.49, 0.3)
 
 
 def k_symmetric_cone(n, k):
@@ -187,9 +193,8 @@ def k_symmetric_cone(n, k):
 
     def fn(X):
         W = X[:, k:]
-        nrm = np.linalg.norm(W, axis=1, keepdims=True)
-        nrm = np.where(nrm == 0.0, 1.0, nrm)
-        return W / nrm
+        nrm = _norms(W)
+        return W / np.where(nrm == 0.0, 1.0, nrm)
 
     def grad(X):
         W = X[:, k:]
@@ -213,22 +218,7 @@ def translation_invariant(n, k):
     """A smooth nonhomogeneous field invariant along the first k axes."""
     a = np.zeros(n)
     a[k:] = np.arange(1, n - k + 1, dtype=float)
-
-    def fn(X):
-        t = X @ a
-        return np.stack([np.sin(t), np.cos(1.3 * t)], axis=1)
-
-    def grad(X):
-        t = X @ a
-        g1 = np.cos(t)[:, None] * a[None, :]
-        g2 = (-1.3 * np.sin(1.3 * t))[:, None] * a[None, :]
-        return np.stack([g1, g2], axis=1)
-
-    def density(X):
-        t = X @ a
-        return (a @ a) * (np.cos(t) ** 2 + 1.69 * np.sin(1.3 * t) ** 2)
-
-    return EnergyField(n, fn, grad, density)
+    return _wave(n, a, 1.3, 1.69, 0.0)
 
 
 FIELD_CATALOG = {
@@ -265,7 +255,8 @@ def _sphere_rule(n, order):
 
 
 def _radial_panels(r, critical, base_count, min_width_factor=1e-10):
-    """Midpoint panels on [0, r], dyadically split toward critical radii."""
+    """Midpoint panels on [0, r], dyadically split toward critical radii, as
+    the arrays of their lower and upper edges."""
     edges = list(np.linspace(0.0, r, base_count + 1))
     out = []
     min_width = r * min_width_factor
@@ -276,18 +267,16 @@ def _radial_panels(r, critical, base_count, min_width_factor=1e-10):
         near = any(a - width <= c <= b + width for c in critical)
         if near and width > min_width:
             mid = 0.5 * (a + b)
-            stack.append((a, mid))
-            stack.append((mid, b))
+            stack += [(a, mid), (mid, b)]
         else:
             out.append((a, b))
-    out.sort()
-    return out
+    return np.array(sorted(out)).T
 
 
-def _panel_blocks(count, per_panel):
-    """Slices of whole panels holding at most _NODE_BUDGET nodes, unless one
-    panel alone holds more."""
-    per = max(1, _NODE_BUDGET // per_panel)
+def _node_blocks(count, per_item):
+    """Slices of whole items (panels, balls or frames) holding at most
+    _NODE_BUDGET nodes, unless one item alone holds more."""
+    per = max(1, _NODE_BUDGET // per_item)
     return [slice(lo, lo + per) for lo in range(0, count, per)]
 
 
@@ -297,15 +286,11 @@ def _theta_level(field, x, r, panel_count, angular_order):
     point_singular = field.singular is not None and field.singular[0] == "point"
     if point_singular and 1e-14 < d_sing <= 1.5 * r:
         return _theta_cap_shells(field, x, r, d_sing, panel_count, angular_order)
-    critical = []
-    if np.isfinite(d_sing) and d_sing <= r * 1.5:
-        critical.append(d_sing)
-    panels = _radial_panels(r, critical, panel_count)
+    a, b = _radial_panels(r, [d_sing] if d_sing <= r * 1.5 else [], panel_count)
     omega, w_ang = _sphere_rule(n, angular_order)
-    mids = np.array([0.5 * (a + b) for a, b in panels])
-    widths = np.array([b - a for a, b in panels])
-    shell = np.empty(len(panels))
-    for blk in _panel_blocks(len(panels), len(w_ang)):
+    mids, widths = 0.5 * (a + b), b - a
+    shell = np.empty(len(mids))
+    for blk in _node_blocks(len(mids), len(w_ang)):
         ring = mids[blk]
         nodes = (x[None, None, :] + ring[:, None, None] * omega[None, :, :]).reshape(-1, n)
         g2 = np.minimum(field.grad_sq(nodes), 1e30)  # guard on near-singular nodes
@@ -329,7 +314,7 @@ def _theta_cap_shells(field, x, r, d, panel_count, angular_order):
     p = np.asarray(field.singular[1], dtype=float)
     e = (x - p) / d
     lo = max(0.0, d - r)
-    a, b = np.array(_radial_panels(d + r, [abs(d - r), d], panel_count)).T
+    a, b = _radial_panels(d + r, [abs(d - r), d], panel_count)
     a, b = np.maximum(a[b > lo], lo), b[b > lo]
     s = 0.5 * (a + b)
     width = b - a
@@ -357,7 +342,7 @@ def _theta_cap_shells(field, x, r, d, panel_count, angular_order):
     axial = p + (s[:, None] * cos_t)[:, :, None] * e        # (panels, q, n)
     radial = s[:, None] * sin_t                             # (panels, q)
     shell = np.empty(len(s))
-    for blk in _panel_blocks(len(s), cos_t.shape[1] * len(sub_w)):
+    for blk in _node_blocks(len(s), cos_t.shape[1] * len(sub_w)):
         nodes = radial[blk, :, None, None] * ring + axial[blk, :, None, :]
         g2 = np.minimum(field.grad_sq(nodes.reshape(-1, n)), 1e30).reshape(nodes.shape[:3])
         shell[blk] = np.einsum("pq,pqs->ps", w_polar[blk], g2) @ sub_w
@@ -425,46 +410,56 @@ class SymmetryResult:
     plane: AffinePlane | None
 
 
+def _primes(count):
+    """The first `count` primes, by trial division."""
+    return list(itertools.islice((p for p in itertools.count(2)
+                                  if all(p % q for q in range(2, math.isqrt(p) + 1))), count))
+
+
+def _scrambled_halton(d, count):
+    """The first `count` points of the scrambled Halton sequence in [0, 1)^d
+    (Owen, "A randomized Halton algorithm in R", 2017): coordinate j is the
+    radical inverse in the j-th prime base b, each of its ceil(54 / log2 b) - 1
+    leading digits sent through its own shuffle of 0..b-1, drawn from
+    default_rng(0) in base order.  Bit for bit scipy.stats.qmc.Halton(d,
+    scramble=True, seed=0), without importing scipy.stats."""
+    rng, out = np.random.default_rng(0), np.zeros((count, d))
+    for j, base in enumerate(_primes(d)):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q, scale = np.arange(count), 1.0 / base
+        for perm in perms:
+            out[:, j] += perm[q % base] * scale
+            q, scale = q // base, scale / base
+    return out
+
+
 def grassmann_candidates(n, k, count):
-    """Deterministic low-discrepancy sample of k-frames in R^n."""
+    """Deterministic low-discrepancy sample of k-frames in R^n: scrambled
+    Halton points through the normal quantile, orthonormalized."""
     if k == 0:
         return [np.zeros((0, n))]
-    # local: at module level it raised `import msgeom.harmonic` from 0.70 s to 1.06-1.38 s
-    from scipy.stats import qmc
-
-    h = qmc.Halton(d=n * k, scramble=True, seed=0)
-    raw = h.random(count)
-    raw = np.clip(raw, 1e-12, 1 - 1e-12)
-    gauss = ndtri(raw).reshape(count, n, k)
-    frames = []
-    for G in gauss:
-        Q, _ = np.linalg.qr(G)
-        frames.append(Q.T.copy())
-    return frames
+    raw = np.clip(_scrambled_halton(n * k, count), 1e-12, 1 - 1e-12)
+    return [np.linalg.qr(G)[0].T.copy() for G in ndtri(raw).reshape(count, n, k)]
 
 
 @functools.cache
 def _panel_rotation(n, index):
-    rng = np.random.default_rng(1000 + index)
-    return np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return np.linalg.qr(np.random.default_rng(1000 + index).normal(size=(n, n)))[0]
 
 
-def _ball_quadrature(field, center, r):
-    """Nodes/weights over the ball: 10 base radial panels times the angular
-    rule of order 8.  The angular rule is rotated per shell so the node
-    directions do not repeat (repetition lets an adversarial plane overfit
-    the binned competitor)."""
-    d_sing = float(field.singular_distance(center)[0])
-    critical = [d_sing] if np.isfinite(d_sing) and d_sing <= 1.5 * r else []
-    panels = _radial_panels(r, critical, 10, min_width_factor=1e-6)
-    omega, w_ang = _sphere_rule(field.n, 8)
-    mids = np.array([0.5 * (a + b) for a, b in panels])
-    widths = np.array([b - a for a, b in panels])
-    blocks = []
-    for i, s in enumerate(mids):
-        blocks.append(s * omega @ _panel_rotation(field.n, i).T)
-    offsets = np.concatenate(blocks, axis=0)
-    weights = (widths * mids ** (field.n - 1))[:, None] * w_ang[None, :]
+def _ball_rule(n, r, d_sing):
+    """Node offsets and weights over B_r: 10 base radial panels, split toward
+    a singular set within 1.5 r, times the angular rule of order 8, rotated
+    per shell so node directions do not repeat (repetition lets an adversarial
+    plane overfit the binned competitor).  The centre enters only through its
+    singular distance d_sing: every ball farther out shares one rule."""
+    a, b = _radial_panels(r, [d_sing] if d_sing <= 1.5 * r else [], 10, min_width_factor=1e-6)
+    omega, w_ang = _sphere_rule(n, 8)
+    mids, widths = 0.5 * (a + b), b - a
+    offsets = np.concatenate([s * omega @ _panel_rotation(n, i).T for i, s in enumerate(mids)])
+    weights = (widths * mids ** (n - 1))[:, None] * w_ang[None, :]
     return offsets, weights.reshape(-1)
 
 
@@ -474,9 +469,8 @@ def _direction_bins(dirs, bin_spec):
     if d == 1:
         return (dirs[:, 0] < 0).astype(int)
     if d == 2:
-        count = bin_spec
         ang = np.arctan2(dirs[:, 1], dirs[:, 0])
-        return np.floor((ang + np.pi) / (2 * np.pi) * count).astype(int) % count
+        return np.floor((ang + np.pi) / (2 * np.pi) * bin_spec).astype(int) % bin_spec
     # d >= 3: latitude-longitude boxes on the first two angles
     lat = np.clip(dirs[:, 0], -1.0, 1.0)
     band = np.floor((lat + 1.0) / 2.0 * bin_spec).astype(int) % bin_spec
@@ -485,20 +479,82 @@ def _direction_bins(dirs, bin_spec):
     return band * (2 * bin_spec) + sector
 
 
-def _conditional_mean_residual(values, weights, labels):
-    """Weighted mean of |v - E[v | label]|^2: the optimal symmetric competitor
-    among label-measurable functions."""
-    total = weights.sum()
-    order = np.argsort(labels, kind="stable")
-    lab = labels[order]
-    v = values[order]
-    w = weights[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(lab)) + 1])
-    w_sums = np.add.reduceat(w, starts)
-    means = np.add.reduceat(w[:, None] * v, starts, axis=0) / w_sums[:, None]
-    expanded = np.repeat(means, np.diff(np.concatenate([starts, [len(lab)]])), axis=0)
-    res = float((w * ((v - expanded) ** 2).sum(axis=1)).sum() / total)
-    return res
+def _frame_table(offsets, frames, bins):
+    """Per frame V of a block: the least norm of an offset's V-orthogonal
+    part, the unit parts (frames, N, n), and all nodes sorted stably by
+    (frame, direction bin of the part), with the start of each bin."""
+    count, k, n = frames.shape
+    if k == 0:
+        nrm = _norms(offsets)
+        perp_unit = dirs = np.repeat((offsets / nrm)[None], count, axis=0)
+    else:
+        perp = np.empty((count, *offsets.shape))
+        for i, frame in enumerate(frames):
+            np.subtract(offsets, offsets @ frame.T @ frame, out=perp[i])
+        nrm = _norms(perp)
+        perp_unit = np.divide(perp, np.where(nrm <= 1e-14, 1.0, nrm), out=perp)
+        perp_unit[nrm[..., 0] <= 1e-14] = 0.0
+        dirs = perp_unit @ np.stack([_perp_basis(f, n) for f in frames]).transpose(0, 2, 1)
+        renrm = _norms(dirs)
+        dirs /= np.where(renrm == 0.0, 1.0, renrm)
+    labels = _direction_bins(dirs.reshape(-1, dirs.shape[2]), bins).reshape(count, -1)
+    keys = (labels + (labels.max() + 1) * np.arange(count)[:, None]).ravel()
+    order = np.argsort(keys.astype(np.min_scalar_type(keys.max())), kind="stable")
+    return nrm.min(), perp_unit, order, np.flatnonzero(np.diff(keys[order], prepend=-1))
+
+
+def _symmetry_residuals(field, centers, r, d_sing, frames, bins, stop_below, kept=None):
+    """Constant-map residuals (balls,) and best-competitor residuals (balls,
+    frames) of the balls B_r(c), c in centers, which share the rule for
+    d_sing, in blocks of at most _NODE_BUDGET nodes.  Once a ball has a
+    residual below stop_below, or a NaN constant residual, its remaining
+    entries stay inf.  `kept` holds frame tables by rule shape offsets / r:
+    at power-of-two r the shape fixes the tables up to exact rescaling,
+    unless a perpendicular part falls under the 1e-14 cut."""
+    offsets, weights = _ball_rule(field.n, r, d_sing)
+    (N, n), total = offsets.shape, weights.sum()
+    const = np.empty(len(centers))
+    for blk in _node_blocks(len(centers), N):
+        # node-major (node, ball, component): the mean adds whole node rows
+        c = centers[blk]
+        nodes = np.repeat(offsets, len(c), axis=0).reshape(N, len(c), n)
+        nodes += c
+        values = field(nodes.reshape(-1, n)).reshape(N, len(c), -1)
+        mean = (weights[:, None, None] * values).sum(axis=0) / total
+        dev = _sum_last((values - mean) ** 2).T.copy()
+        const[blk] = (weights * dev).sum(axis=1) / total
+    stop = -np.inf if stop_below is None else stop_below
+    cand = np.full((len(centers), len(frames)), np.inf)
+    done = (const < stop) | np.isnan(const)
+    shape = (offsets / r).tobytes()
+    for fs in _node_blocks(len(frames), N):
+        least, perp_unit, order, starts = (kept or {}).get((shape, fs.start), (0.0,) * 4)
+        if least * r <= 1e-14:  # not kept, or a perpendicular part is cut to 0 at this r
+            least, perp_unit, order, starts = _frame_table(offsets, frames[fs], bins)
+            if kept is not None and least > 1e-14 and len(kept) < _KEPT_TABLES:
+                kept[shape, fs.start] = least / r, perp_unit, order, starts
+        src, count = order % N, perp_unit.shape[0]
+        w, lengths = weights[src], np.diff(np.append(starts, count * N))
+        w_sums = np.add.reduceat(w, starts)
+        for i in np.flatnonzero(~(done | np.any(cand < stop, axis=1))):
+            values = field(centers[i] + offsets)
+            # competitor 1: conditional mean over direction bins
+            v = values.take(src, axis=0)
+            means = np.add.reduceat(w[:, None] * v, starts, axis=0) / w_sums[:, None]
+            dev = _sum_last((v - np.repeat(means, lengths, axis=0)) ** 2)
+            binned = (w * dev).reshape(count, N).sum(axis=1) / total
+            # competitor 2: pullback through the orbit representative; exact
+            # for fields that are k-symmetric with this plane
+            rep = field((centers[i] + perp_unit).reshape(-1, n)).reshape(count, N, -1)
+            pull = (weights * _sum_last((values - rep) ** 2)).sum(axis=1) / total
+            cand[i, fs] = np.where(pull < binned, pull, binned)
+    return const, cand
+
+
+def _frame_stack(plane_candidates, k, n):
+    """Candidate k-frames as one (frames, k, n) array; none when k >= n."""
+    frames = [] if k >= n else [np.atleast_2d(f)[:k] for f in plane_candidates]
+    return np.array(frames).reshape(len(frames), k, n)
 
 
 def symmetry_distance(field, ball, k, plane_candidates=None, bins=24, stop_below=None):
@@ -509,62 +565,28 @@ def symmetry_distance(field, ball, k, plane_candidates=None, bins=24, stop_below
     over orbits {center + s * (v + V-shift)}: binned by the direction of the
     V-orthogonal component, which makes it exactly 0-homogeneous about the
     center and V-invariant.  The reported value is the minimum over the
-    candidates; it is an upper bound of the true infimum.
+    candidates, in order, stopping at the first below stop_below; it is an
+    upper bound of the true infimum.  One ball is a batch of one.
     """
-    center = ball.center
-    offsets, weights = _ball_quadrature(field, center, ball.radius)
-    values = field(center[None, :] + offsets)
-    total = weights.sum()
-    mean = (weights[:, None] * values).sum(axis=0) / total
-    const_value = float((weights * ((values - mean) ** 2).sum(axis=1)).sum() / total)
-
-    if k >= field.n or (stop_below is not None and const_value < stop_below):
-        return SymmetryResult(value=const_value, plane=None)
+    n, center = field.n, ball.center
     if plane_candidates is None:
-        plane_candidates = grassmann_candidates(field.n, k, 64)
-
-    best = const_value  # the constant map is k-symmetric for every k
-    best_plane = None
-    unit = offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
-    for frame in plane_candidates:
-        frame = np.atleast_2d(frame) if k > 0 else np.zeros((0, field.n))
-        if k == 0:
-            perp_unit = unit
-        else:
-            perp = offsets - offsets @ frame.T @ frame
-            nrm = np.linalg.norm(perp, axis=1, keepdims=True)
-            safe = np.where(nrm <= 1e-14, 1.0, nrm)
-            perp_unit = np.where(nrm <= 1e-14, 0.0, perp / safe)
-        # competitor 1: conditional mean over direction bins
-        if k == 0:
-            dirs = perp_unit
-        else:
-            basis = _perp_basis(frame, field.n)
-            dirs = perp_unit @ basis.T
-            renrm = np.linalg.norm(dirs, axis=1, keepdims=True)
-            dirs = dirs / np.where(renrm == 0.0, 1.0, renrm)
-        labels = _direction_bins(dirs, bins)
-        val = _conditional_mean_residual(values, weights, labels)
-        # competitor 2: pullback through the orbit representative; exact
-        # for fields that are k-symmetric with this plane
-        rep_values = field(center[None, :] + perp_unit)
-        val_rep = float(
-            (weights * ((values - rep_values) ** 2).sum(axis=1)).sum() / total
-        )
-        val = min(val, val_rep)
+        plane_candidates = grassmann_candidates(n, k, 64) if k < n else []
+    frames = _frame_stack(plane_candidates, k, n)
+    const, cand = _symmetry_residuals(field, center[None, :], ball.radius,
+                                      float(field.singular_distance(center)[0]),
+                                      frames, bins, stop_below)
+    best, arg = float(const[0]), None  # the constant map is k-symmetric for every k
+    for f, val in enumerate(cand[0]):
         if val < best:
-            best = val
-            best_plane = (AffinePlane(center, frame, _skip_checks=True)
-                          if k > 0 else AffinePlane(center))
-            if stop_below is not None and best < stop_below:
-                break
-    return SymmetryResult(value=best, plane=best_plane)
+            best, arg = float(val), f
+        if stop_below is not None and best < stop_below:
+            break
+    return SymmetryResult(value=best, plane=None if arg is None else
+                          AffinePlane(center, frames[arg], _skip_checks=True))
 
 
 def _perp_basis(frame, n):
-    frame = np.atleast_2d(frame)
-    if frame.shape[0] == 0:
-        return np.eye(n)
+    """Orthonormal rows spanning the orthogonal complement of a k-frame, k >= 1."""
     Q, _ = np.linalg.qr(np.hstack([frame.T, np.eye(n)]))
     return Q[:, frame.shape[0] :].T
 
@@ -573,19 +595,13 @@ def _perp_basis(frame, n):
 # quantitative strata
 # ---------------------------------------------------------------------------
 
+FINEST_SCALE = 2.0**-60  # the deepest dyadic rung; ball rules underflow near 1e-110
+
+
 def _dyadic_scales_in(r_min, r_max):
-    """Dyadic radii 2^-a with r_min <= 2^-a < r_max, ascending."""
-    out = []
-    a = math.floor(-math.log2(max(r_min, 1e-300)))
-    while 2.0**-a < r_min - 1e-15:
-        a -= 1
-    while 2.0**-a >= r_min - 1e-15:
-        if 2.0**-a < r_max - 1e-15:
-            out.append(2.0**-a)
-        a += 1
-        if a > 60:
-            break
-    return sorted(out)
+    """Dyadic radii 2^-a with r_min <= 2^-a < r_max and a <= 60, ascending."""
+    lo = max(-60, math.floor(math.log2(r_min)))
+    return [2.0**e for e in range(lo, math.ceil(math.log2(r_max)) + 1) if r_min <= 2.0**e < r_max]
 
 
 def quantitative_stratum(field, k, epsilon, r, grid_step, center=None, radius=1.0,
@@ -593,37 +609,30 @@ def quantitative_stratum(field, k, epsilon, r, grid_step, center=None, radius=1.
     """Grid points of B_radius(center) with no (k+1, epsilon)-symmetric ball
     at any dyadic scale in [r, radius).
 
-    Membership uses the sampled upper bound of the symmetry distance, so it
-    is approximate in the outward direction (see module docs).  Weights are
-    the k-content grid_step^k of each grid cell.  Raises ValueError unless
-    r > 0.
+    The ladder is walked once, finest rung first; at each rung the points
+    not yet found symmetric form one batch per ball rule.  Membership uses
+    the sampled upper bound of the symmetry distance (see module docs); a
+    NaN residual counts as not symmetric.  Weights are the k-content
+    grid_step^k of each grid cell.  Raises ValueError unless r >= 2^-60.
     """
-    if r <= 0:
-        raise ValueError("quantitative_stratum needs r > 0")
+    if not r >= FINEST_SCALE:
+        raise ValueError("quantitative_stratum needs r > 0 and r >= 2**-60, the finest rung")
     n = field.n
     center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-    axes = [np.arange(-radius, radius + grid_step * 0.5, grid_step)] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1) + center
+    axis = np.arange(-radius, radius + grid_step * 0.5, grid_step)
+    pts = np.stack([m.ravel() for m in np.meshgrid(*[axis] * n, indexing="ij")], axis=1) + center
     pts = pts[np.linalg.norm(pts - center, axis=1) <= radius]
-    scales = _dyadic_scales_in(r, radius)
-    sym_k = k + 1
-    candidates = grassmann_candidates(n, sym_k, plane_count) if sym_k < n else None
-    members = []
-    for p in pts:
-        symmetric_somewhere = False
-        for s in scales:
-            res = symmetry_distance(field, Ball(p, s), sym_k,
-                                    plane_candidates=candidates, bins=bins,
-                                    stop_below=epsilon)
-            if res.value < epsilon:
-                symmetric_somewhere = True
-                break
-        if not symmetric_somewhere:
-            members.append(p)
-    if not members:
-        return AtomicMeasure(np.zeros((0, n)), np.zeros(0))
-    members = np.array(members)
+    frames = _frame_stack(grassmann_candidates(n, k + 1, plane_count), k + 1, n)
+    d_sing, kept = field.singular_distance(pts), {}
+    undecided = np.ones(len(pts), dtype=bool)
+    for s in _dyadic_scales_in(r, radius):
+        live = np.flatnonzero(undecided)
+        rule = np.where(d_sing[live] <= 1.5 * s, d_sing[live], np.inf)
+        for d in np.unique(rule):
+            ids = live[rule == d]
+            const, cand = _symmetry_residuals(field, pts[ids], s, d, frames, bins, epsilon, kept)
+            undecided[ids[(const < epsilon) | np.any(cand < epsilon, axis=1)]] = False
+    members = pts[undecided]
     return AtomicMeasure(members, np.full(len(members), grid_step**k))
 
 
@@ -634,20 +643,17 @@ def quantitative_stratum(field, k, epsilon, r, grid_step, center=None, radius=1.
 def _sampled_grad_sup(field, x, r, angular_order=6, radial_count=6):
     """Sampled sup of |grad f| over the closed ball, biased toward the
     nearest singular point (where the true sup is attained for cone maps)."""
-    samples = [x[None, :]]
     omega, _ = _sphere_rule(field.n, angular_order)
-    for frac in np.linspace(1.0 / radial_count, 1.0, radial_count):
-        samples.append(x[None, :] + frac * r * omega)
+    samples = [x[None, :]] + [x[None, :] + frac * r * omega
+                              for frac in np.linspace(1.0 / radial_count, 1.0, radial_count)]
     if field.singular is not None:
         kind, obj = field.singular
         target = np.asarray(obj) if kind == "point" else obj.project(x)
         gap = np.linalg.norm(target - x)
-        if gap > 0:
-            step = min(r, gap) * (target - x) / gap
-            samples.append((x + step)[None, :])
-            samples.append((x + step * (1.0 - 1e-9))[None, :])
-        else:
+        if gap == 0:
             return np.inf
+        step = min(r, gap) * (target - x) / gap
+        samples += [(x + step)[None, :], (x + step * (1.0 - 1e-9))[None, :]]
     pts = np.vstack(samples)
     d = field.singular_distance(pts)
     if np.any(d <= 1e-14):
@@ -672,10 +678,7 @@ def regularity_scale(field, x):
     lo, hi = 1e-9, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
     return lo
 
 
@@ -698,8 +701,7 @@ def best_approx_check(field, mu, p, r, k, epsilon, quad_panels=24, quad_order=10
     if len(idx) == 0:
         raise EmptySupportError("no atoms in the evaluation ball")
     sub = mu.subset(idx)
-    spec = second_moment_spectrum(sub, ball)
-    lhs = spec.residual(k) * r ** (-(k + 2))
+    lhs = second_moment_spectrum(sub, ball).residual(k) * r ** (-(k + 2))
     drops = np.array([
         theta(field, q, 8 * r, panels=quad_panels, order=quad_order)
         - theta(field, q, r, panels=quad_panels, order=quad_order)
@@ -708,11 +710,8 @@ def best_approx_check(field, mu, p, r, k, epsilon, quad_panels=24, quad_order=10
     rhs = float(np.dot(sub.weights, np.maximum(drops, 0.0))) * r ** (-k)
     big = Ball(p, 9 * r)
     zero_sym = symmetry_distance(field, big, 0).value
-    k1_sym = symmetry_distance(
-        field, big, k + 1,
-        plane_candidates=grassmann_candidates(field.n, k + 1, 48)
-        if k + 1 < field.n else None,
-    ).value
+    k1_sym = symmetry_distance(field, big, k + 1, plane_candidates=(
+        grassmann_candidates(field.n, k + 1, 48) if k + 1 < field.n else None)).value
     return {
         "lhs": float(lhs),
         "rhs": rhs,

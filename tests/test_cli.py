@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -123,9 +124,14 @@ class TestOptionRanges:
         ["stratify", "--fixture", "smooth", "--dim", "3", "--k", "0", "--r-min", "-1"],
         ["stratify", "--fixture", "smooth", "--dim", "3", "--k", "0", "--r-min", "0"],
         ["stratify", "--fixture", "smooth", "--dim", "3", "--k", "0", "--plane-count", "-1"],
+        ["stratify", "--fixture", "radial_projection", "--dim", "3", "--k", "0",
+         "--grid-step", "0.5", "--r-min", "1e-200"],
+        ["stratify", "--fixture", "radial_projection", "--dim", "3", "--k", "0",
+         "--grid-step", "0.5", "--r-min", "1e-110"],
     ], ids=["rho", "delta", "eps-mass", "gamma-good", "alpha-range", "scales",
             "reconstruct-k", "k",
-            "grid-step", "eta", "r-min", "r-min-zero", "plane-count"])
+            "grid-step", "eta", "r-min", "r-min-zero", "plane-count",
+            "r-min-1e-200", "r-min-1e-110"])
     def test_bad_value_is_parse_error(self, tmp_path, capsys, argv):
         # rejected before any work, with a message and no traceback
         cloud = tmp_path / "cloud.csv"
@@ -147,6 +153,17 @@ class TestOptionRanges:
         with pytest.raises(SystemExit) as exc:
             run_cli([a.format(cloud=cloud) for a in command] + [option, "0.5"])
         assert exc.value.code == 2
+
+    def test_r_min_at_the_deepest_rung_runs(self, tmp_path):
+        # 1e-200 used to overflow in the cover and 1e-110 to underflow the
+        # ball rule into NaN; 2**-60, the ladder's deepest rung, still runs
+        out = tmp_path / "report.json"
+        code = run_cli(["stratify", "--fixture", "radial_projection", "--dim", "3",
+                        "--k", "0", "--grid-step", "0.5", "--r-min", repr(2.0**-60),
+                        "--output", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["stratum_positions"] == [[0.0, 0.0, 0.0]]
 
     def test_stratify_where_every_theta_is_infinite(self, capsys):
         # x/|x| in R^2: the codimension-2 point lies in every top-scale ball

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import gamma, roots_legendre
+from scipy.special import gamma, ndtri, roots_legendre
 
 from msgeom import harmonic
 from msgeom.errors import EnergyInfiniteError
@@ -352,6 +352,133 @@ class TestStratum:
         # distance is NaN and every grid point joined the stratum
         with pytest.raises(ValueError, match="r > 0"):
             quantitative_stratum(radial_projection(3), 0, 0.3, r, grid_step=0.5)
+
+    @pytest.mark.parametrize("r", [2.0**-61, 1e-110, 1e-200, float("nan")])
+    def test_scale_below_the_deepest_rung(self, r):
+        # from about 1e-110 down the ball-rule weights underflow into NaN
+        with pytest.raises(ValueError, match=r"r >= 2\*\*-60"):
+            quantitative_stratum(radial_projection(3), 0, 0.3, r, grid_step=0.5)
+
+
+def reference_stratum(field, k, epsilon, r, grid_step, center=None, radius=1.0,
+                      plane_count=48, bins=16):
+    """The per-point loop the batched stratum replaced: one symmetry_distance
+    per (grid point, rung), finest rung first, until a ball is
+    epsilon-symmetric."""
+    n = field.n
+    center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+    axis = np.arange(-radius, radius + grid_step * 0.5, grid_step)
+    pts = np.stack([m.ravel() for m in np.meshgrid(*[axis] * n, indexing="ij")], axis=1) + center
+    pts = pts[np.linalg.norm(pts - center, axis=1) <= radius]
+    candidates = grassmann_candidates(n, k + 1, plane_count) if k + 1 < n else None
+    members = [p for p in pts if not any(
+        symmetry_distance(field, Ball(p, s), k + 1, plane_candidates=candidates, bins=bins,
+                          stop_below=epsilon).value < epsilon
+        for s in harmonic._dyadic_scales_in(r, radius))]
+    return np.array(members).reshape(-1, n)
+
+
+class TestBatchedStratum:
+    # (field, k, epsilon, r, options); each splits its grid into members and
+    # non-members and sends balls on to the candidate planes
+    CASES = {
+        "radial_projection(2)": (lambda: radial_projection(2), 0, 0.1, 0.25,
+                                 dict(grid_step=0.125, plane_count=8)),
+        "radial_projection(3)": (lambda: radial_projection(3), 0, 0.1, 0.25,
+                                 dict(grid_step=0.5, plane_count=8)),
+        "radial_projection(3), fine": (lambda: radial_projection(3), 0, 0.3, 2.0**-4,
+                                       dict(grid_step=0.25, plane_count=8)),
+        "smoothed_projection(3)": (lambda: smoothed_projection(3), 0, 0.1, 0.25,
+                                   dict(grid_step=0.5, plane_count=8)),
+        "smooth_wave(3), k=1": (lambda: smooth_wave(3), 1, 0.01, 0.25,
+                                dict(grid_step=0.5, plane_count=8)),
+        "k_symmetric_cone(3, 1), k=0": (lambda: k_symmetric_cone(3, 1), 0, 0.1, 0.25,
+                                        dict(grid_step=0.5, plane_count=8)),
+        "k_symmetric_cone(3, 1), k=1": (lambda: k_symmetric_cone(3, 1), 1, 0.1, 0.25,
+                                        dict(grid_step=0.5, plane_count=8)),
+        "k_symmetric_cone(3, 1), center": (lambda: k_symmetric_cone(3, 1), 1, 0.1, 0.25,
+                                           dict(grid_step=0.25, center=[0.125, 0.0, 0.0],
+                                                radius=0.5, plane_count=8)),
+        "radial_projection(3), center": (lambda: radial_projection(3), 0, 0.1, 0.25,
+                                         dict(grid_step=0.5, center=[0.05, -0.1, 0.0],
+                                              plane_count=8)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_same_points_as_the_per_point_loop(self, case):
+        make, k, epsilon, r, options = self.CASES[case]
+        batched = quantitative_stratum(make(), k, epsilon, r, **options)
+        reference = reference_stratum(make(), k, epsilon, r, **options)
+        assert batched.count > 0
+        assert np.array_equal(batched.positions, reference)
+
+    @pytest.mark.parametrize("fine", [2.0**-6, 2.0**-50])
+    def test_kept_frame_tables_change_only_the_work(self, monkeypatch, fine):
+        # the origin's ball rule has the same shape at every rung, so its
+        # frame tables are built once; at 2^-50 perpendicular parts fall
+        # under the 1e-14 cut, and those rungs build their own
+        build = harmonic._frame_table
+
+        def count_tables(kept):
+            calls = []
+            monkeypatch.setattr(harmonic, "_KEPT_TABLES", kept)
+            monkeypatch.setattr(harmonic, "_frame_table",
+                                lambda *args: calls.append(1) or build(*args))
+            mu = quantitative_stratum(radial_projection(3), 0, 0.3, fine, grid_step=0.5,
+                                      plane_count=8)
+            return mu.positions, len(calls)
+
+        kept_positions, kept_calls = count_tables(16)
+        positions, calls = count_tables(0)
+        assert np.array_equal(kept_positions, positions)
+        assert kept_positions.tolist() == [[0.0, 0.0, 0.0]]
+        assert kept_calls < calls
+
+    def test_nan_residual_is_not_symmetric(self):
+        # a field that is NaN everywhere has no symmetric ball at any rung
+        nan_field = harmonic.EnergyField(3, lambda X: np.full((len(X), 2), np.nan),
+                                         None, None)
+        mu = quantitative_stratum(nan_field, 0, 0.3, 0.25, grid_step=0.5)
+        assert mu.count == 33
+
+
+class TestDyadicLadder:
+    def test_every_rung_from_the_floor(self):
+        assert harmonic._dyadic_scales_in(2.0**-6, 1.0) == [2.0**-a for a in range(6, 0, -1)]
+
+    def test_top_is_exclusive(self):
+        assert harmonic._dyadic_scales_in(0.125, 1.0) == [0.125, 0.25, 0.5]
+        assert harmonic._dyadic_scales_in(0.125, 0.5) == [0.125, 0.25]
+        assert harmonic._dyadic_scales_in(0.1, 0.5 + 1e-12) == [0.125, 0.25, 0.5]
+
+    def test_deepest_rung(self):
+        ladder = harmonic._dyadic_scales_in(2.0**-60, 1.0)
+        assert len(ladder) == 60 and ladder[0] == 2.0**-60
+
+
+class TestHalton:
+    # the sequence the package drew from scipy.stats.qmc before; d = 240
+    # needs primes beyond scipy's table of 168
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 15, 240])
+    def test_bitwise_equal_to_scipy(self, d):
+        from scipy.stats import qmc
+
+        for count in (1, 32, 48, 64, 200):
+            expected = qmc.Halton(d=d, scramble=True, seed=0).random(count)
+            assert np.array_equal(harmonic._scrambled_halton(d, count), expected)
+
+    @pytest.mark.parametrize("n, k, count", [
+        (2, 1, 64), (3, 1, 32), (3, 1, 48), (3, 1, 64), (3, 1, 200), (3, 2, 32),
+        (3, 2, 48), (3, 2, 64), (4, 1, 48), (4, 2, 32), (4, 3, 48)])
+    def test_frames_equal_the_scipy_frames(self, n, k, count):
+        from scipy.stats import qmc
+
+        raw = np.clip(qmc.Halton(d=n * k, scramble=True, seed=0).random(count),
+                      1e-12, 1 - 1e-12)
+        expected = [np.linalg.qr(G)[0].T for G in ndtri(raw).reshape(count, n, k)]
+        frames = grassmann_candidates(n, k, count)
+        assert len(frames) == count
+        assert all(np.array_equal(a, b) for a, b in zip(frames, expected))
 
 
 class TestRegularityScale:

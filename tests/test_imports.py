@@ -6,9 +6,13 @@ function, method or constructor is passed by some call in the package, the
 tests or the benchmark (whose sources are parsed, never imported).  No
 linter ships with the project, so these AST scans stand in for the unused
 import and unused variable checks (pyflakes F401 and F841) and for a
-dead-parameter check."""
+dead-parameter check.  No package module imports scipy.stats, whose import
+alone costs a fresh process most of a second."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "msgeom"
@@ -233,3 +237,59 @@ def test_no_unpassed_defaults():
                for path in sorted(TESTS.glob("*.py")) + sorted(BENCH.glob("*.py"))]
     found = [f"{fn}({param})" for fn, param in unpassed_defaults(read, callers)]
     assert not found, "defaults no call passes:\n" + "\n".join(found)
+
+
+def scipy_stats_imports(source, filename="<source>"):
+    """Line of each import of scipy.stats (or a submodule), at any depth."""
+    def stats(name):
+        return name == "scipy.stats" or name.startswith("scipy.stats.")
+
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Import) and any(stats(a.name) for a in node.names):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module and (
+                stats(node.module)
+                or (node.module == "scipy" and any(a.name == "stats" for a in node.names))):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_scipy_stats_scan_flags_every_form():
+    source = (
+        "import scipy.special\n"
+        "import scipy.stats\n"
+        "from scipy import special, stats\n"
+        "from scipy.stats import qmc\n"
+        "from scipy.stats.qmc import Halton\n"
+        "from scipy.statistics import x\n"
+        "def f():\n"
+        "    import scipy.stats as st\n"
+        "    return st\n"
+    )
+    assert scipy_stats_imports(source) == [2, 3, 4, 5, 8]
+
+
+def test_package_never_imports_scipy_stats():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in scipy_stats_imports(path.read_text(encoding="utf-8"), str(path))
+    ]
+    assert not found, "scipy.stats imported at:\n" + "\n".join(found)
+
+
+def test_stratify_leaves_scipy_stats_unloaded(tmp_path):
+    code = (
+        "import sys\n"
+        "from msgeom.cli import main\n"
+        "status = main(['stratify', '--fixture', 'radial_projection', '--dim', '3', "
+        "'--k', '0', '--grid-step', '0.5', '--r-min', '0.25', "
+        f"'--output', {str(tmp_path / 'report.json')!r}])\n"
+        "print(status, 'scipy.stats' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.split() == ["0", "False"]
