@@ -46,12 +46,15 @@ class BallFamily:
             raise DisjointnessError("ball family is not pairwise disjoint")
 
     def _check_disjoint(self, shrink=1.0):
+        """No two balls of radii shrink * r overlap: |c_j - c_i| >= (r_i + r_j)
+        (1 - 1e-12) for i < j.  A pair can fail only within 2 max r of each
+        other, so only the pairs of the index's neighbourhoods at that radius
+        are tested."""
         c, r = self.centers, self.radii * shrink
-        for i in range(len(r)):
-            d = np.linalg.norm(c[i + 1 :] - c[i], axis=1)
-            if np.any(d < (r[i + 1 :] + r[i]) * (1 - 1e-12)):
-                return False
-        return True
+        indptr, nbrs = SpatialIndex(c).neighborhoods(c, 2.0 * r.max(initial=0.0))
+        i = np.repeat(np.arange(len(r)), np.diff(indptr))
+        i, j = i[nbrs > i], nbrs[nbrs > i]
+        return not np.any(np.linalg.norm(c[j] - c[i], axis=1) < (r[j] + r[i]) * (1 - 1e-12))
 
     def fifth_disjoint(self):
         return self._check_disjoint(shrink=0.2)
@@ -199,7 +202,7 @@ def discrete_reifenberg_verify(family, k, cfg, packing_bound=None):
             values_by_scale[r] = 0.0
             continue
         # the integral over B_r(x) is the mass of B_r(x) under nu = S mu
-        nu = AtomicMeasure(mu.positions, mu.weights * sums[min(i, len(sums) - 1)])
+        nu = mu.reweighted(mu.weights * sums[min(i, len(sums) - 1)])
         vals = ball_masses_many(nu, mu.positions[eligible], r) * r**-k
         values_by_scale[r] = float(vals.max())
         j = int(np.argmax(vals))

@@ -1,16 +1,19 @@
 """Core geometric types: affine planes, balls, weighted atomic measures,
-subspace/set distances, and an exact kd-tree spatial index.  Every per-ball
-total goes through its CSR neighbourhoods and segment sums, and every
-nearest-neighbour and greedy separated-net query goes through its `knn`
-and `greedy_net`.
+subspace/set distances, and an exact kd-tree spatial index.  Every
+neighbourhood, nearest-neighbour and greedy separated-net query goes
+through the index.  Ball totals of a measure go through `ball_items`: the
+kd-nodes wholly inside a ball, plus the atoms of its boundary leaves, each
+item carrying its node's aggregates.
 
 All types are immutable after construction and every operation is pure, so
-instances can be shared freely across threads.
+instances can be shared freely across threads; the tables an index or a
+measure builds on first use come out the same whichever thread builds them.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -19,6 +22,8 @@ from .errors import EmptySupportError
 
 ORTHONORMALITY_TOL = 1e-10
 _DEPENDENCE_TOL = 1e-8
+_PAIR_BUDGET = 1 << 18       # (ball, item) pairs a `ball_items` chunk aims to hold
+_BOX_SLACK = 1e-12           # relative margin of the whole-node tests of `ball_items`
 
 
 def _as_point(p, dim=None):
@@ -231,12 +236,13 @@ def hausdorff_distance(A, B):
 
 
 def segment_sums(values, indptr):
-    """Sums of values over the CSR segments [indptr[i], indptr[i+1]).
+    """Sums of values over the CSR segments [indptr[i], indptr[i+1]), in the
+    dtype of the values.
 
     Empty segments sum to zero.  One ball and a batch of balls both total
-    their atoms here, in the same order, so their results agree bitwise.
+    their items here, in the same order, so their results agree bitwise.
     """
-    out = np.zeros((len(indptr) - 1,) + values.shape[1:])
+    out = np.zeros((len(indptr) - 1,) + values.shape[1:], dtype=values.dtype)
     full = np.flatnonzero(np.diff(indptr))
     if full.size:
         # np.add.reduceat returns values[start] for an empty segment, so
@@ -245,21 +251,180 @@ def segment_sums(values, indptr):
     return out
 
 
+def _ranges(start, size):
+    """The concatenated ranges start[i], ..., start[i] + size[i] - 1."""
+    return np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())
+
+
+def _tree_sqdist(diff):
+    """Squared norms of the rows of diff, summed as cKDTree sums them: four
+    running sums over whole blocks of four coordinates, added in order,
+    then the remaining coordinates one by one."""
+    sq = diff * diff
+    n = sq.shape[1]
+    whole = n - n % 4
+    if whole:
+        acc = sq[:, :4]
+        for j in range(4, whole, 4):
+            acc = acc + sq[:, j:j + 4]
+        out = ((acc[:, 0] + acc[:, 1]) + acc[:, 2]) + acc[:, 3]
+    else:
+        out, whole = sq[:, 0], 1  # 0 + sq[:, 0] is sq[:, 0]: squares are never -0
+    for j in range(whole, n):
+        out = out + sq[:, j]
+    return out
+
+
+def centred_sums(rel, w, indptr, owner):
+    """Masses, mean offsets and centred scatter of weighted offsets in CSR
+    segments, in two passes: rel (n, pairs) holds coordinate-major offsets
+    and owner[p] is the segment of pair p.  Returns (mass, mean (segments,
+    n), upper triangle of sum w (rel - mean)(rel - mean)^T (segments,
+    n(n+1)/2), row-major); a massless segment has mean 0."""
+    mass = segment_sums(w, indptr)
+    mean = segment_sums((w * rel).T, indptr)
+    np.divide(mean, mass[:, None], out=mean, where=mass[:, None] > 0.0)
+    cen = rel - mean.T[:, owner]
+    upper = np.triu_indices(rel.shape[0])
+    return mass, mean, segment_sums(((w * cen)[upper[0]] * cen[upper[1]]).T, indptr)
+
+
+@dataclass(frozen=True)
+class ItemTree:
+    """A kd-tree flattened into items.  Items 0..nodes-1 are the tree's
+    nodes, depth first, lesser child first; item nodes + s is the atom in
+    tree slot s.  Item i covers the atoms order[start[i]:start[i] + size[i]]
+    and is anchored at the first of them."""
+
+    order: np.ndarray       # tree slot -> point index (cKDTree.indices)
+    start: np.ndarray       # (items,) first slot
+    size: np.ndarray        # (items,) points covered
+    anchor: np.ndarray      # (items,) point index of the first slot
+    kids: np.ndarray        # (nodes, 2) lesser and greater child; -1 at a leaf
+    lo: np.ndarray          # (nodes, n) bounding box of the node's points
+    hi: np.ndarray
+    member_ptr: np.ndarray  # points of node i: order[start[i]:...], concatenated
+    members: np.ndarray     # in `members[member_ptr[i]:member_ptr[i + 1]]`
+
+    @property
+    def nodes(self):
+        return self.kids.shape[0]
+
+    @classmethod
+    def flatten(cls, tree, points):
+        """The item form of a cKDTree over points (None: no points)."""
+        start, end, kids = [], [], []
+        stack = [] if tree is None else [(tree.tree, -1, 0)]
+        while stack:
+            node, parent, side = stack.pop()
+            if parent >= 0:
+                kids[parent][side] = len(start)
+            start.append(node.start_idx)
+            end.append(node.end_idx)
+            kids.append([-1, -1])
+            if node.lesser is not None:
+                stack += [(node.greater, len(start) - 1, 1), (node.lesser, len(start) - 1, 0)]
+        order = np.zeros(0, dtype=np.intp) if tree is None else tree.indices.astype(np.intp)
+        start = np.array(start, dtype=np.intp)
+        size = np.array(end, dtype=np.intp) - start
+        member_ptr = np.zeros(len(start) + 1, dtype=np.intp)
+        np.cumsum(size, out=member_ptr[1:])
+        members = order[_ranges(start, size)]
+        boxed = points[members]
+        start = np.concatenate([start, np.arange(len(order))])
+        return cls(order=order, start=start,
+                   size=np.concatenate([size, np.ones(len(order), dtype=np.intp)]),
+                   anchor=order[start], kids=np.array(kids, dtype=np.intp).reshape(-1, 2),
+                   lo=np.minimum.reduceat(boxed, member_ptr[:-1]),
+                   hi=np.maximum.reduceat(boxed, member_ptr[:-1]),
+                   member_ptr=member_ptr, members=members)
+
+
 class SpatialIndex:
     """Immutable kd-tree index over points with exact closed-ball queries.
 
-    Every query is cKDTree's, so all of them share one predicate: the
-    closed ball |x_j - center| <= r as the tree evaluates it.
+    Every query is cKDTree's or follows its predicate: the closed ball
+    |x_j - center| <= r as the tree evaluates it.  The tree's item form
+    (`item_tree`) is built on first use.
     """
 
-    __slots__ = ("points", "_tree")
+    __slots__ = ("points", "_tree", "_items")
 
     def __init__(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float)).copy()
         object.__setattr__(self, "points", points)
         tree = cKDTree(points) if points.shape[0] else None
         object.__setattr__(self, "_tree", tree)
+        object.__setattr__(self, "_items", None)
         points.setflags(write=False)
+
+    def item_tree(self):
+        """The tree as an `ItemTree`, built on first use."""
+        if self._items is None:
+            object.__setattr__(self, "_items", ItemTree.flatten(self._tree, self.points))
+        return self._items
+
+    def ball_items(self, centers, radius):
+        """Items of the closed balls B_radius(c), c in centers, in chunks
+        (lo, hi, indptr, items): items[indptr[i]:indptr[i + 1]] are the
+        items of the ball around centers[lo + i], in tree-slot order.
+
+        A ball takes a node whole when the farthest corner of the node's
+        bounding box lies inside the ball by the relative margin
+        _BOX_SLACK, and skips it when the nearest box point lies outside by
+        that margin.  Of the leaves left, it takes the atoms that pass the
+        tree's own predicate, `_tree_sqdist(x - c) <= radius * radius`.  So
+        the atoms covered are those of `neighborhoods`.  The tree is walked
+        one level at a time for a chunk of centers at once.  The first chunk
+        holds _PAIR_BUDGET // len(self) centers (a ball never holds more
+        than len(self) items), and each later one is sized from the pairs
+        its predecessor held, growing at most eightfold.
+        """
+        centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        m, t = centers.shape[0], self.item_tree()
+        if self._tree is None:
+            yield 0, m, np.zeros(m + 1, dtype=np.intp), np.zeros(0, dtype=np.intp)
+            return
+        lo, step = 0, max(1, _PAIR_BUDGET // len(self))
+        while lo < m:
+            hi = min(m, lo + step)
+            indptr, items, held = self._walk(t, centers[lo:hi], radius * radius)
+            yield lo, hi, indptr, items
+            lo, step = hi, max(1, min(8 * step, step * _PAIR_BUDGET // max(held, 1)))
+
+    def _walk(self, t, centers, r2):
+        """CSR items of the balls of squared radius r2 around the centers,
+        and the most (ball, node or atom) pairs held at once."""
+        ball = np.arange(centers.shape[0])
+        node = np.zeros(centers.shape[0], dtype=np.intp)
+        owners, items, held = [], [], 0
+        while ball.size:
+            c = centers[ball]
+            d_lo, d_hi = t.lo[node] - c, c - t.hi[node]
+            far = _tree_sqdist(np.maximum(-d_lo, -d_hi))
+            inside = far * (1.0 + _BOX_SLACK) < r2 * (1.0 - _BOX_SLACK)
+            near = _tree_sqdist(np.maximum(np.maximum(d_lo, d_hi), 0.0))
+            cut = ~inside & (near <= r2 * (1.0 + _BOX_SLACK))
+            owners.append(ball[inside])
+            items.append(node[inside])
+            ball, node = ball[cut], node[cut]
+            held = max(held, ball.size)
+            leaf = t.kids[node, 0] < 0
+            if leaf.any():
+                size = t.size[node[leaf]]
+                slots = _ranges(t.start[node[leaf]], size)
+                owner = np.repeat(ball[leaf], size)
+                hit = _tree_sqdist(self.points[t.order[slots]] - centers[owner]) <= r2
+                owners.append(owner[hit])
+                items.append(t.nodes + slots[hit])
+                held = max(held, ball.size + slots.size)
+                ball, node = ball[~leaf], node[~leaf]
+            ball, node = np.repeat(ball, 2), t.kids[node].ravel()
+        owner, item = np.concatenate(owners), np.concatenate(items)
+        order = np.argsort(owner * len(self) + t.start[item], kind="stable")
+        indptr = np.zeros(centers.shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.bincount(owner, minlength=centers.shape[0]), out=indptr[1:])
+        return indptr, item[order], max(held, item.size)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpatialIndex is immutable")
@@ -330,9 +495,9 @@ class SpatialIndex:
 class AtomicMeasure:
     """Finite weighted point set mu = sum_j w_j delta_{x_j}, w_j >= 0."""
 
-    __slots__ = ("positions", "weights", "_index", "_bounding")
+    __slots__ = ("positions", "weights", "_index", "_bounding", "_item_mass", "_item_moments")
 
-    def __init__(self, positions, weights=None):
+    def __init__(self, positions, weights=None, *, _index=None):
         positions = np.atleast_2d(np.asarray(positions, dtype=float)).copy()
         m = positions.shape[0]
         if weights is None:
@@ -347,13 +512,15 @@ class AtomicMeasure:
             raise ValueError("atoms must be finite")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_index", SpatialIndex(positions))
+        object.__setattr__(self, "_index", SpatialIndex(positions) if _index is None else _index)
         if m:
             center = 0.5 * (positions.min(axis=0) + positions.max(axis=0))
             radius = float(np.linalg.norm(positions - center, axis=1).max())
         else:
             center, radius = None, 0.0
         object.__setattr__(self, "_bounding", (center, radius))
+        object.__setattr__(self, "_item_mass", None)
+        object.__setattr__(self, "_item_moments", None)
         positions.setflags(write=False)
         weights.setflags(write=False)
 
@@ -384,8 +551,41 @@ class AtomicMeasure:
         return self._index.query(ball.center, ball.radius)
 
     def mass_in_ball(self, ball):
-        indptr, idx = self._index.neighborhoods(ball.center, ball.radius)
-        return float(segment_sums(self.weights[idx], indptr)[0])
+        """mu(ball): the batch of one of `moments.ball_masses_many`."""
+        from .moments import ball_masses_many  # moments imports this module
+
+        return float(ball_masses_many(self, ball.center, ball.radius)[0])
+
+    def reweighted(self, weights):
+        """The measure on the same atoms with new weights.  It shares this
+        measure's kd-tree, so only its item aggregates are new."""
+        return AtomicMeasure(self.positions, weights, _index=self._index)
+
+    def item_masses(self):
+        """Mass of every item of the index's `item_tree` (empty for an
+        empty measure), built on first use."""
+        if self._item_mass is None:
+            t = self._index.item_tree()
+            object.__setattr__(self, "_item_mass", np.concatenate(
+                [segment_sums(self.weights[t.members], t.member_ptr), self.weights[t.order]]))
+        return self._item_mass
+
+    def item_moments(self):
+        """Mean offset of every item from its anchor atom (items, n) and its
+        centred scatter, the upper triangle of sum w (x - mean)(x - mean)^T
+        (items, n(n+1)/2), row-major; built on first use from coordinate
+        differences.  An atom item has zero offset and scatter, and so has a
+        massless node."""
+        if self._item_moments is None:
+            t = self._index.item_tree()
+            owner = np.repeat(np.arange(t.nodes), t.size[:t.nodes])
+            rel = self.positions.T[:, t.members] - self.positions.T[:, t.anchor[owner]]
+            _, offset, scatter = centred_sums(rel, self.weights[t.members], t.member_ptr, owner)
+            atoms = len(t.order)
+            object.__setattr__(self, "_item_moments", (
+                np.concatenate([offset, np.zeros((atoms, offset.shape[1]))]),
+                np.concatenate([scatter, np.zeros((atoms, scatter.shape[1]))])))
+        return self._item_moments
 
     def restrict(self, ball):
         """New measure keeping only atoms in the closed ball."""

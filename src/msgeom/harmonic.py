@@ -407,7 +407,6 @@ def energy_point(field, x, r, alpha_range=(3, 6)):
 @dataclass
 class SymmetryResult:
     value: float
-    plane: AffinePlane | None
 
 
 def _primes(count):
@@ -479,28 +478,30 @@ def _direction_bins(dirs, bin_spec):
     return band * (2 * bin_spec) + sector
 
 
-def _frame_table(offsets, frames, bins):
-    """Per frame V of a block: the least norm of an offset's V-orthogonal
-    part, the unit parts (frames, N, n), and all nodes sorted stably by
-    (frame, direction bin of the part), with the start of each bin."""
+def _frame_table(offsets, frames, bins, r):
+    """Per frame V of a block over a rule of radius r: the unit V-orthogonal
+    parts of the offsets (frames, N, n), a part of norm at most 1e-14 r cut
+    to 0, and all nodes sorted stably by (frame, direction bin of the part),
+    with the start of each bin.  The cut is relative to r, so a rule scaled
+    exactly by a power of two gives the same table."""
     count, k, n = frames.shape
     if k == 0:
-        nrm = _norms(offsets)
-        perp_unit = dirs = np.repeat((offsets / nrm)[None], count, axis=0)
+        perp_unit = dirs = np.repeat((offsets / _norms(offsets))[None], count, axis=0)
     else:
         perp = np.empty((count, *offsets.shape))
         for i, frame in enumerate(frames):
             np.subtract(offsets, offsets @ frame.T @ frame, out=perp[i])
         nrm = _norms(perp)
-        perp_unit = np.divide(perp, np.where(nrm <= 1e-14, 1.0, nrm), out=perp)
-        perp_unit[nrm[..., 0] <= 1e-14] = 0.0
+        cut = nrm <= 1e-14 * r
+        perp_unit = np.divide(perp, np.where(cut, 1.0, nrm), out=perp)
+        perp_unit[cut[..., 0]] = 0.0
         dirs = perp_unit @ np.stack([_perp_basis(f, n) for f in frames]).transpose(0, 2, 1)
         renrm = _norms(dirs)
         dirs /= np.where(renrm == 0.0, 1.0, renrm)
     labels = _direction_bins(dirs.reshape(-1, dirs.shape[2]), bins).reshape(count, -1)
     keys = (labels + (labels.max() + 1) * np.arange(count)[:, None]).ravel()
     order = np.argsort(keys.astype(np.min_scalar_type(keys.max())), kind="stable")
-    return nrm.min(), perp_unit, order, np.flatnonzero(np.diff(keys[order], prepend=-1))
+    return perp_unit, order, np.flatnonzero(np.diff(keys[order], prepend=-1))
 
 
 def _symmetry_residuals(field, centers, r, d_sing, frames, bins, stop_below, kept=None):
@@ -509,8 +510,7 @@ def _symmetry_residuals(field, centers, r, d_sing, frames, bins, stop_below, kep
     d_sing, in blocks of at most _NODE_BUDGET nodes.  Once a ball has a
     residual below stop_below, or a NaN constant residual, its remaining
     entries stay inf.  `kept` holds frame tables by rule shape offsets / r:
-    at power-of-two r the shape fixes the tables up to exact rescaling,
-    unless a perpendicular part falls under the 1e-14 cut."""
+    at power-of-two r the shape fixes the tables, whose cut is relative."""
     offsets, weights = _ball_rule(field.n, r, d_sing)
     (N, n), total = offsets.shape, weights.sum()
     const = np.empty(len(centers))
@@ -528,11 +528,12 @@ def _symmetry_residuals(field, centers, r, d_sing, frames, bins, stop_below, kep
     done = (const < stop) | np.isnan(const)
     shape = (offsets / r).tobytes()
     for fs in _node_blocks(len(frames), N):
-        least, perp_unit, order, starts = (kept or {}).get((shape, fs.start), (0.0,) * 4)
-        if least * r <= 1e-14:  # not kept, or a perpendicular part is cut to 0 at this r
-            least, perp_unit, order, starts = _frame_table(offsets, frames[fs], bins)
-            if kept is not None and least > 1e-14 and len(kept) < _KEPT_TABLES:
-                kept[shape, fs.start] = least / r, perp_unit, order, starts
+        table = (kept or {}).get((shape, fs.start))
+        if table is None:
+            table = _frame_table(offsets, frames[fs], bins, r)
+            if kept is not None and len(kept) < _KEPT_TABLES:
+                kept[shape, fs.start] = table
+        perp_unit, order, starts = table
         src, count = order % N, perp_unit.shape[0]
         w, lengths = weights[src], np.diff(np.append(starts, count * N))
         w_sums = np.add.reduceat(w, starts)
@@ -575,14 +576,12 @@ def symmetry_distance(field, ball, k, plane_candidates=None, bins=24, stop_below
     const, cand = _symmetry_residuals(field, center[None, :], ball.radius,
                                       float(field.singular_distance(center)[0]),
                                       frames, bins, stop_below)
-    best, arg = float(const[0]), None  # the constant map is k-symmetric for every k
-    for f, val in enumerate(cand[0]):
-        if val < best:
-            best, arg = float(val), f
+    best = float(const[0])  # the constant map is k-symmetric for every k
+    for val in cand[0]:
+        best = min(best, float(val))
         if stop_below is not None and best < stop_below:
             break
-    return SymmetryResult(value=best, plane=None if arg is None else
-                          AffinePlane(center, frames[arg], _skip_checks=True))
+    return SymmetryResult(value=best)
 
 
 def _perp_basis(frame, n):

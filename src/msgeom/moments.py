@@ -12,16 +12,24 @@ minimizing plane passes through the center of mass and is spanned by the top
 eigenvectors of the second-moment matrix; the minimum equals the sum of the
 trailing eigenvalues.
 
-Every ball statistic here comes from one kernel.  The closed-ball CSR
-neighbourhoods of a batch of centers (geometry.SpatialIndex) are walked in
-chunks of whole balls under a fixed pair budget; each ball's atoms are
-taken relative to its own query center, their mass and mean offset are
-summed, and the second moments are summed about that mean (two passes).  The
-stack of moment matrices goes through one batched cyclic-Jacobi solve.
-Every spectrum and plane fit is a `second_moment_spectra` batch; a single
-ball is a batch of one, so one-ball and batched results agree bitwise, and
-translating mu and the centers together by an exact shift leaves every
-result bitwise unchanged.
+Every ball statistic here comes from one kernel, on the items of each
+closed ball (geometry.SpatialIndex.ball_items): the kd-nodes wholly inside
+it and the atoms of the leaves its boundary cuts, found by walking the tree
+one level at a time for a chunk of centers at once.  Each node carries its
+mass, an anchor atom, its mean offset from the anchor and its centred
+scatter, built once per measure from coordinate differences
+(AtomicMeasure.item_masses, item_moments); an atom is an item with zero
+spread.  A ball's items, in tree-slot order, enter at their offsets from
+the ball's own query center; their masses and mean offsets are summed, then
+their spreads about that mean plus their own scatter (two passes; the
+pairwise merge of Chan, Golub & LeVeque 1983).  A ball that takes no whole
+node adds exact zeros to its atoms' sums.  Counts are node sizes plus atoms,
+and masses alone need only the node masses, so a reweighted measure reuses
+the tree.  The stack of moment matrices goes through one batched
+cyclic-Jacobi solve.  Every spectrum and plane fit is a
+`second_moment_spectra` batch; a single ball is a batch of one, so one-ball
+and batched results agree bitwise, and translating mu and the centers
+together by an exact shift leaves every result bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -32,10 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySupportError
-from .geometry import AffinePlane, Ball, segment_sums
+from .geometry import AffinePlane, Ball, centred_sums, segment_sums
 
 MAX_MOMENT_DIM = 16
-_PAIR_BUDGET = 1 << 18       # (ball, atom) pairs held at once by the kernel
 _MAX_DYADIC_SCALES = 60
 _JACOBI_TOL = 1e-14          # relative size of an off-diagonal entry left unrotated
 _JACOBI_SWEEPS = 64
@@ -168,56 +175,50 @@ def _jacobi_stack(A):
 
 
 # ---------------------------------------------------------------------------
-# the neighbourhood -> centred-moment kernel
+# the ball-item -> centred-moment kernel
 # ---------------------------------------------------------------------------
-
-def _neighbourhoods(mu, centers, r):
-    """Chunks (lo, hi, indptr, indices) of the closed balls B_r(c) for
-    c in centers[lo:hi], in CSR form; a chunk holds whole balls and at most
-    _PAIR_BUDGET (ball, atom) pairs unless one ball alone holds more."""
-    ends = np.cumsum(mu._index.query_counts(centers, r))
-    lo = 0
-    while lo < len(centers):
-        start = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, start + _PAIR_BUDGET, side="right")))
-        yield (lo, hi) + mu._index.neighborhoods(centers[lo:hi], r)
-        lo = hi
-
 
 def _ball_moments(mu, centers, r):
     """Atom counts, masses, centers of mass and centred second-moment
-    matrices sum w_j (x_j - x_cm)(x_j - x_cm)^T of the balls B_r(c)."""
+    matrices sum w_j (x_j - x_cm)(x_j - x_cm)^T of the balls B_r(c).
+
+    Each item enters at its anchor's offset from the ball's own center plus
+    its mean offset from the anchor; the second moments are the items'
+    spreads about the ball's mean plus their own centred scatter."""
     m, n = centers.shape
     upper = np.triu_indices(n)
+    t, mass = mu._index.item_tree(), mu.item_masses()
+    offset, scatter = mu.item_moments()
     counts = np.zeros(m, dtype=np.intp)
     masses = np.zeros(m)
     means = np.zeros((m, n))
     mats = np.zeros((m, n, n))
-    for lo, hi, indptr, idx in _neighbourhoods(mu, centers, r):
-        w = mu.weights[idx]
-        counts[lo:hi] = np.diff(indptr)
-        owner = np.repeat(np.arange(hi - lo), counts[lo:hi])
+    for lo, hi, indptr, items in mu._index.ball_items(centers, r):
+        owner = np.repeat(np.arange(hi - lo), np.diff(indptr))
         # coordinate-major offsets from the ball's own center, so that no
         # coordinate offset enters the sums
-        rel = mu.positions.T[:, idx] - centers.T[:, lo:hi][:, owner]
-        masses[lo:hi] = segment_sums(w, indptr)
-        mean = segment_sums((w * rel).T, indptr)
-        np.divide(mean, masses[lo:hi, None], out=mean, where=masses[lo:hi, None] > 0.0)
-        cen = rel - mean.T[:, owner]
-        tri = segment_sums(((w * cen)[upper[0]] * cen[upper[1]]).T, indptr)
-        means[lo:hi] = mean
+        rel = (mu.positions.T[:, t.anchor[items]] - centers.T[:, lo:hi][:, owner]) \
+            + offset.T[:, items]
+        masses[lo:hi], means[lo:hi], tri = centred_sums(rel, mass[items], indptr, owner)
+        tri += segment_sums(scatter[items], indptr)
+        counts[lo:hi] = segment_sums(t.size[items], indptr)
         mats[lo:hi, upper[0], upper[1]] = tri
         mats[lo:hi, upper[1], upper[0]] = tri
     return counts, masses, centers + means, mats
 
 
+def _ball_totals(mu, centers, r, values):
+    """Sums of per-item values over the balls B_r(c), c in centers."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    out = np.zeros(centers.shape[0], dtype=values.dtype)
+    for lo, hi, indptr, items in mu._index.ball_items(centers, r):
+        out[lo:hi] = segment_sums(values[items], indptr)
+    return out
+
+
 def ball_masses_many(mu, centers, r):
     """mu(B_r(center)) for many centers at once (the kernel's mass pass)."""
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    masses = np.zeros(centers.shape[0])
-    for lo, hi, indptr, idx in _neighbourhoods(mu, centers, r):
-        masses[lo:hi] = segment_sums(mu.weights[idx], indptr)
-    return masses
+    return _ball_totals(mu, centers, r, mu.item_masses())
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +357,7 @@ def dyadic_displacement_sums(mu, centers, r, k, cfg):
     disps = []
     for a in range(alpha, alpha + _MAX_DYADIC_SCALES):
         s = 2.0 ** (-a)
-        if mu._index.query_counts(mu.positions, s).max(initial=0) <= k + 1:
+        if _ball_totals(mu, mu.positions, s, mu._index.item_tree().size).max(initial=0) <= k + 1:
             break
         disps.append(displacement_profile_many(mu, centers, s, k, cfg))
     sums = np.zeros((len(disps) + 1, centers.shape[0]))

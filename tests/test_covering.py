@@ -158,6 +158,44 @@ class TestSeparatedDecomposition:
             separated_decomposition(fam, 2.0)
 
 
+def disjoint_by_pair_loop(centers, radii):
+    """The O(m^2) pair loop the neighbourhood test replaced, as an oracle."""
+    for i in range(len(radii)):
+        d = np.linalg.norm(centers[i + 1 :] - centers[i], axis=1)
+        if np.any(d < (radii[i + 1 :] + radii[i]) * (1 - 1e-12)):
+            return False
+    return True
+
+
+class TestDisjointness:
+    @pytest.mark.parametrize("shrink", [1.0, 0.2])
+    @pytest.mark.parametrize("step", ["touch", "slack", "inside", "outside"])
+    def test_pair_at_the_slack(self, shrink, step):
+        # balls 2 and 5 of a spread-out family meet at distance d, which is
+        # exactly r_2 + r_5, exactly the slacked sum, or 1 ulp either side
+        rng = np.random.default_rng(3)
+        radii = rng.uniform(0.01, 0.05, 8)
+        centers = np.stack([np.arange(8.0), np.zeros(8)], axis=1)
+        r = radii * shrink
+        slack = (r[5] + r[2]) * (1 - 1e-12)
+        d = {"touch": r[5] + r[2], "slack": slack, "inside": np.nextafter(slack, 0.0),
+             "outside": np.nextafter(slack, 1.0)}[step]
+        centers[5] = centers[2] + [0.0, d]
+        fam = BallFamily(centers, radii, require_disjoint=False)
+        got = fam._check_disjoint(shrink)
+        assert got == disjoint_by_pair_loop(centers, r) == (step != "inside")
+        assert (fam.fifth_disjoint() if shrink == 0.2 else fam.disjoint) == got
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_families_match_the_pair_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-1.0, 1.0, (300, 2))
+        radii = rng.uniform(1e-4, 0.03, 300) * (1 + 20 * (np.arange(300) == 7))
+        fam = BallFamily(centers, radii, require_disjoint=False)
+        for shrink in (1.0, 0.2, 0.01):
+            assert fam._check_disjoint(shrink) == disjoint_by_pair_loop(centers, radii * shrink)
+
+
 class TestPackingVerifier:
     def test_tiny_coincident_balls_overlap(self):
         # the disjointness slack is relative, so it cannot swallow tiny radii

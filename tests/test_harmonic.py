@@ -317,6 +317,15 @@ class TestSymmetryDistance:
         res = symmetry_distance(f, Ball(np.zeros(3), 0.5), 1, plane_candidates=cands)
         assert res.value > 0.3  # analytic infimum is 1 - pi^2/16 ~ 0.383
 
+    def test_small_balls_keep_their_competitors(self):
+        # x/|x| is 0-homogeneous, so every ball about 0 has one value; the
+        # perpendicular-part cut is relative to the radius
+        cands = grassmann_candidates(3, 1, 32)
+        values = [symmetry_distance(radial_projection(3), Ball(np.zeros(3), 2.0**-a), 1,
+                                    plane_candidates=cands, bins=16).value for a in range(61)]
+        assert values[0] == pytest.approx(0.38698, abs=1e-5)
+        assert np.allclose(values, values[0], rtol=1e-12, atol=0.0)
+
     def test_smooth_field_small_ball_symmetric(self):
         f = smooth_wave(3)
         res = symmetry_distance(f, Ball(np.array([0.3, 0.1, 0.0]), 0.02), 1)
@@ -415,8 +424,8 @@ class TestBatchedStratum:
     @pytest.mark.parametrize("fine", [2.0**-6, 2.0**-50])
     def test_kept_frame_tables_change_only_the_work(self, monkeypatch, fine):
         # the origin's ball rule has the same shape at every rung, so its
-        # frame tables are built once; at 2^-50 perpendicular parts fall
-        # under the 1e-14 cut, and those rungs build their own
+        # frame tables are built once, down to 2^-50 too: the cut of
+        # perpendicular parts is relative to the radius
         build = harmonic._frame_table
 
         def count_tables(kept):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from msgeom.errors import EmptySupportError
-from msgeom.geometry import AffinePlane, AtomicMeasure, Ball
+from msgeom.geometry import AffinePlane, AtomicMeasure, Ball, SpatialIndex, segment_sums
 from msgeom.moments import (
     DisplacementConfig,
+    _ball_moments,
     ball_masses_many,
     best_affine_plane,
     center_of_mass,
@@ -37,6 +38,50 @@ def random_plane_residual(mu_pts, mu_w, k, n, count, rng):
         best = min(best, float((d2 @ mu_w).min()))
         done += m
     return best
+
+
+def atom_kernel(mu, centers, r):
+    """The atom-only kernel that node aggregates replaced, as an oracle:
+    every (ball, atom) pair of the tree's CSR neighbourhoods, offsets from
+    the ball's center, then two passes about the ball's mean.  Returns
+    counts, masses, centers of mass and centred second-moment matrices."""
+    m, n = centers.shape
+    upper = np.triu_indices(n)
+    indptr, idx = mu._index.neighborhoods(centers, r)
+    w = mu.weights[idx]
+    counts = np.diff(indptr)
+    owner = np.repeat(np.arange(m), counts)
+    rel = mu.positions.T[:, idx] - centers.T[:, owner]
+    masses = segment_sums(w, indptr)
+    mean = segment_sums((w * rel).T, indptr)
+    np.divide(mean, masses[:, None], out=mean, where=masses[:, None] > 0.0)
+    cen = rel - mean.T[:, owner]
+    tri = segment_sums(((w * cen)[upper[0]] * cen[upper[1]]).T, indptr)
+    mats = np.zeros((m, n, n))
+    mats[:, upper[0], upper[1]] = tri
+    mats[:, upper[1], upper[0]] = tri
+    return counts, masses, centers + mean, mats
+
+
+def ball_atoms(index, centers, r):
+    """Per ball, the atoms its items cover, in item order."""
+    t = index.item_tree()
+    out = []
+    for lo, hi, indptr, items in index.ball_items(centers, r):
+        for i in range(hi - lo):
+            own = items[indptr[i]:indptr[i + 1]]
+            out.append(np.concatenate([np.zeros(0, dtype=np.intp)] + [
+                t.order[t.start[j]:t.start[j] + t.size[j]] for j in own]))
+    return out
+
+
+def absorbs_a_node(index, centers, r):
+    nodes = index.item_tree().nodes
+    flags = np.zeros(len(centers), dtype=bool)
+    for lo, hi, indptr, items in index.ball_items(centers, r):
+        owner = np.repeat(np.arange(lo, hi), np.diff(indptr))
+        flags[owner[items < nodes]] = True
+    return flags
 
 
 def fitted_residual(mu, ball, k):
@@ -296,6 +341,112 @@ class TestDisplacement:
             assert mu.mass_in_ball(Ball(centers[i], r)) == ball_masses_many(mu, centers, r)[i]
             assert displacement(mu, centers[i], r, 1, cfg) == \
                 displacement_profile_many(mu, centers, r, 1, cfg)[i]
+
+
+class TestItemKernel:
+    """Ball moments from kd-node aggregates against the atom-only oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_item_atoms_are_the_neighbourhoods_at_boundary_radii(self, n, scale, offset):
+        # radius = a computed distance to another atom puts that atom on the
+        # boundary, where the tree's predicate decides
+        rng = np.random.default_rng(n)
+        pts = rng.normal(size=(900, n)) * scale + offset
+        index = SpatialIndex(pts)
+        ci, other = rng.integers(0, 900, 60), rng.integers(0, 900, 60)
+        centers = pts[ci]
+        centers[1::2] += rng.normal(size=(30, n)) * 0.01 * scale
+        for c, o in zip(centers, other):
+            for r in (np.linalg.norm(pts[o] - c), np.sqrt(np.sum((pts[o] - c) ** 2))):
+                if r == 0.0:
+                    continue
+                (got,) = ball_atoms(index, c[None, :], r)
+                assert np.array_equal(got, index.neighborhoods(c, r)[1])
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_moments_match_the_atom_kernel(self, n):
+        rng = np.random.default_rng(20 + n)
+        pts = rng.normal(size=(1500, n))
+        pts[:, -1] *= 1e-2  # a flat cloud: small trailing eigenvalues
+        pts[:, 0] += 1e6
+        mu = AtomicMeasure(pts, rng.random(1500) + 0.1)
+        centers = pts[rng.integers(0, 1500, 80)]
+        seen = set()
+        for r in (0.05, 0.3, 1.0, 4.0, 100.0):
+            counts, masses, x_cm, mats = _ball_moments(mu, centers, r)
+            ref = atom_kernel(mu, centers, r)
+            assert np.array_equal(counts, ref[0])
+            whole = absorbs_a_node(mu._index, centers, r)
+            for i in range(len(centers)):
+                if whole[i]:
+                    assert masses[i] == pytest.approx(ref[1][i], rel=1e-12)
+                    assert np.linalg.norm((x_cm - ref[2])[i]) <= 1e-12 * r
+                    assert np.linalg.norm(mats[i] - ref[3][i]) <= 1e-12 * np.linalg.norm(ref[3][i])
+                else:
+                    assert masses[i] == ref[1][i]
+                    assert np.array_equal(x_cm[i], ref[2][i])
+                    assert np.array_equal(mats[i], ref[3][i])
+            seen.update(whole.tolist())
+        assert seen == {False, True}  # both kinds of ball were compared
+
+    def test_zero_weight_nodes(self):
+        rng = np.random.default_rng(31)
+        pts = rng.normal(size=(600, 2))
+        w = np.where(pts[:, 0] < 0.0, 0.0, rng.random(600) + 0.1)
+        mu = AtomicMeasure(pts, w)
+        offset, scatter = mu.item_moments()
+        nodes = mu._index.item_tree().nodes
+        massless = mu.item_masses()[:nodes] == 0.0
+        assert massless.any()
+        assert not np.isnan(offset).any() and not np.isnan(scatter).any()
+        assert np.all(offset[:nodes][massless] == 0.0)
+        centers = np.vstack([pts[:40], [[-3.0, 0.0]]])
+        for r in (0.2, 1.0, 5.0):
+            counts, masses, x_cm, mats = _ball_moments(mu, centers, r)
+            ref = atom_kernel(mu, centers, r)
+            assert np.array_equal(counts, ref[0])
+            assert np.allclose(masses, ref[1], rtol=1e-12, atol=0.0)
+            assert np.allclose(x_cm, ref[2], rtol=0.0, atol=1e-12 * r)
+            assert np.allclose(mats, ref[3], rtol=0.0, atol=1e-12 * np.abs(ref[3]).max())
+
+    def test_duplicate_atoms(self):
+        # 300 copies of one point make a leaf no split can divide
+        rng = np.random.default_rng(32)
+        pts = np.vstack([np.full((300, 3), 0.25), rng.normal(size=(200, 3))])
+        mu = AtomicMeasure(pts, rng.random(500) + 0.1)
+        centers = np.vstack([[[0.25, 0.25, 0.25]], pts[300:320]])
+        for r in (1e-9, 0.5, 2.0, 10.0):
+            counts, masses, x_cm, mats = _ball_moments(mu, centers, r)
+            ref = atom_kernel(mu, centers, r)
+            assert np.array_equal(counts, ref[0])
+            assert np.allclose(masses, ref[1], rtol=1e-12, atol=0.0)
+            assert np.allclose(x_cm, ref[2], rtol=0.0, atol=1e-12 * r)
+            assert np.allclose(mats, ref[3], rtol=0.0, atol=1e-12 * max(np.abs(ref[3]).max(), r * r))
+        assert counts[0] >= 300
+
+    def test_one_atom_and_empty_ball(self):
+        mu = AtomicMeasure([[0.5, -2.0]], [3.0])
+        centers = np.array([[0.5, -2.0], [0.0, 0.0], [40.0, 40.0]])
+        counts, masses, x_cm, mats = _ball_moments(mu, centers, 1.0)
+        assert counts.tolist() == [1, 0, 0] and masses.tolist() == [3.0, 0.0, 0.0]
+        assert np.array_equal(x_cm, [[0.5, -2.0], [0.0, 0.0], [40.0, 40.0]])
+        assert not mats.any()
+        empty = AtomicMeasure(np.zeros((0, 2)), np.zeros(0))
+        assert ball_masses_many(empty, centers, 1.0).tolist() == [0.0, 0.0, 0.0]
+        assert empty.mass_in_ball(Ball([0.0, 0.0], 1.0)) == 0.0
+
+    def test_reweighted_shares_the_tree(self):
+        rng = np.random.default_rng(33)
+        pts = rng.normal(size=(400, 2))
+        mu = AtomicMeasure(pts)
+        w = rng.random(400)
+        nu = mu.reweighted(w)
+        assert nu._index is mu._index and np.array_equal(nu.weights, w)
+        fresh = AtomicMeasure(pts, w)
+        for r in (0.1, 0.7, 3.0):
+            assert np.array_equal(ball_masses_many(nu, pts, r), ball_masses_many(fresh, pts, r))
 
 
 class TestDyadicProfile:
