@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DisjointnessError, EnergyInfiniteError
 from .geometry import AtomicMeasure, Ball, SpatialIndex
 from .harmonic import quantitative_stratum, theta
-from .moments import ball_masses_many, dyadic_displacement_sums, unit_ball_volume
+from .moments import ball_masses_many, ball_sums_many, dyadic_displacement_sums, unit_ball_volume
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +37,8 @@ class BallFamily:
         radii = np.asarray(radii, dtype=float)
         if radii.shape != (centers.shape[0],):
             raise ValueError("one radius per center required")
-        if np.any(radii <= 0):
-            raise ValueError("radii must be positive")
+        if not (np.isfinite(centers).all() and np.all(np.isfinite(radii) & (radii > 0))):
+            raise ValueError("ball centers must be finite and radii finite and positive")
         self.centers = centers
         self.radii = radii
         self.disjoint = self._check_disjoint()
@@ -196,14 +196,14 @@ def discrete_reifenberg_verify(family, k, cfg, packing_bound=None):
     worst = (-np.inf, None, None)
     values_by_scale = {}
     for i, r in enumerate(test_radii):
-        masses = ball_masses_many(mu, mu.positions, r)
+        # the integral over B_r(x) is nu(B_r(x)), nu = S mu; one walk sums mu and nu
+        weights = np.stack([mu.weights, mu.weights * sums[min(i, len(sums) - 1)]], axis=1)
+        masses, nu_masses = ball_sums_many(mu, mu.positions, r, weights).T
         eligible = np.flatnonzero(masses >= cfg.eps_mass * r**k)
         if len(eligible) == 0:
             values_by_scale[r] = 0.0
             continue
-        # the integral over B_r(x) is the mass of B_r(x) under nu = S mu
-        nu = mu.reweighted(mu.weights * sums[min(i, len(sums) - 1)])
-        vals = ball_masses_many(nu, mu.positions[eligible], r) * r**-k
+        vals = nu_masses[eligible] * r**-k
         values_by_scale[r] = float(vals.max())
         j = int(np.argmax(vals))
         if vals[j] > worst[0]:

@@ -339,6 +339,12 @@ class ItemTree:
                    hi=np.maximum.reduceat(boxed, member_ptr[:-1]),
                    member_ptr=member_ptr, members=members)
 
+    def totals(self, values):
+        """Per-item sums of per-atom values (atoms,) or (atoms, columns): a
+        node sums its atoms in slot order, an atom item is its own value."""
+        return np.concatenate([segment_sums(values[self.members], self.member_ptr),
+                               values[self.order]])
+
 
 class SpatialIndex:
     """Immutable kd-tree index over points with exact closed-ball queries.
@@ -495,9 +501,9 @@ class SpatialIndex:
 class AtomicMeasure:
     """Finite weighted point set mu = sum_j w_j delta_{x_j}, w_j >= 0."""
 
-    __slots__ = ("positions", "weights", "_index", "_bounding", "_item_mass", "_item_moments")
+    __slots__ = ("positions", "weights", "_index", "_bounding", "_item_moments")
 
-    def __init__(self, positions, weights=None, *, _index=None):
+    def __init__(self, positions, weights=None):
         positions = np.atleast_2d(np.asarray(positions, dtype=float)).copy()
         m = positions.shape[0]
         if weights is None:
@@ -512,14 +518,13 @@ class AtomicMeasure:
             raise ValueError("atoms must be finite")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_index", SpatialIndex(positions) if _index is None else _index)
+        object.__setattr__(self, "_index", SpatialIndex(positions))
         if m:
             center = 0.5 * (positions.min(axis=0) + positions.max(axis=0))
             radius = float(np.linalg.norm(positions - center, axis=1).max())
         else:
             center, radius = None, 0.0
         object.__setattr__(self, "_bounding", (center, radius))
-        object.__setattr__(self, "_item_mass", None)
         object.__setattr__(self, "_item_moments", None)
         positions.setflags(write=False)
         weights.setflags(write=False)
@@ -555,20 +560,6 @@ class AtomicMeasure:
         from .moments import ball_masses_many  # moments imports this module
 
         return float(ball_masses_many(self, ball.center, ball.radius)[0])
-
-    def reweighted(self, weights):
-        """The measure on the same atoms with new weights.  It shares this
-        measure's kd-tree, so only its item aggregates are new."""
-        return AtomicMeasure(self.positions, weights, _index=self._index)
-
-    def item_masses(self):
-        """Mass of every item of the index's `item_tree` (empty for an
-        empty measure), built on first use."""
-        if self._item_mass is None:
-            t = self._index.item_tree()
-            object.__setattr__(self, "_item_mass", np.concatenate(
-                [segment_sums(self.weights[t.members], t.member_ptr), self.weights[t.order]]))
-        return self._item_mass
 
     def item_moments(self):
         """Mean offset of every item from its anchor atom (items, n) and its

@@ -12,21 +12,22 @@ minimizing plane passes through the center of mass and is spanned by the top
 eigenvectors of the second-moment matrix; the minimum equals the sum of the
 trailing eigenvalues.
 
-Every ball statistic here comes from one kernel, on the items of each
-closed ball (geometry.SpatialIndex.ball_items): the kd-nodes wholly inside
-it and the atoms of the leaves its boundary cuts, found by walking the tree
-one level at a time for a chunk of centers at once.  Each node carries its
-mass, an anchor atom, its mean offset from the anchor and its centred
-scatter, built once per measure from coordinate differences
-(AtomicMeasure.item_masses, item_moments); an atom is an item with zero
-spread.  A ball's items, in tree-slot order, enter at their offsets from
-the ball's own query center; their masses and mean offsets are summed, then
-their spreads about that mean plus their own scatter (two passes; the
+Every ball statistic here comes from one kernel, on the items of each closed
+ball (geometry.SpatialIndex.ball_items): the kd-nodes wholly inside it and
+the atoms of the leaves its boundary cuts, found by walking the tree one
+level at a time for a chunk of centers at once (Gray & Moore 2001).  Each
+node carries its mass (ItemTree.totals, per walk), an anchor atom, its mean
+offset from the anchor and its centred scatter, built once per measure from
+coordinate differences (AtomicMeasure.item_moments); an atom is an item with
+zero spread.  A ball's items, in tree-slot order, enter at their offsets
+from the ball's own query center; their masses and mean offsets are summed,
+then their spreads about that mean plus their own scatter (two passes; the
 pairwise merge of Chan, Golub & LeVeque 1983).  A ball that takes no whole
-node adds exact zeros to its atoms' sums.  Counts are node sizes plus atoms,
-and masses alone need only the node masses, so a reweighted measure reuses
-the tree.  The stack of moment matrices goes through one batched
-cyclic-Jacobi solve.  Every spectrum and plane fit is a
+node adds exact zeros to its atoms' sums.  Counts are node sizes plus atoms.
+Each (center set, radius) is walked once: one pass gives the counts, masses
+and displacements of its balls (the dyadic sum stops on the centers' own
+counts), and per-atom value columns share one mass walk.  One batched
+cyclic-Jacobi solve follows.  Every spectrum and plane fit is a
 `second_moment_spectra` batch; a single ball is a batch of one, so one-ball
 and batched results agree bitwise, and translating mu and the centers
 together by an exact shift leaves every result bitwise unchanged.
@@ -187,7 +188,8 @@ def _ball_moments(mu, centers, r):
     spreads about the ball's mean plus their own centred scatter."""
     m, n = centers.shape
     upper = np.triu_indices(n)
-    t, mass = mu._index.item_tree(), mu.item_masses()
+    t = mu._index.item_tree()
+    mass = t.totals(mu.weights)
     offset, scatter = mu.item_moments()
     counts = np.zeros(m, dtype=np.intp)
     masses = np.zeros(m)
@@ -207,18 +209,20 @@ def _ball_moments(mu, centers, r):
     return counts, masses, centers + means, mats
 
 
-def _ball_totals(mu, centers, r, values):
-    """Sums of per-item values over the balls B_r(c), c in centers."""
+def ball_sums_many(mu, centers, r, values):
+    """Sums of per-atom values (atoms,) or (atoms, columns) over the balls
+    B_r(c) for many centers, every column from one walk."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    out = np.zeros(centers.shape[0], dtype=values.dtype)
+    per_item = mu._index.item_tree().totals(np.asarray(values, dtype=float))
+    out = np.zeros(centers.shape[:1] + per_item.shape[1:])
     for lo, hi, indptr, items in mu._index.ball_items(centers, r):
-        out[lo:hi] = segment_sums(values[items], indptr)
+        out[lo:hi] = segment_sums(per_item[items], indptr)
     return out
 
 
 def ball_masses_many(mu, centers, r):
     """mu(B_r(center)) for many centers at once (the kernel's mass pass)."""
-    return _ball_totals(mu, centers, r, mu.item_masses())
+    return ball_sums_many(mu, centers, r, mu.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +293,16 @@ def displacement(mu, x, r, k, cfg):
     return float(displacement_profile_many(mu, ball.center[None, :], r, k, cfg)[0])
 
 
+def _displacements(mu, centers, r, k, cfg):
+    """Atom counts, masses and displacements D(c, r) of B_r(c): one kernel pass."""
+    counts, masses, _, mats = _ball_moments(mu, centers, r)
+    fit = (counts > k + 1) & (masses >= cfg.eps_mass * r**k) & (masses > 0.0)
+    ev, _ = _jacobi_stack(mats[fit])
+    out = np.zeros(centers.shape[0])
+    out[fit] = np.maximum(ev[:, k:], 0.0).sum(axis=1) * r ** (-(k + 2))
+    return counts, masses, out
+
+
 def displacement_profile_many(mu, centers, r, k, cfg):
     """Displacement at one scale for many centers in a single batch.
 
@@ -296,13 +310,7 @@ def displacement_profile_many(mu, centers, r, k, cfg):
     mass than the cutoff are exactly zero; the rest share one batched
     Jacobi solve.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    counts, masses, _, mats = _ball_moments(mu, centers, r)
-    fit = (counts > k + 1) & (masses >= cfg.eps_mass * r**k) & (masses > 0.0)
-    ev, _ = _jacobi_stack(mats[fit])
-    out = np.zeros(centers.shape[0])
-    out[fit] = np.maximum(ev[:, k:], 0.0).sum(axis=1) * r ** (-(k + 2))
-    return out
+    return _displacements(mu, np.atleast_2d(np.asarray(centers, dtype=float)), r, k, cfg)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +333,15 @@ class DyadicProfile:
 
 def dyadic_profiles(mu, centers, k, alpha_min, alpha_max, cfg):
     """Profiles alpha -> D(x, 2^-alpha), alpha_min..alpha_max, for many
-    centers; each scale is one batch over all centers."""
+    centers; one kernel pass per scale gives displacements and masses."""
     if alpha_min > alpha_max:
         raise ValueError("alpha_min must not exceed alpha_max")
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     scales = 2.0 ** (-np.arange(alpha_min, alpha_max + 1).astype(float))
-    disps = np.array([displacement_profile_many(mu, centers, r, k, cfg) for r in scales])
-    masses = np.array([ball_masses_many(mu, centers, r) for r in scales])
+    rows = [_displacements(mu, centers, r, k, cfg)[1:] for r in scales]
+    masses, disps = np.array(rows).transpose(1, 2, 0)
     return [DyadicProfile(center=c, k=k, scales=scales, displacements=d, masses=m)
-            for c, d, m in zip(centers, disps.T, masses.T)]
+            for c, d, m in zip(centers, disps, masses)]
 
 
 def dyadic_profile(mu, x, k, alpha_min, alpha_max, cfg):
@@ -346,8 +354,8 @@ def dyadic_displacement_sums(mu, centers, r, k, cfg):
     """Summed displacement of every center over the dyadic scales <= r.
 
     D(., r_alpha) is computed once per dyadic r_alpha <= r, coarsest first,
-    until every r_alpha-ball around an atom holds at most k+1 atoms (all
-    finer displacements vanish: k+1 points always fit a k-plane exactly).
+    until that pass finds at most k+1 atoms in every center's ball (it and
+    all finer displacements vanish: k+1 points fit a k-plane exactly).
     Returns the suffix sums: row i is sum_{b >= i} D(., r_{alpha_0 + b})
     where r_{alpha_0} is the largest dyadic radius <= r, and the last row,
     the sum past the truncation, is zero.
@@ -356,10 +364,10 @@ def dyadic_displacement_sums(mu, centers, r, k, cfg):
     alpha = math.ceil(-math.log2(r) - 1e-12)
     disps = []
     for a in range(alpha, alpha + _MAX_DYADIC_SCALES):
-        s = 2.0 ** (-a)
-        if _ball_totals(mu, mu.positions, s, mu._index.item_tree().size).max(initial=0) <= k + 1:
+        counts, _, d = _displacements(mu, centers, 2.0 ** (-a), k, cfg)
+        if counts.max(initial=0) <= k + 1:
             break
-        disps.append(displacement_profile_many(mu, centers, s, k, cfg))
+        disps.append(d)
     sums = np.zeros((len(disps) + 1, centers.shape[0]))
     if disps:
         sums[:-1] = np.cumsum(disps[::-1], axis=0)[::-1]

@@ -22,10 +22,10 @@ from msgeom.fixtures import (
     koch_ball_family,
     plane_cloud,
 )
-from msgeom.geometry import AffinePlane, AtomicMeasure, Ball
+from msgeom.geometry import AffinePlane, AtomicMeasure, Ball, SpatialIndex
 from msgeom.harmonic import radial_projection, smooth_wave, smoothed_projection, theta
 from msgeom.moments import (DisplacementConfig, ball_masses_many, best_affine_plane,
-                            unit_ball_volume)
+                            dyadic_displacement_sums, unit_ball_volume)
 
 
 class TestClassify:
@@ -204,6 +204,37 @@ class TestPackingVerifier:
         assert not fam.disjoint
         with pytest.raises(DisjointnessError):
             BallFamily([[0.0, 0.0], [0.0, 0.0]], [1e-13, 1e-13])
+
+    @pytest.mark.parametrize("centers, radii", [
+        ([[0.0, 0.0], [np.nan, 1.0]], [0.1, 0.1]),
+        ([[0.0, 0.0], [3.0, -np.inf]], [0.1, 0.1]),
+        ([[0.0, 0.0], [3.0, 1.0]], [0.1, np.nan]),
+        ([[0.0, 0.0], [3.0, 1.0]], [np.inf, 0.1]),
+    ])
+    def test_non_finite_balls_rejected(self, centers, radii):
+        for require_disjoint in (True, False):
+            with pytest.raises(ValueError, match="finite"):
+                BallFamily(centers, radii, require_disjoint=require_disjoint)
+
+    def test_one_walk_per_radius(self, monkeypatch):
+        # the dyadic ladder walks once per scale, the scale that stops it
+        # included, and each test radius once for the mu and nu masses
+        centers, radii = circle_ball_family(ball_radius=1e-2, circle_radius=0.98)
+        fam = BallFamily(centers, radii)
+        mu = fam.measure(1)
+        cfg = DisplacementConfig.default(1, delta=0.2)
+        ladder = len(dyadic_displacement_sums(mu, mu.positions, 4.0, 1, cfg))
+        walks = []
+        walk = SpatialIndex.ball_items
+
+        def counting(self, centers, radius):
+            walks.append(radius)
+            return walk(self, centers, radius)
+
+        monkeypatch.setattr(SpatialIndex, "ball_items", counting)
+        report = discrete_reifenberg_verify(fam, 1, cfg)
+        assert len(walks) == ladder + len(report.values_by_scale)
+        assert walks[ladder:] == list(report.values_by_scale)
 
     def test_planar_centers_pass(self):
         centers, radii = dyadic_segment_family(levels=5)

@@ -13,6 +13,7 @@ from msgeom.geometry import (
     plane_distance,
     project,
 )
+from msgeom.moments import second_moment_spectra
 
 
 def sampled_unit_ball(plane, count=720):
@@ -231,6 +232,24 @@ class TestSpatialIndex:
             got = index.query(center, r)
             expected = brute_force_query(pts, center, r)
             assert np.array_equal(np.sort(got), expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_query_counts_match_neighbourhoods_and_spectra(self, n):
+        # radius = a computed distance to another atom puts that atom on
+        # the boundary, where the three counts must still agree
+        rng = np.random.default_rng(50 + n)
+        pts = rng.normal(size=(600, n))
+        index, mu = SpatialIndex(pts), AtomicMeasure(pts)
+        ci, other = rng.integers(0, 600, 30), rng.integers(0, 600, 30)
+        centers = pts[ci]
+        centers[1::2] += rng.normal(size=(15, n)) * 0.01
+        radii = [r for r in np.linalg.norm(pts[other] - centers, axis=1) if r > 0.0]
+        for r in radii + [0.05, 0.5, 2.0, 50.0]:
+            counts = index.query_counts(centers, r)
+            assert np.array_equal(counts, np.diff(index.neighborhoods(centers, r)[0]))
+            assert np.array_equal(counts, second_moment_spectra(mu, centers, r)[0])
+        assert index.query_counts(pts[0], 50.0).tolist() == [600]
+        assert SpatialIndex(np.zeros((0, n))).query_counts(centers, 1.0).tolist() == [0] * 30
 
     def test_boundary_inclusive(self):
         index = SpatialIndex([[0.0, 0.0], [1.0, 0.0]])

@@ -7,11 +7,14 @@ from msgeom.moments import (
     DisplacementConfig,
     _ball_moments,
     ball_masses_many,
+    ball_sums_many,
     best_affine_plane,
     center_of_mass,
     displacement,
     displacement_profile_many,
+    dyadic_displacement_sums,
     dyadic_profile,
+    dyadic_profiles,
     effective_spanning_points,
     jacobi_eigh,
     second_moment_spectra,
@@ -398,7 +401,7 @@ class TestItemKernel:
         mu = AtomicMeasure(pts, w)
         offset, scatter = mu.item_moments()
         nodes = mu._index.item_tree().nodes
-        massless = mu.item_masses()[:nodes] == 0.0
+        massless = mu._index.item_tree().totals(mu.weights)[:nodes] == 0.0
         assert massless.any()
         assert not np.isnan(offset).any() and not np.isnan(scatter).any()
         assert np.all(offset[:nodes][massless] == 0.0)
@@ -437,16 +440,21 @@ class TestItemKernel:
         assert ball_masses_many(empty, centers, 1.0).tolist() == [0.0, 0.0, 0.0]
         assert empty.mass_in_ball(Ball([0.0, 0.0], 1.0)) == 0.0
 
-    def test_reweighted_shares_the_tree(self):
+    def test_two_columns_sum_as_two_measures(self):
+        # one walk over two per-atom columns gives, column by column, the
+        # bits of the masses of two separately built measures
         rng = np.random.default_rng(33)
         pts = rng.normal(size=(400, 2))
+        w = rng.random((400, 2))
         mu = AtomicMeasure(pts)
-        w = rng.random(400)
-        nu = mu.reweighted(w)
-        assert nu._index is mu._index and np.array_equal(nu.weights, w)
-        fresh = AtomicMeasure(pts, w)
+        centers = np.vstack([pts, rng.normal(size=(20, 2))])
         for r in (0.1, 0.7, 3.0):
-            assert np.array_equal(ball_masses_many(nu, pts, r), ball_masses_many(fresh, pts, r))
+            got = ball_sums_many(mu, centers, r, w)
+            assert got.shape == (420, 2)
+            for j in range(2):
+                want = ball_masses_many(AtomicMeasure(pts, w[:, j]), centers, r)
+                assert np.array_equal(got[:, j], want)
+        assert absorbs_a_node(mu._index, centers, 3.0).any()
 
 
 class TestDyadicProfile:
@@ -480,6 +488,30 @@ class TestDyadicProfile:
             oracle = np.linalg.eigvalsh(M)[0] * r**-3
             assert d == pytest.approx(oracle, rel=0.04)
             assert d == pytest.approx(0.0444 * r**2, rel=0.1)
+
+    def test_one_walk_per_scale(self, monkeypatch):
+        # displacements and masses of a scale come from one kernel pass,
+        # and the masses are the bits of ball_masses_many
+        rng = np.random.default_rng(12)
+        pts = rng.normal(size=(500, 3)) * [1.0, 1.0, 0.05]
+        mu = AtomicMeasure(pts, rng.random(500) + 0.1)
+        centers = np.vstack([pts[::7], rng.normal(size=(5, 3))])
+        cfg = DisplacementConfig.default(2)
+        walks = []
+        walk = SpatialIndex.ball_items
+
+        def counting(self, centers, radius):
+            walks.append(radius)
+            return walk(self, centers, radius)
+
+        monkeypatch.setattr(SpatialIndex, "ball_items", counting)
+        profiles = dyadic_profiles(mu, centers, 2, -1, 5, cfg)
+        assert walks == list(profiles[0].scales)
+        masses = np.array([prof.masses for prof in profiles])
+        for a, r in enumerate(profiles[0].scales):
+            assert np.array_equal(masses[:, a], ball_masses_many(mu, centers, r))
+            assert np.array_equal([prof.displacements[a] for prof in profiles],
+                                  displacement_profile_many(mu, centers, r, 2, cfg))
 
     def test_profile_doubling_control(self):
         # coarser-scale control: D(x, r) <= 2^{k+2} mean over B_r(x) of D(., 2r)
@@ -543,6 +575,15 @@ class TestSummability:
         oracle *= ball.radius ** -1  # r^-k normalization, k = 1
         assert value == pytest.approx(oracle, rel=1e-9)
         assert holds == (value < cfg.delta**2)
+
+    def test_truncation_reads_the_centers_own_balls(self):
+        # every atom's ball of radius 1/2 holds one atom, but the ball around
+        # the midpoint still holds both, so D(c, 1/2) = 1.62 must be summed
+        mu = AtomicMeasure([[0.0, 0.0], [0.9, 0.0]])
+        cfg = DisplacementConfig(eps_mass=0.0, gamma_good=1.0)
+        sums = dyadic_displacement_sums(mu, [[0.45, 0.0]], 1.0, 0, cfg)
+        assert sums.shape == (3, 1)
+        assert sums[:, 0] == pytest.approx([2.025, 1.62, 0.0], rel=1e-12)
 
     def test_staircase_fails_for_small_delta(self):
         from msgeom.fixtures import koch_polyline_measure
