@@ -235,8 +235,10 @@ def cmd_reconstruct(args):
     coords, _, weights = read_cloud_csv(args.input, args.dim)
     mu = AtomicMeasure(coords, weights)
     cfg = _config(args, args.k)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    # the summability warning and the no-flat-scale fallback go to the
+    # summary, each distinct message once, in the order they were raised
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         atlas = reconstruct(mu, args.k, cfg, max_scale_count=args.scales,
                             seed=args.seed)
     summary = {
@@ -250,6 +252,7 @@ def cmd_reconstruct(args):
         "max_atom_distance": float(atlas.atom_distances.max()),
         "covered_fraction": float(atlas.covered.mean()),
         "measure_root": measure_estimate(atlas, atlas.root_ball),
+        "diagnostics": list(dict.fromkeys(str(w.message) for w in caught)),
     }
     if args.truth:
         t_coords, _, _ = read_cloud_csv(args.truth, args.dim)

@@ -235,6 +235,27 @@ def hausdorff_distance(A, B):
     return float(max(SpatialIndex(B).nearest(A).max(), SpatialIndex(A).nearest(B).max()))
 
 
+def pairwise_distances(a, b):
+    """(len(a), len(b)) Euclidean distances between the rows of a and b.
+
+    Below 8 coordinates the squared differences are summed one coordinate
+    at a time into one (len(a), len(b)) array, with no 3-D temporary; that
+    is numpy's own summation order there, so the result equals
+    `np.linalg.norm(a[:, None] - b[None], axis=2)` bit for bit.  From 8
+    coordinates numpy sums in pairwise 8-lane blocks, and its norm is used.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    if a.shape[1] >= 8:
+        return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    out = np.zeros((a.shape[0], b.shape[0]))
+    for j in range(a.shape[1]):
+        diff = a[:, j, None] - b[None, :, j]
+        diff *= diff
+        out += diff
+    return np.sqrt(out, out=out)
+
+
 def segment_sums(values, indptr):
     """Sums of values over the CSR segments [indptr[i], indptr[i+1]), in the
     dtype of the values.

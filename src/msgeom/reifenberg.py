@@ -9,7 +9,9 @@ it down scale by scale through interpolation maps
 
 one per scale, built from a partition of unity at that scale's good centers
 (David & Toro, Reifenberg parameterizations, 2012).  A scale's best-fit
-planes come from one `second_moment_spectra` batch.  The composed map phi,
+planes come from one `second_moment_spectra` batch, and its patch samples
+from one `neighborhoods` query; patch Lipschitz pairs and partition weights
+take their distances from `pairwise_distances`.  The composed map phi,
 its per-step motion, sampled bi-Lipschitz distortion, per-patch graph
 norms, and plane coherence are all measured and logged; the
 final atlas supports k-measure estimation (polyline clipping for curves,
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PlaneFitError, SeparationError
-from .geometry import AffinePlane, Ball, SpatialIndex, grassmann_distance
+from .geometry import AffinePlane, Ball, SpatialIndex, grassmann_distance, pairwise_distances
 from .moments import (ball_masses_many, displacement_profile_many, second_moment_spectra,
                       summability_check, unit_ball_volume)
 from .report import dump_json
@@ -103,7 +105,7 @@ class PartitionOfUnity:
     def weights(self, points):
         """(N, m) weight matrix lambda_i(x_j)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        raw = _chi(np.linalg.norm(pts[:, None, :] - self.centers[None, :, :], axis=2) / self.r)
+        raw = _chi(pairwise_distances(pts, self.centers) / self.r)
         denom = np.maximum(raw.sum(axis=1), 1.0)
         return raw / denom[:, None]
 
@@ -342,10 +344,9 @@ def _probe_flatness(mu, r, k, cfg):
     return math.sqrt(vals.max()) if len(vals) else 0.0
 
 
-def _patch_stats(samples, plane, center, radius, parent_plane):
-    """Graph sup/Lip of samples over the plane, plus parent-plane coherence."""
-    rel = np.linalg.norm(samples - center, axis=1) <= radius
-    pts = samples[rel]
+def _patch_stats(pts, plane, radius, parent_plane):
+    """Graph sup/Lip over the plane of a patch's samples pts, plus
+    parent-plane coherence."""
     if pts.shape[0] < 2:
         return 0.0, 0.0, 0.0
     u = plane.coordinates(pts)
@@ -356,12 +357,12 @@ def _patch_stats(samples, plane, center, radius, parent_plane):
     sup = float(heights.max())
     cap = min(pts.shape[0], 300)
     sel = np.linspace(0, pts.shape[0] - 1, cap).astype(int)
-    du = np.linalg.norm(u[sel][:, None, :] - u[sel][None, :, :], axis=2)
-    dv = np.linalg.norm(v[sel][:, None, :] - v[sel][None, :, :], axis=2)
-    finite = du[du > 1e-12]
-    if finite.size == 0:
+    du = pairwise_distances(u[sel], u[sel])
+    dv = pairwise_distances(v[sel], v[sel])
+    apart = du > 1e-12
+    if not apart.any():
         return sup, 0.0, 0.0
-    spacing = np.median(np.where(du > 1e-12, du, np.inf).min(axis=1))
+    spacing = np.median(np.where(apart, du, np.inf).min(axis=1))
     mask = du >= max(3.0 * spacing, 1e-12)
     lip = float((dv[mask] / du[mask]).max()) if mask.any() else 0.0
     if parent_plane is None:
@@ -372,19 +373,35 @@ def _patch_stats(samples, plane, center, radius, parent_plane):
     return sup, lip, coh
 
 
+def _ball_members(points, centers, radii):
+    """The indices of the points within radii[i] of centers[i], in index
+    order, by the test `np.linalg.norm(points - c, axis=1) <= radius`.  One
+    tree query at the largest radius widened by 1e-9 gives candidates, and
+    the same test filters them, so the members are those of a scan over
+    every point."""
+    indptr, cand = SpatialIndex(points).neighborhoods(centers, max(radii) * (1.0 + 1e-9))
+    members = []
+    for c, radius, lo, hi in zip(centers, radii, indptr[:-1], indptr[1:]):
+        idx = np.sort(cand[lo:hi])
+        members.append(idx[np.linalg.norm(points[idx] - c, axis=1) <= radius])
+    return members
+
+
 def _patch_records(samples, centers, planes, r, parents=None):
     """Patch records of one scale.  `parents` is (centers, planes, reach) of
     the previous scale; coherence is measured against the plane of the
     nearest parent center if it lies within reach."""
+    radius = 1.5 * r
+    members = _ball_members(samples, centers, [radius] * len(centers))
     records = []
-    for c, pl in zip(centers, planes):
+    for c, pl, idx in zip(centers, planes, members):
         parent = None
         if parents is not None:
             d_parent = np.linalg.norm(parents[0] - c, axis=1)
             j = int(np.argmin(d_parent))
             parent = parents[1][j] if d_parent[j] <= parents[2] else None
-        records.append(PatchRecord(c, 1.5 * r, pl,
-                                   *_patch_stats(samples, pl, c, 1.5 * r, parent)))
+        records.append(PatchRecord(c, radius, pl,
+                                   *_patch_stats(samples[idx], pl, radius, parent)))
     return records
 
 
@@ -658,12 +675,13 @@ def measure_estimate(atlas, ball):
     patches = atlas.final_scale.patches
     if not patches:
         return 0.0
-    owners = SpatialIndex([p.center for p in patches])
+    centers = [p.center for p in patches]
+    owners = SpatialIndex(centers)
+    members = _ball_members(samples, centers, [p.radius * 1.2 for p in patches])
     total = 0.0
-    for pi, patch in enumerate(patches):
+    for pi, (patch, idx) in enumerate(zip(patches, members)):
         plane = patch.plane
-        rel = np.linalg.norm(samples - patch.center, axis=1) <= patch.radius * 1.2
-        local = samples[rel]
+        local = samples[idx]
         if local.shape[0] < k + 1:
             continue
         # the probes of a cell of side h: its centre, the centre moved by

@@ -218,6 +218,32 @@ class TestCommands:
         assert code == 0
         summary = (tmp_path / "atlas.json.summary.json").read_text()
         assert '"total_distortion":1' in summary
+        assert json.loads(summary)["diagnostics"] == []
+
+    def _reconstruct_circle(self, tmp_path, *options):
+        inp = tmp_path / "circle.csv"
+        out = tmp_path / "atlas.json"
+        write_csv(inp, circle_cloud(count=600, noise=1e-2, seed=1))
+        code = run_cli(["reconstruct", "--input", str(inp), "--dim", "2", "--k", "1",
+                        "--output", str(out), *options])
+        summary = json.loads((tmp_path / "atlas.json.summary.json").read_text())
+        return code, summary
+
+    def test_reconstruct_reports_summability_warning(self, tmp_path):
+        # a circle's summed displacement on its bounding ball is about 0.93
+        code, summary = self._reconstruct_circle(tmp_path, "--scales", "3")
+        assert code == 4 and summary["summability_ok"] is False
+        assert summary["diagnostics"] == [
+            "summed displacement 0.9262 exceeds delta^2 = 0.01 on the root ball; "
+            "reconstructing anyway"]
+
+    def test_reconstruct_reports_no_flat_scale(self, tmp_path):
+        # delta^2 = 0.98 admits the circle, but its one scale is not flat
+        code, summary = self._reconstruct_circle(tmp_path, "--scales", "1",
+                                                 "--delta", "0.99")
+        assert code == 0 and summary["summability_ok"] is True
+        assert summary["diagnostics"] == [
+            "no scale within max_scale_count is flat; starting at the finest"]
 
     def test_reconstruct_exit_4_on_bad_cloud(self, tmp_path):
         mu = koch_polyline_measure(levels=3, samples_per_edge=2)

@@ -10,6 +10,7 @@ from msgeom.geometry import (
     grassmann_distance,
     hausdorff_distance,
     orthonormalize,
+    pairwise_distances,
     plane_distance,
     project,
 )
@@ -327,6 +328,21 @@ class TestSpatialIndex:
     def test_greedy_net_empty_order(self):
         net = SpatialIndex([[0.0, 0.0]]).greedy_net([], 1.0)
         assert net.shape == (0,)
+
+
+class TestPairwiseDistances:
+    @pytest.mark.parametrize("dim", range(1, 13))
+    @pytest.mark.parametrize("rows", [(0, 5), (1, 1), (1, 9), (7, 1), (40, 33)])
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_bitwise_equal_to_numpy_norm(self, dim, rows, offset):
+        rng = np.random.default_rng(dim)
+        for scale in (1e-6, 1.0, 1e6):
+            a = offset + scale * rng.normal(size=(rows[0], dim))
+            b = offset + scale * rng.normal(size=(rows[1], dim))
+            want = np.linalg.norm(a[:, None] - b[None], axis=2)
+            got = pairwise_distances(a, b)
+            assert got.shape == want.shape == rows
+            assert got.tobytes() == want.tobytes()
 
 
 class TestAtomicMeasure:

@@ -7,7 +7,10 @@ tests or the benchmark (whose sources are parsed, never imported).  No
 linter ships with the project, so these AST scans stand in for the unused
 import and unused variable checks (pyflakes F401 and F841) and for a
 dead-parameter check.  No package module imports scipy.stats, whose import
-alone costs a fresh process most of a second."""
+alone costs a fresh process most of a second.  Outside
+`geometry.pairwise_distances`, no package code takes the norm of a
+difference of two None-broadcast arrays, so pairwise distances have one
+kernel."""
 
 import ast
 import os
@@ -293,3 +296,58 @@ def test_stratify_leaves_scipy_stats_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.split() == ["0", "False"]
+
+
+def _broadcast(node):
+    """Whether node is a subscript with a None in its index, as a[:, None]."""
+    if not isinstance(node, ast.Subscript):
+        return False
+    index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+    return any(isinstance(i, ast.Constant) and i.value is None for i in index)
+
+
+def broadcast_norms(source, filename="<source>"):
+    """Line of each `*.linalg.norm(x[..., None, ...] - y[None, ...], ...)`,
+    a pairwise distance table built through a 3-D difference array, outside
+    a function named pairwise_distances."""
+    tree = ast.parse(source, filename)
+    kernel = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "pairwise_distances"
+              for node in ast.walk(fn)}
+    found = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call) or id(call) in kernel or not call.args:
+            continue
+        func, arg = call.func, call.args[0]
+        if (isinstance(func, ast.Attribute) and func.attr == "norm"
+                and isinstance(func.value, ast.Attribute) and func.value.attr == "linalg"
+                and isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Sub)
+                and _broadcast(arg.left) and _broadcast(arg.right)):
+            found.append(call.lineno)
+    return sorted(found)
+
+
+def test_broadcast_norm_scan_flags_every_form():
+    source = (
+        "import numpy as np\n"
+        "d1 = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)\n"
+        "d2 = numpy.linalg.norm(a[:, None] - b[None], axis=-1)\n"
+        "d3 = np.linalg.norm(a - b[None], axis=1)\n"
+        "d4 = np.linalg.norm(a[:, 0] - b[:, 1], axis=1)\n"
+        "d5 = np.linalg.norm(a[:, None] + b[None], axis=2)\n"
+        "def f(a, b):\n"
+        "    return np.linalg.norm(a[None] - b[:, None], axis=2)\n"
+        "def pairwise_distances(a, b):\n"
+        "    return np.linalg.norm(a[:, None] - b[None], axis=2)\n"
+    )
+    assert broadcast_norms(source) == [2, 3, 8]
+
+
+def test_one_pairwise_distance_kernel():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in broadcast_norms(path.read_text(encoding="utf-8"), str(path))
+    ]
+    assert not found, ("pairwise norms outside geometry.pairwise_distances at:\n"
+                       + "\n".join(found))

@@ -4,7 +4,7 @@ import pytest
 from msgeom import moments, reifenberg
 from msgeom.errors import PlaneFitError, SeparationError
 from msgeom.fixtures import circle_cloud, perturbed_plane_cloud, plane_cloud, sine_graph_cloud
-from msgeom.geometry import AffinePlane, AtomicMeasure, Ball
+from msgeom.geometry import AffinePlane, AtomicMeasure, Ball, SpatialIndex
 from msgeom.moments import DisplacementConfig, dyadic_profile
 from msgeom.reifenberg import (
     PartitionOfUnity,
@@ -458,3 +458,84 @@ class TestPlaneFits:
         with pytest.raises(ValueError, match="k >= 1"):
             reconstruct(plane_cloud(3, 1, count=200), k, DisplacementConfig.default(1),
                         max_scale_count=3)
+
+
+def _brute_force_patch_records(samples, centers, planes, r, parent_planes):
+    """Patch records from a scan over every sample per centre."""
+    records = []
+    for c, pl, parent in zip(centers, planes, parent_planes):
+        rel = np.linalg.norm(samples - c, axis=1) <= 1.5 * r
+        records.append(reifenberg._patch_stats(samples[rel], pl, 1.5 * r, parent))
+    return records
+
+
+class TestPatchScan:
+    @staticmethod
+    def _boundary_samples(centers, r, rng):
+        """Samples at exactly 1.5 r from each centre along the axes (the
+        offsets are exact in binary), 1 ulp to either side, and random ones
+        within a few ulps of the sphere."""
+        radius = 1.5 * r
+        pieces = [rng.uniform(-1.0, 1.0, size=(400, 3))]
+        for c in centers:
+            for axis in range(3):
+                for sign in (1.0, -1.0):
+                    edge = c.copy()
+                    edge[axis] += sign * radius
+                    pieces.append(edge[None])
+                    for toward in (np.inf, -np.inf):
+                        step = edge.copy()
+                        step[axis] = np.nextafter(edge[axis], toward)
+                        pieces.append(step[None])
+            dirs = rng.normal(size=(60, 3))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            stretch = 1.0 + rng.integers(-4, 5, size=(60, 1)) * np.finfo(float).eps
+            pieces.append(c + radius * stretch * dirs)
+        samples = np.vstack(pieces)
+        return samples[rng.permutation(len(samples))]
+
+    def test_matches_brute_force_scan_at_the_boundary(self):
+        rng = np.random.default_rng(12)
+        r = 0.25
+        centers = np.array([[0.25, 0.5, -0.125], [-0.5, 0.0, 0.25], [0.0, -0.375, 0.0]])
+        planes = [AffinePlane.from_spanning(c, rng.normal(size=(2, 3))) for c in centers]
+        samples = self._boundary_samples(centers, r, rng)
+        members = reifenberg._ball_members(samples, centers, [1.5 * r] * len(centers))
+        for c, idx in zip(centers, members):
+            d = np.linalg.norm(samples - c, axis=1)
+            assert idx.tolist() == np.flatnonzero(d <= 1.5 * r).tolist()
+            # the exact boundary samples are in, the ones 1 ulp outside are not
+            assert (d == 1.5 * r).sum() >= 6 and (d[idx] == 1.5 * r).sum() >= 6
+            assert ((d > 1.5 * r) & (d <= 1.5 * r * (1 + 1e-15))).any()
+        # the third centre's nearest parent lies beyond the reach
+        records = reifenberg._patch_records(samples, centers, planes, r,
+                                            (centers[:2], planes[:2], 0.6))
+        want = _brute_force_patch_records(samples, centers, planes, r,
+                                          [planes[0], planes[1], None])
+        for rec, (sup, lip, coh) in zip(records, want):
+            assert (rec.graph_sup, rec.graph_lip, rec.coherence) == (sup, lip, coh)
+            assert rec.radius == 1.5 * r
+
+    def test_one_neighborhoods_call_per_scale(self, monkeypatch):
+        calls, inside = [], []
+        records = reifenberg._patch_records
+        query = SpatialIndex.neighborhoods
+
+        def counting_records(samples, centers, planes, r, parents=None):
+            inside.append(r)
+            try:
+                return records(samples, centers, planes, r, parents)
+            finally:
+                inside.pop()
+
+        def counting_query(index, centers, radius):
+            if inside:
+                calls.append((inside[-1], radius))
+            return query(index, centers, radius)
+
+        monkeypatch.setattr(reifenberg, "_patch_records", counting_records)
+        monkeypatch.setattr(SpatialIndex, "neighborhoods", counting_query)
+        mu = plane_cloud(2, 1, count=400, seed=4)
+        atlas = reconstruct(mu, 1, DisplacementConfig.default(1), max_scale_count=4)
+        assert calls == [(rec.radius, 1.5 * rec.radius * (1.0 + 1e-9))
+                         for rec in atlas.scales if rec.patches]
