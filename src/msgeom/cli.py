@@ -149,6 +149,11 @@ def _config(args, k):
 
 def _check_options(args):
     """Reject option values outside their range before any work is done."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CliError(EXIT_PARSE, f"--{name.replace('_', '-')} must be finite")
+    if args.seed < 0:
+        raise CliError(EXIT_PARSE, "--seed must be >= 0")
     if args.dim > 16:
         raise CliError(EXIT_DIMENSION, f"ambient dimension {args.dim} exceeds 16")
     if args.k >= args.dim:
@@ -333,6 +338,7 @@ def cmd_stratify(args):
         "minkowski_volumes": vols,
         "minkowski_slope": slope,
         "cover_levels": cover_report_doc(levels)["levels"],
+        "cover_skipped": sum(rep.skipped for reports in levels for rep in reports),
     }
     if args.output:
         dump_json(doc, args.output)

@@ -7,15 +7,18 @@ the associated measure mu = sum omega_k r_j^k delta_{x_j}, checks the summed
 displacement hypothesis on every ball with enough mass, and reports the
 packing sum over the unit ball.  The inductive driver covers a quantitative
 stratum by balls whose energy sup has dropped by eta, plus a residual set at
-the floor scale, tracking packing and volume content.  Its sups of theta go
-through one helper over CSR neighbourhoods and one table per driver call,
-in which each (sample, radius) is evaluated once for all balls and levels.
+the floor scale, tracking packing and volume content.  Each level hands
+every stratum sample to exactly one ball (Vitali selection keeps a level's
+balls of bounded overlap; Mattila 1995, Thm 2.1), so a level holds at most
+one ball per sample.  One driver call keeps one SpatialIndex and one theta
+table over its samples, in which each (sample, radius) is evaluated once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, takewhile
 
 import numpy as np
 
@@ -80,10 +83,8 @@ class BallFamily:
 def classify_balls(mu, centers, r, k, cfg):
     """Indices of (good, bad) centers by mu(B_r(c)) >= gamma_good * r^k."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    masses = ball_masses_many(mu, centers, r)
-    good = np.flatnonzero(masses >= cfg.gamma_good * r**k)
-    bad = np.flatnonzero(masses < cfg.gamma_good * r**k)
-    return good, bad
+    good = ball_masses_many(mu, centers, r) >= cfg.gamma_good * r**k
+    return np.flatnonzero(good), np.flatnonzero(~good)
 
 
 def excess_set(mu, ball, plane, next_radius):
@@ -108,13 +109,8 @@ def vitali_subcover(balls):
     chosen = []
     for i in order:
         b = balls[i]
-        ok = True
-        for j in chosen:
-            s = balls[j]
-            if np.linalg.norm(b.center - s.center) < b.radius + s.radius:
-                ok = False
-                break
-        if ok:
+        if all(np.linalg.norm(b.center - balls[j].center) >= b.radius + balls[j].radius
+               for j in chosen):
             chosen.append(i)
     chosen.sort()
     return [balls[i] for i in chosen], chosen
@@ -131,29 +127,21 @@ def separated_decomposition(family, R):
         raise ValueError("separation factor R must exceed 1")
     if not family.fifth_disjoint():
         raise DisjointnessError("the fifth-radius balls must be disjoint")
-    order = sorted(range(family.count), key=lambda i: (-family.radii[i], i))
+    x, r = family.centers, family.radii
+
+    def conflict(i, j):
+        # r[j] >= r[i] by insertion order, so r[j] >= r[i] >= R^-2 r[i]
+        # always violates within R r[i]
+        d = np.linalg.norm(x[i] - x[j])
+        return (d <= R * r[j] and r[i] >= r[j] / R**2) or d <= R * r[i]
+
     groups = []
-    for i in order:
-        xi, ri = family.centers[i], family.radii[i]
-        placed = False
-        for g in groups:
-            conflict = False
-            for j in g:
-                xj, rj = family.centers[j], family.radii[j]
-                d = np.linalg.norm(xi - xj)
-                # existing radii are >= ri by insertion order
-                if d <= R * rj and ri >= rj / R**2:
-                    conflict = True
-                    break
-                if d <= R * ri:  # rj >= ri >= R^-2 ri always violates
-                    conflict = True
-                    break
-            if not conflict:
-                g.append(i)
-                placed = True
-                break
-        if not placed:
+    for i in sorted(range(family.count), key=lambda i: (-r[i], i)):
+        g = next((g for g in groups if not any(conflict(i, j) for j in g)), None)
+        if g is None:
             groups.append([i])
+        else:
+            g.append(i)
     return [np.array(sorted(g), dtype=int) for g in groups]
 
 
@@ -236,10 +224,8 @@ def union_ball_volume(centers, radius, cell=None):
     lo = centers.min(axis=0) - radius - h
     hi = centers.max(axis=0) + radius + h
     axes = [np.arange(lo[d], hi[d] + h * 0.5, h) for d in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    count = int((SpatialIndex(centers).nearest(pts) <= radius).sum())
-    return count * h**n
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return int((SpatialIndex(centers).nearest(pts) <= radius).sum()) * h**n
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +234,7 @@ def union_ball_volume(centers, radius, cell=None):
 
 @dataclass
 class CoverReport:
-    energy_sup: float          # E over stratum samples in the root
+    energy_sup: float          # E over the covered ball's own samples
     eta: float
     U_r: list                  # floor-scale balls
     U_plus: list               # (Ball, sup_theta) with energy drop
@@ -257,123 +243,147 @@ class CoverReport:
     vol_term: float            # r^{k-n} Vol(B_r(U_r))
     content: float             # omega_k * packing_sum + vol_term
     skipped: int               # failed theta values (NaN, left out of sups)
+    plus_owned: list           # sorted sample ids owned by each U_plus ball
+    floor_owned: list          # sorted sample ids owned by each U_r ball
 
 
 class _ThetaTable:
-    """theta_r at the stratum samples by index, for one cover driver call:
-    each (sample, r) is evaluated once, however many balls and levels ask
-    for it.  NaN where the ball meets a singular set of codimension <= 2 or
-    leaves the field domain."""
+    """theta_r at the stratum samples by id, for one cover driver call: each
+    (sample, r) is evaluated once, however many balls and levels ask for
+    it; NaN where the ball meets a singular set of codimension <= 2 or
+    leaves the field domain.  `index` is the call's one SpatialIndex over
+    the samples."""
 
     def __init__(self, field, samples):
-        self.field, self.samples, self._known = field, samples, {}
+        self.field, self.index, self._known = field, SpatialIndex(samples), {}
 
     def __call__(self, idx, r):
-        known = self._known
+        known, samples = self._known, self.index.points
         for j in idx:
             if (j, r) not in known:
                 try:
-                    known[j, r] = theta(self.field, self.samples[j], r)
+                    known[j, r] = theta(self.field, samples[j], r)
                 except ValueError:  # EnergyInfiniteError included
                     known[j, r] = np.nan
         return np.array([known[j, r] for j in idx])
 
 
-def _ball_sups(thetas, inside, hoods, r):
-    """Sup of theta_r over each CSR neighbourhood of the samples `inside` the
-    covered ball (-inf where every value failed), and the count of failed
-    values among its distinct samples.  Every centre is a sample, so no
-    neighbourhood is empty and np.fmax.reduceat takes each ball's sup."""
+def _ball_sups(thetas, hoods, r):
+    """Sup of theta_r over each CSR neighbourhood of sample ids (-inf where
+    every value failed), and the count of failed values among its distinct
+    samples.  Every centre is a sample, so no neighbourhood is empty and
+    np.fmax.reduceat takes each ball's sup."""
     indptr, indices = hoods
     needed, at = np.unique(indices, return_inverse=True)
-    vals = thetas(inside[needed], r)
+    vals = thetas(needed, r)
     sups = np.fmax.reduceat(vals[at], indptr[:-1])
     return np.where(np.isnan(sups), -np.inf, sups), int(np.isnan(vals).sum())
 
 
-def _cover_samples(thetas, root, k, r_floor, eta, ref_scale=None):
-    """Energy-scale covering of the stratum samples of a _ThetaTable inside
-    one ball.  Raises EnergyInfiniteError when theta fails at every sample
-    of the ball at its top scale."""
-    radius = ref_scale or root.radius
-    inside = np.flatnonzero(root.contains(thetas.samples))
-    pts = thetas.samples[inside]
-    n = pts.shape[1]
-    if pts.shape[0] == 0:
-        return CoverReport(energy_sup=0.0, eta=eta, U_r=[], U_plus=[], U_0=None,
-                           packing_sum=0.0, vol_term=0.0, content=0.0, skipped=0)
-    thetas_top = thetas(inside, radius)
+def _claim(ids, hoods):
+    """Split the sample ids among CSR balls, each id to the first ball that
+    holds it; returns one sorted id array per ball."""
+    indptr, indices = hoods
+    ball = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    mine = np.isin(indices, ids)
+    sample, first = np.unique(indices[mine], return_index=True)
+    owner = ball[mine][first]
+    return [sample[owner == b] for b in range(len(indptr) - 1)]
+
+
+def _cover_samples(thetas, owned, radius, k, r_floor, eta):
+    """Energy-scale covering of the sample ids `owned` by a ball of the given
+    radius.  Raises EnergyInfiniteError when theta fails at every one of
+    them at that scale.
+
+    Each owned sample goes to one child ball, so a level holds at most one
+    ball per sample.  A floor sample goes to the first floor ball that holds
+    it.  Any other sample goes to the first selected Vitali ball, in sample
+    order, whose half-radius holds it, and there to the first ball of the
+    net drawn from that Vitali ball's samples.  The sups of theta still
+    read every stratum sample of a neighbourhood, owned or not.
+    """
+    index, pts = thetas.index, thetas.index.points
+    thetas_top = thetas(owned, radius)
     skipped = int(np.isnan(thetas_top).sum())
-    if skipped == len(inside):
+    if len(owned) and skipped == len(owned):
         raise EnergyInfiniteError(
             f"theta fails at every stratum sample of the ball ({skipped})")
-    E = float(np.nanmax(thetas_top))
+    E = float(np.nanmax(thetas_top, initial=0.0))  # theta >= 0; 0 when no sample
 
-    scales = []
-    s = r_floor
-    while s < radius * (1 + 1e-12):
-        scales.append(min(s, radius))
-        s *= 2.0
-    if not scales or scales[-1] < radius:
-        scales.append(radius)
+    # the dyadic rungs r_floor 2^j below the radius, clipped to it, and the radius
+    rungs = takewhile(lambda s: s < radius * (1 + 1e-12), (r_floor * 2.0**j for j in count()))
+    scales = sorted({min(s, radius) for s in rungs} | {radius})
 
-    tree = SpatialIndex(pts)
     # s_x: first dyadic rung at which the eta-scale energy sup recovers to
     # E - eta; capped at 2 * radius when the energy stays dropped throughout
-    s_x = np.full(pts.shape[0], 2.0 * radius)
-    undecided = np.arange(pts.shape[0])
+    s_x = np.full(len(owned), 2.0 * radius)
+    undecided = np.arange(len(owned))
     for s in scales:
         if not len(undecided):
             break
-        sups, failed = _ball_sups(thetas, inside, tree.neighborhoods(pts[undecided], s),
+        sups, failed = _ball_sups(thetas, index.neighborhoods(pts[owned[undecided]], s),
                                   eta * s)
         skipped += failed
         crossed = sups >= E - eta
         s_x[undecided[crossed]] = s
         undecided = undecided[~crossed]
 
-    floor_idx = np.flatnonzero(s_x <= r_floor * (1 + 1e-12))
+    at_floor = s_x <= r_floor * (1 + 1e-12)
     # the drop ball radius is the rung below the crossing, where the failed
     # sup condition certifies sup theta_{eta r_i} <= E - eta exactly
-    plus_idx = np.flatnonzero(s_x > r_floor * (1 + 1e-12))
-    s_x = np.where(s_x > r_floor * (1 + 1e-12), s_x / 2.0, s_x)
+    plus_idx = np.flatnonzero(~at_floor)
+    s_x = np.where(at_floor, s_x, s_x / 2.0)
 
     # floor-scale cover: maximal r/5-separated subset of the floor samples
-    floor_net = tree.greedy_net(floor_idx, r_floor / 5.0)
+    floor_net = index.greedy_net(owned[at_floor], r_floor / 5.0)
     U_r = [Ball(pts[i], r_floor) for i in floor_net]
+    floor_owned = _claim(owned[at_floor], index.neighborhoods(pts[floor_net], r_floor))
 
     # energy-drop cover: Vitali on the tenth-radius balls, then eta-subdivide
-    # each selected ball by an (eta r_i)-net of its half-radius samples
-    U_plus = []
-    _, sel = vitali_subcover([Ball(pts[i], s_x[i] / 10.0) for i in plus_idx])
+    # each selected ball by an (eta r_i)-net of the free samples of its
+    # half-radius; every drop sample lies within r_i / 5 of a selected ball
+    U_plus, plus_owned = [], []
+    free = np.zeros(len(index), dtype=bool)
+    free[owned[plus_idx]] = True
+    _, sel = vitali_subcover([Ball(pts[owned[i]], s_x[i] / 10.0) for i in plus_idx])
     for i in plus_idx[sel]:
         r_i = float(s_x[i])
         rad = eta * r_i
-        net = tree.greedy_net(tree.query(pts[i], r_i / 2.0), rad)
-        sups, failed = _ball_sups(thetas, inside, tree.neighborhoods(pts[net], rad), rad)
+        mine = index.query(pts[owned[i]], r_i / 2.0)
+        mine = mine[free[mine]]
+        free[mine] = False
+        net = index.greedy_net(mine, rad)
+        hoods = index.neighborhoods(pts[net], rad)
+        sups, failed = _ball_sups(thetas, hoods, rad)
         skipped += failed
         U_plus += [(Ball(pts[m], rad), float(sup)) for m, sup in zip(net, sups)]
+        plus_owned += _claim(mine, hoods)
 
     packing = float(sum(b.radius**k for b, _ in U_plus))
-    vol_term = r_floor ** (k - n) * union_ball_volume(pts[floor_net], r_floor)
+    vol_term = r_floor ** (k - pts.shape[1]) * union_ball_volume(pts[floor_net], r_floor)
     content = unit_ball_volume(k) * packing + vol_term
     return CoverReport(energy_sup=E, eta=eta, U_r=U_r, U_plus=U_plus, U_0=None,
                        packing_sum=packing, vol_term=vol_term, content=content,
-                       skipped=skipped)
+                       skipped=skipped, plus_owned=plus_owned, floor_owned=floor_owned)
 
 
-def _cover_setup(field, root_ball, k, epsilon, r, grid_step, stratum):
-    """(grid_step, r_floor, thetas) of a cover driver call.  The grid step
-    defaults to r, or to the root radius / 16 when r == 0; the floor scale is
-    r, or the grid step when r == 0.  thetas is the call's _ThetaTable over
-    the stratum, which is computed unless one is given."""
+def _root_cover(field, root_ball, k, epsilon, r, eta, grid_step, stratum):
+    """(grid_step, r_floor, thetas, report) of a cover driver call: report
+    covers every stratum sample in the root ball, and thetas is the call's
+    _ThetaTable over them.  The grid step defaults to r, or to the root
+    radius / 16 when r == 0; the floor scale is r, or the grid step when
+    r == 0.  The stratum is computed unless one is given."""
     grid_step = grid_step or (r if r > 0 else root_ball.radius / 16.0)
     r_floor = r if r > 0 else grid_step
     if stratum is None:
         stratum = quantitative_stratum(field, k, epsilon, r_floor, grid_step,
                                        center=root_ball.center,
                                        radius=root_ball.radius, plane_count=32)
-    return grid_step, r_floor, _ThetaTable(field, stratum.positions)
+    thetas = _ThetaTable(field, stratum.positions[root_ball.contains(stratum.positions)])
+    report = _cover_samples(thetas, np.arange(len(thetas.index)), root_ball.radius,
+                            k, r_floor, eta)
+    return grid_step, r_floor, thetas, report
 
 
 def inductive_cover(field, root_ball, k, epsilon, r, eta, grid_step=None):
@@ -384,10 +394,10 @@ def inductive_cover(field, root_ball, k, epsilon, r, eta, grid_step=None):
     quadrature slack), and whose floor set U_r (or atom set U_0 when r == 0
     was requested) carries the Minkowski-type content bound.  When r == 0
     the floor scale is the grid step (the discrete stand-in for scale zero).
+    Each stratum sample is owned by one ball of U_plus or U_r.
     """
-    grid_step, r_floor, thetas = _cover_setup(field, root_ball, k, epsilon, r,
-                                              grid_step, None)
-    report = _cover_samples(thetas, root_ball, k, r_floor, eta)
+    grid_step, _, _, report = _root_cover(field, root_ball, k, epsilon, r, eta,
+                                          grid_step, None)
     if r == 0:
         centers = np.array([b.center for b in report.U_r])
         report.U_0 = AtomicMeasure(centers, np.full(len(centers), grid_step**k)) \
@@ -397,58 +407,47 @@ def inductive_cover(field, root_ball, k, epsilon, r, eta, grid_step=None):
 
 
 def cover_report_doc(levels):
-    """Serializable cover report: per-level ball arrays with kind labels.
+    """Serializable report of `iterate_cover` levels: per-level balls by kind.
 
     Balls still carrying energy (subdivided at the next level) are "good";
-    floor-scale balls and atoms are "final".  Bad (mass-deficient) balls do
-    not arise in the energy driver; classify_balls covers that side.
+    floor-scale balls are "final".  Bad (mass-deficient) balls do not arise
+    in the energy driver; classify_balls covers that side.
     """
+    def ball(b, kind, sup):
+        return {"center": list(b.center), "radius": b.radius, "kind": kind, "sup_theta": sup}
+
     doc = {"schema": 1, "levels": []}
     for reports in levels:
         balls = []
-        packing = 0.0
-        vol = 0.0
         for rep in reports:
-            for b, sup in rep.U_plus:
-                balls.append({"center": list(b.center), "radius": b.radius,
-                              "kind": "good", "sup_theta": sup})
-            for b in rep.U_r:
-                balls.append({"center": list(b.center), "radius": b.radius,
-                              "kind": "final", "sup_theta": None})
-            if rep.U_0 is not None:
-                for pnt in rep.U_0.positions:
-                    balls.append({"center": list(pnt), "radius": 0.0,
-                                  "kind": "final", "sup_theta": None})
-            packing += rep.packing_sum
-            vol += rep.vol_term
-        doc["levels"].append({"balls": balls, "packing_sum": packing,
-                              "vol_term": vol})
+            balls += [ball(b, "good", sup) for b, sup in rep.U_plus]
+            balls += [ball(b, "final", None) for b in rep.U_r]
+        doc["levels"].append({"balls": balls,
+                              "packing_sum": sum((rep.packing_sum for rep in reports), 0.0),
+                              "vol_term": sum((rep.vol_term for rep in reports), 0.0)})
     return doc
 
 
 def iterate_cover(field, root_ball, k, epsilon, r, eta, grid_step=None,
                   stratum=None):
-    """Apply the covering inductively inside every energy-drop ball until
-    none remains; the energy sup falls by eta per level, so at most
-    ceil(E / eta) levels can occur.
+    """Cover the stratum in the root ball (level 0, as `inductive_cover`),
+    then cover the samples each drop ball owns, level by level, until no
+    drop ball remains.  The energy sup falls by eta per level, so at most
+    ceil(E / eta) + 1 levels occur.  Every sample is owned by one ball per
+    level until it ends in a floor ball or a drop ball of the last level,
+    so no level holds more balls than samples.  All balls share one
+    SpatialIndex and one theta table over the samples.
 
     Returns (levels, final_floor_balls) where levels is a list of per-level
-    CoverReport lists.  A precomputed stratum may be passed; it is computed
-    otherwise.
+    CoverReport lists, one report per covered ball.  A precomputed stratum
+    may be passed; it is computed otherwise.
     """
-    _, r_floor, thetas = _cover_setup(field, root_ball, k, epsilon, r, grid_step,
-                                      stratum)
-    first = _cover_samples(thetas, root_ball, k, r_floor, eta)
+    _, r_floor, thetas, first = _root_cover(field, root_ball, k, epsilon, r, eta,
+                                            grid_step, stratum)
     levels = [[first]]
-    floor_balls = list(first.U_r)
-    for _ in range(max(1, math.ceil(max(first.energy_sup, eta) / eta)) + 1):
-        active = [b for rep in levels[-1] for (b, _) in rep.U_plus]
-        if not active:
-            break
-        reports = []
-        for b in active:
-            rep = _cover_samples(thetas, b, k, r_floor, eta, ref_scale=b.radius)
-            reports.append(rep)
-            floor_balls.extend(rep.U_r)
-        levels.append(reports)
-    return levels, floor_balls
+    cap = max(1, math.ceil(max(first.energy_sup, eta) / eta)) + 1
+    while len(levels) <= cap and any(rep.U_plus for rep in levels[-1]):
+        levels.append([_cover_samples(thetas, ids, b.radius, k, r_floor, eta)
+                       for rep in levels[-1]
+                       for (b, _), ids in zip(rep.U_plus, rep.plus_owned)])
+    return levels, [b for reports in levels for rep in reports for b in rep.U_r]

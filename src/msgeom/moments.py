@@ -76,6 +76,8 @@ class DisplacementConfig:
     delta: float = 0.1
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.eps_mass, self.gamma_good, self.rho, self.delta))):
+            raise ValueError("displacement coefficients must be finite")
         if self.eps_mass < 0 or self.gamma_good <= 0 or self.delta <= 0:
             raise ValueError("displacement coefficients must be positive")
         if self.rho <= 0:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from msgeom.cli import main, read_cloud_csv, write_cloud_csv
+from msgeom import covering
+from msgeom.cli import build_parser, main, read_cloud_csv, write_cloud_csv
 from msgeom.fixtures import circle_cloud, koch_polyline_measure, plane_cloud
 from msgeom.geometry import AtomicMeasure
+from msgeom.harmonic import theta
 
 
 def write_csv(path, mu, header=False):
@@ -174,6 +177,47 @@ class TestOptionRanges:
         assert err.startswith("numerical failure: ") and "Traceback" not in err
 
 
+def _subcommands():
+    """(name, subparser) of every command of the CLI parser."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sorted(sub.choices.items())
+
+
+def _required_argv(sp, cloud):
+    """The required options of a subcommand, with values that parse."""
+    values = {"input": str(cloud), "dim": "2", "fixture": "smooth"}
+    argv = []
+    for action in sp._actions:
+        if action.required:
+            argv += [action.option_strings[0], values[action.dest]]
+    return argv
+
+
+def _non_finite_cases():
+    cases = [(name, ["--seed", "-1"]) for name, _ in _subcommands()]
+    for name, sp in _subcommands():
+        for action in sp._actions:
+            if action.type is float:
+                cases += [(name, [f"{action.option_strings[0]}={v}"])
+                          for v in ("nan", "inf", "-inf")]
+    return cases
+
+
+class TestEveryFloatOption:
+    @pytest.mark.parametrize("command,option", _non_finite_cases(),
+                             ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    def test_non_finite_value_is_parse_error(self, tmp_path, capsys, command, option):
+        # found by walking the parser, so a new float option is covered too
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("0,0\n1,0.1\n2,0\n3,0.2\n")
+        sp = dict(_subcommands())[command]
+        code = run_cli([command, *_required_argv(sp, cloud), *option])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestCommands:
     def test_beta_planar_holds(self, tmp_path):
         mu = plane_cloud(2, 1, count=100, seed=2)
@@ -274,6 +318,23 @@ class TestCommands:
                         "--grid-step", "0.5", "--output", str(out)])
         assert code == 0
         assert '"stratum_count":0' in out.read_text()
+
+    def test_stratify_reports_skipped_theta(self, tmp_path, monkeypatch):
+        # theta fails at one of the 24 samples at the root scale; the cover
+        # still completes and the report counts the failure
+        def failing(field, x, r):
+            if r == 1.0 and np.array_equal(x, [1.0, 0.0, 0.0]):
+                raise ValueError("ball exceeds the field domain")
+            return theta(field, x, r)
+
+        argv = ["stratify", "--fixture", "smooth", "--dim", "3", "--k", "0",
+                "--grid-step", "0.5", "--r-min", "0.125", "--epsilon", "0.001"]
+        out = tmp_path / "strat.json"
+        monkeypatch.setattr(covering, "theta", failing)
+        assert run_cli(argv + ["--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["stratum_count"] == 24 and doc["cover_skipped"] == 1
+        assert list(doc)[-1] == "cover_skipped"
 
 
 class TestDeterminism:

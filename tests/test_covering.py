@@ -360,6 +360,113 @@ class TestInductiveCover:
                           0.5, stratum=stratum)
 
 
+# the 24-sample stratum of `stratify --fixture smooth --dim 3 --k 0
+# --grid-step 0.5 --r-min 0.125 --epsilon 0.001`
+SMOOTH_STRATUM = [
+    [-1.0, 0.0, 0.0], [-0.5, -0.5, 0.5], [-0.5, 0.0, 0.0], [-0.5, 0.0, 0.5],
+    [-0.5, 0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.5, 0.5], [0.0, -0.5, 0.0],
+    [0.0, -0.5, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 1.0],
+    [0.0, 0.5, -0.5], [0.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.5, -0.5, 0.0],
+    [0.5, -0.5, 0.5], [0.5, 0.0, -0.5], [0.5, 0.0, 0.0], [0.5, 0.0, 0.5],
+    [0.5, 0.5, -0.5], [0.5, 0.5, 0.0], [0.5, 0.5, 0.5], [1.0, 0.0, 0.0],
+]
+
+
+class TestOneBallPerSample:
+    ETA = 0.5
+
+    @pytest.fixture(scope="class")
+    def cover(self):
+        stratum = AtomicMeasure(np.array(SMOOTH_STRATUM), np.ones(len(SMOOTH_STRATUM)))
+        levels, floor_balls = iterate_cover(smooth_wave(3), Ball(np.zeros(3), 1.0), 0,
+                                            0.001, 0.125, self.ETA, grid_step=0.5,
+                                            stratum=stratum)
+        return levels, floor_balls
+
+    @staticmethod
+    def level_balls(reports):
+        return [b for rep in reports for b in [u for u, _ in rep.U_plus] + rep.U_r]
+
+    def test_each_level_holds_at_most_one_ball_per_sample(self, cover):
+        levels, _ = cover
+        assert len(levels) >= 2
+        for reports in levels:
+            assert 1 <= len(self.level_balls(reports)) <= len(SMOOTH_STRATUM)
+
+    def test_no_centre_and_radius_repeats_within_a_level(self, cover):
+        levels, _ = cover
+        for reports in levels:
+            keys = [(b.center.tobytes(), b.radius) for b in self.level_balls(reports)]
+            assert len(set(keys)) == len(keys)
+
+    def test_every_sample_owned_once_per_level_until_it_ends(self, cover):
+        levels, floor_balls = cover
+        active = np.arange(len(SMOOTH_STRATUM))
+        ended = []
+        for reports in levels:
+            plus = [ids for rep in reports for ids in rep.plus_owned]
+            floor = [ids for rep in reports for ids in rep.floor_owned]
+            assert all(len(ids) for ids in plus + floor)  # no ball owns nothing
+            owned = np.sort(np.concatenate(plus + floor))
+            np.testing.assert_array_equal(owned, active)
+            for rep in reports:
+                assert len(rep.plus_owned) == len(rep.U_plus)
+                assert len(rep.floor_owned) == len(rep.U_r)
+                for (b, _), ids in zip(rep.U_plus, rep.plus_owned):
+                    assert b.contains(np.array(SMOOTH_STRATUM)[ids]).all()
+            ended += floor
+            active = np.sort(np.concatenate(plus)) if plus else active[:0]
+        # every sample ends in a floor ball or a drop ball of the last level
+        final = np.sort(np.concatenate(ended + [active]))
+        np.testing.assert_array_equal(final, np.arange(len(SMOOTH_STRATUM)))
+        assert len(floor_balls) == sum(len(rep.U_r) for reps in levels for rep in reps)
+
+    def test_drop_ball_sups_certify_the_drop(self, cover):
+        levels, _ = cover
+        for reports in levels:
+            for rep in reports:
+                E = rep.energy_sup
+                for _, sup in rep.U_plus:
+                    assert sup <= E - self.ETA + 1e-3 * E
+
+    def test_level_count_bound(self, cover):
+        levels, _ = cover
+        E = levels[0][0].energy_sup
+        assert len(levels) <= int(np.ceil(E / self.ETA)) + 1
+        assert all(not rep.U_plus for rep in levels[-1])
+
+    def test_packing_sum_at_most_the_sample_count(self, cover):
+        levels, _ = cover
+        assert levels[0][0].packing_sum <= len(SMOOTH_STRATUM)
+
+    def test_one_index_per_driver_call(self, cover, monkeypatch):
+        # one SpatialIndex over the samples, plus one per volume grid count
+        built, volumes = [], []
+        monkeypatch.setattr(covering, "SpatialIndex",
+                            lambda pts: built.append(len(pts)) or SpatialIndex(pts))
+        real_volume = covering.union_ball_volume
+        monkeypatch.setattr(covering, "union_ball_volume",
+                            lambda *a: volumes.append(a) or real_volume(*a))
+        stratum = AtomicMeasure(np.array(SMOOTH_STRATUM), np.ones(len(SMOOTH_STRATUM)))
+        iterate_cover(smooth_wave(3), Ball(np.zeros(3), 1.0), 0, 0.001, 0.125,
+                      self.ETA, grid_step=0.5, stratum=stratum)
+        assert volumes
+        assert built == [len(SMOOTH_STRATUM)] + [len(a[0]) for a in volumes if len(a[0])]
+
+
+class TestSkippedTheta:
+    def test_cover_completes_when_some_theta_fails(self):
+        # x/|x| in R^2: the top-scale ball about (0.3, 0) meets the
+        # codimension-2 point, the one about (0.8, 0) does not
+        stratum = AtomicMeasure(np.array([[0.3, 0.0], [0.8, 0.0]]), np.ones(2))
+        levels, _ = iterate_cover(radial_projection(2), Ball(np.array([0.55, 0.0]), 0.5),
+                                  0, 0.3, 2.0**-4, 0.5, stratum=stratum)
+        assert levels[0][0].skipped >= 1
+        assert np.isfinite(levels[0][0].energy_sup)
+        owned = [ids for reps in levels for rep in reps for ids in rep.floor_owned]
+        assert owned
+
+
 class TestVolume:
     def test_single_ball_volume(self):
         got = union_ball_volume(np.zeros((1, 2)), 1.0, cell=1.0 / 64)

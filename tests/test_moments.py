@@ -223,6 +223,13 @@ class TestDisplacement:
         cfg = DisplacementConfig.strict(2, 1)
         assert cfg.eps_mass == pytest.approx(2000.0 ** (-28), rel=1e-12)
 
+    @pytest.mark.parametrize("field", ["eps_mass", "gamma_good", "rho", "delta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_coefficient_rejected(self, field, value):
+        args = {"eps_mass": 1e-3, "gamma_good": 0.5, "rho": 0.5, "delta": 0.1, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            DisplacementConfig(**args)
+
     def test_rectangle_value(self):
         # 4 unit atoms at (+-1/2, +-h) in B_1(0): D = 1^{-3} * 4h^2
         h = 0.05
