@@ -9,28 +9,30 @@ pack         discrete packing verifier on a ball family (coords + radius)
 stratify     quantitative stratum of a catalog field, cover, Minkowski fit
 
 Every command takes --output, --dim, --k, --seed and --threads; beta,
-reconstruct and pack also take --rho, --delta, --eps-mass and --gamma-good.
+reconstruct and pack also take --delta and --eps-mass, and reconstruct
+--rho and --gamma-good.
 
 Input point clouds are CSV: one row per atom, n coordinate columns and an
 optional trailing weight column; a header row is detected by a non-numeric
-first token.  Values must be finite, weights nonnegative and the radii of
-`pack` positive; a row breaking this is a parse error.  Reports are
-deterministic JSON (schema 1, 17 significant digits).  Exit codes: 0 ok,
-2 parse error, 3 dimension mismatch, 4 hypothesis violated (including
-overlapping balls for `pack`), 5 numerical failure (including a `stratify`
-cover where every theta is infinite).
+first token.  Values must be finite, coordinates and radii at most 1e150 in
+magnitude, weights nonnegative and the radii of `pack` positive; a row
+breaking this is a parse error.  Reports are deterministic JSON (schema 1,
+17 significant digits).  Exit codes: 0 ok, 2 parse error, 3 dimension
+mismatch, 4 hypothesis violated (including overlapping balls for `pack`),
+5 numerical failure (including a `stratify` cover where every theta is
+infinite).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import warnings
 
 import numpy as np
 
-from . import fixtures  # noqa: F401  (fixture generators importable for users)
 from .covering import (BallFamily, cover_report_doc, discrete_reifenberg_verify,
                        iterate_cover, union_ball_volume)
 from .errors import DisjointnessError, EmptySupportError, EnergyInfiniteError, PlaneFitError
@@ -50,6 +52,7 @@ EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_HYPOTHESIS = 4
 EXIT_NUMERICAL = 5
+_MAX_COORD = 1e150  # squared differences of larger coordinates could overflow
 
 
 class CliError(Exception):
@@ -71,7 +74,8 @@ def read_cloud_csv(path, dim, extra_columns=0):
 
     Rows carry dim coordinates, `extra_columns` mandatory trailing columns
     (ball radii, so positive), and optionally one more weight column, which
-    must be nonnegative.  Every value must be finite.
+    must be nonnegative.  Every value must be finite, and coordinates and
+    radii at most _MAX_COORD in magnitude.
     """
     rows = []
     weights = []
@@ -108,6 +112,9 @@ def read_cloud_csv(path, dim, extra_columns=0):
                 raise CliError(EXIT_PARSE, f"parse error on line {lineno}: ragged row")
             if not all(math.isfinite(v) for v in vals):
                 raise CliError(EXIT_PARSE, f"parse error on line {lineno}: non-finite value")
+            if any(abs(v) > _MAX_COORD for v in vals[:dim + extra_columns]):
+                raise CliError(EXIT_PARSE, f"parse error on line {lineno}: "
+                               "coordinate or radius beyond 1e150 in magnitude")
             has_weight = expected[1]
             coord = vals[:dim]
             trail = vals[dim : dim + extra_columns]
@@ -135,14 +142,10 @@ def write_cloud_csv(path, mu):
 def _config(args, k):
     """The displacement coefficients of the options; a value outside its
     range is a parse error."""
+    given = {name: getattr(args, name) for name in ("eps_mass", "gamma_good", "rho")
+             if getattr(args, name, None) is not None}
     try:
-        base = DisplacementConfig.default(k, delta=args.delta)
-        return DisplacementConfig(
-            eps_mass=args.eps_mass if args.eps_mass is not None else base.eps_mass,
-            gamma_good=args.gamma_good if args.gamma_good is not None else base.gamma_good,
-            rho=args.rho,
-            delta=args.delta,
-        )
+        return dataclasses.replace(DisplacementConfig.default(k, delta=args.delta), **given)
     except ValueError as err:
         raise CliError(EXIT_PARSE, f"bad option value: {err}")
 
@@ -168,10 +171,20 @@ def _check_options(args):
             raise CliError(EXIT_PARSE, f"--{name.replace('_', '-')} must be positive")
     if not getattr(args, "r_min", 1.0) >= FINEST_SCALE:  # the ladder's deepest rung
         raise CliError(EXIT_PARSE, "--r-min must be at least 2**-60")
+    for name in ("alpha_min", "alpha_max"):
+        if not -60 <= getattr(args, name, 0) <= 60:  # as --r-min >= 2**-60
+            raise CliError(EXIT_PARSE, f"--{name.replace('_', '-')} must be in [-60, 60]")
     if getattr(args, "alpha_min", 0) > getattr(args, "alpha_max", 0):
         raise CliError(EXIT_PARSE, "--alpha-min must not exceed --alpha-max")
     if hasattr(args, "delta"):  # beta, reconstruct and pack
         _config(args, args.k)
+    if args.command == "reconstruct":
+        # the start-scale disk has up to 30 / rho**(scales - 1) + 1 grid
+        # points per axis; rho = 2**-q, so the count is an integer power
+        shift = round(-math.log2(args.rho)) * (args.scales - 1)
+        if shift > 20 or (30 * 2**shift + 1) ** args.k > 2**20:
+            raise CliError(EXIT_PARSE, f"--scales {args.scales} with --rho {args.rho:g} and "
+                           f"--k {args.k} needs a start-scale disk of over 2**20 points")
 
 
 def cmd_beta(args):
@@ -362,10 +375,8 @@ def build_parser():
                         help="worker threads; results are identical for any count")
 
     def displacement(sp):
-        sp.add_argument("--rho", type=float, default=0.5)
         sp.add_argument("--delta", type=float, default=0.1)
         sp.add_argument("--eps-mass", dest="eps_mass", type=float, default=None)
-        sp.add_argument("--gamma-good", dest="gamma_good", type=float, default=None)
 
     sp = sub.add_parser("beta", help="dyadic displacement profiles + summability")
     common(sp)
@@ -381,6 +392,8 @@ def build_parser():
     sp = sub.add_parser("reconstruct", help="multiscale flattening")
     common(sp)
     displacement(sp)
+    sp.add_argument("--rho", type=float, default=0.5, help="scale ratio, 2**-q")
+    sp.add_argument("--gamma-good", dest="gamma_good", type=float, default=None)
     sp.add_argument("--scales", type=int, default=5, help="scale-ladder length")
     sp.add_argument("--truth", default=None, help="truth cloud CSV for Hausdorff")
     sp.set_defaults(fn=cmd_reconstruct)

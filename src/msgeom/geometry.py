@@ -510,10 +510,7 @@ class SpatialIndex:
 
     def query_counts(self, centers, radius):
         """Number of points in the closed ball around each center."""
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        if self._tree is None:
-            return np.zeros(centers.shape[0], dtype=int)
-        return self._tree.query_ball_point(centers, radius, return_length=True)
+        return np.diff(self.neighborhoods(centers, radius)[0])
 
     def __len__(self):
         return self.points.shape[0]

@@ -8,22 +8,23 @@ it down scale by scale through interpolation maps
     sigma(x) = x + sum_i lambda_i(x) * proj_{V_i^perp}(p_i - x),
 
 one per scale, built from a partition of unity at that scale's good centers
-(David & Toro, Reifenberg parameterizations, 2012).  A scale's best-fit
-planes come from one `second_moment_spectra` batch, and its patch samples
-from one `neighborhoods` query; patch Lipschitz pairs and partition weights
-take their distances from `pairwise_distances`.  The composed map phi,
-its per-step motion, sampled bi-Lipschitz distortion, per-patch graph
-norms, and plane coherence are all measured and logged; the
-final atlas supports k-measure estimation (polyline clipping for curves,
-batched graph lifts through `SpatialIndex.knn` for k >= 2) and inversion by
-per-patch Newton iteration.
+(David & Toro, Reifenberg parameterizations, 2012).  One loop runs over the
+scales: its first pass lays the start scale's best-plane disks T_0, and each
+later pass applies one sigma step to the previous samples.  A scale's best-fit
+planes come from one `second_moment_spectra` batch, and its patch samples from
+one `neighborhoods` query; patch Lipschitz pairs and partition weights take
+their distances from `pairwise_distances`.  The composed map phi, its per-step
+motion, sampled bi-Lipschitz distortion, per-patch graph norms, and plane
+coherence are all measured and logged; the final atlas supports k-measure
+estimation (polyline clipping for curves, batched graph lifts through
+`SpatialIndex.knn` for k >= 2) and inversion by per-patch Newton iteration.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -185,13 +186,14 @@ class CoverState:
 
 @dataclass
 class ScaleRecord:
+    # the defaults are those of a scale without a sigma step
     index: int
     radius: float
-    patches: list
-    sigma: SigmaMap | None
-    motion_max: float          # max |sigma(y) - y| over incoming samples
-    distortion: float          # max sampled bi-Lipschitz ratio of this step
     flatness: float            # sqrt(max displacement) driving this scale
+    patches: list = field(default_factory=list)
+    sigma: SigmaMap | None = None
+    motion_max: float = 0.0    # max |sigma(y) - y| over incoming samples
+    distortion: float = 1.0    # max sampled bi-Lipschitz ratio of this step
     cover_state: CoverState | None = None
 
 
@@ -373,15 +375,15 @@ def _patch_stats(pts, plane, radius, parent_plane):
     return sup, lip, coh
 
 
-def _ball_members(points, centers, radii):
-    """The indices of the points within radii[i] of centers[i], in index
+def _ball_members(points, centers, radius):
+    """The indices of the points within radius of each center, in index
     order, by the test `np.linalg.norm(points - c, axis=1) <= radius`.  One
-    tree query at the largest radius widened by 1e-9 gives candidates, and
-    the same test filters them, so the members are those of a scan over
-    every point."""
-    indptr, cand = SpatialIndex(points).neighborhoods(centers, max(radii) * (1.0 + 1e-9))
+    tree query at the radius widened by 1e-9 gives candidates, and the same
+    test filters them, so the members are those of a scan over every
+    point."""
+    indptr, cand = SpatialIndex(points).neighborhoods(centers, radius * (1.0 + 1e-9))
     members = []
-    for c, radius, lo, hi in zip(centers, radii, indptr[:-1], indptr[1:]):
+    for c, lo, hi in zip(centers, indptr[:-1], indptr[1:]):
         idx = np.sort(cand[lo:hi])
         members.append(idx[np.linalg.norm(points[idx] - c, axis=1) <= radius])
     return members
@@ -389,10 +391,10 @@ def _ball_members(points, centers, radii):
 
 def _patch_records(samples, centers, planes, r, parents=None):
     """Patch records of one scale.  `parents` is (centers, planes, reach) of
-    the previous scale; coherence is measured against the plane of the
-    nearest parent center if it lies within reach."""
+    the last scale with patches; coherence is measured against the plane of
+    the nearest parent center if it lies within reach."""
     radius = 1.5 * r
-    members = _ball_members(samples, centers, [radius] * len(centers))
+    members = _ball_members(samples, centers, radius)
     records = []
     for c, pl, idx in zip(centers, planes, members):
         parent = None
@@ -405,16 +407,31 @@ def _patch_records(samples, centers, planes, r, parents=None):
     return records
 
 
+def _initial_samples(centers, planes, r, spacing):
+    """T_0: on each plane, the disk of radius 1.5 r around the projected
+    center sampled at `spacing`, keeping the samples nearest its own center
+    (Voronoi dedup); returns the samples and the patch each came from."""
+    index = SpatialIndex(centers)
+    disk = _grid_disk(planes[0].k, 1.5 * r, spacing)
+    pieces = []
+    for c, plane in zip(centers, planes):
+        pts = np.atleast_2d(plane.point_at(disk + plane.coordinates(c)[0]))
+        pieces.append(pts[np.linalg.norm(pts - c, axis=1) <= index.nearest(pts) + 1e-12])
+    return np.vstack(pieces), np.repeat(np.arange(len(pieces)), [len(p) for p in pieces])
+
+
 def reconstruct(mu, k, cfg, max_scale_count, flat_tol=0.2, seed=0, check_summability=True):
     """Run the multiscale flattening construction on a weighted point set.
 
     Scales shrink by cfg.rho per step starting from the coarsest scale whose
-    probed displacement is below flat_tol**2.  At each scale, good centers
-    get best-fit planes and a partition of unity, the resulting sigma map is
-    applied to the tracked manifold samples, and graph/distortion statistics
-    are recorded.  Balls failing the good-mass test are excised from the
-    hole-tracking copy of the manifold at radius scale/6.  The root ball is
-    the bounding ball of mu; k must be at least 1.
+    probed displacement is below flat_tol**2.  One loop gives each scale's
+    good centers best-fit planes; its first pass samples disks on them, and
+    each later pass applies a partition-of-unity sigma map to the samples,
+    records motion and distortion, excises balls failing the good-mass test
+    from the hole-tracking copy at radius scale/6, and measures coherence
+    against the last scale with patches.  A later scale without a good
+    center records no step.  The root ball is the bounding ball of mu; k
+    must be at least 1.
     """
     if k < 1:
         raise ValueError(f"reconstruct needs k >= 1, got {k}")
@@ -440,70 +457,41 @@ def reconstruct(mu, k, cfg, max_scale_count, flat_tol=0.2, seed=0, check_summabi
         warnings.warn("no scale within max_scale_count is flat; starting at the finest",
                       stacklevel=2)
         start = max_scale_count - 1
-    scale_radii = radii[start:]
-    r0 = scale_radii[0]
-    r_final = scale_radii[-1]
-
-    # initial manifold: union of best-plane disks at the start scale
-    masses = ball_masses_many(mu, mu.positions, r0)
-    centers0 = _separated_good_centers(mu, r0, cfg.gamma_good, k, masses)
-    if centers0.shape[0] == 0:
-        raise PlaneFitError("no good ball at the starting scale", radius=r0)
-    planes0 = _fit_patch_planes(mu, centers0, r0, k, cfg)
+    r_final = radii[-1]
     spacing = r_final / _SAMPLE_DENSITY
-    index0 = SpatialIndex(centers0)
-    disk = _grid_disk(k, 1.5 * r0, spacing)
-    pieces = []
-    for c, plane in zip(centers0, planes0):
-        # the disk recentered on the projection of the patch center
-        pts = np.atleast_2d(plane.point_at(disk + plane.coordinates(c)[0]))
-        d_own = np.linalg.norm(pts - c, axis=1)
-        # Voronoi dedup across overlapping patches
-        keep = d_own <= index0.nearest(pts) + 1e-12
-        pieces.append(pts[keep])
-    samples = np.vstack(pieces)
-    component = np.repeat(np.arange(len(pieces)), [len(piece) for piece in pieces])
-    alive = np.ones(samples.shape[0], dtype=bool)
 
-    scales = [ScaleRecord(index=start, radius=r0,
-                          patches=_patch_records(samples, centers0, planes0, r0),
-                          sigma=None, motion_max=0.0, distortion=1.0,
-                          flatness=flats[start])]
-    samples_per_scale = [samples]
+    scales, samples_per_scale = [], []
+    parents = None  # (centers, planes) of the last scale with patches
     rng = np.random.default_rng(seed)
-
-    prev_centers, prev_planes = centers0, planes0
-    for step, r in enumerate(scale_radii[1:], start=1):
+    for i in range(start, max_scale_count):
+        r = radii[i]
+        rec = ScaleRecord(index=i, radius=r, flatness=flats[i])
         masses = ball_masses_many(mu, mu.positions, r)
         centers = _separated_good_centers(mu, r, cfg.gamma_good, k, masses)
-        if centers.shape[0] == 0:
-            scales.append(ScaleRecord(index=start + step, radius=r, patches=[],
-                                      sigma=None, motion_max=0.0, distortion=1.0,
-                                      flatness=flats[start + step]))
-            samples_per_scale.append(samples)
-            continue
-        planes = _fit_patch_planes(mu, centers, r, k, cfg)
-        sigma = SigmaMap(build_partition(centers, r), planes)
-
-        moved = sigma.apply(samples)
-        motion = float(np.linalg.norm(moved - samples, axis=1).max())
-        distortion = _sampled_distortion(samples, moved, r, rng, pair_count=2000,
-                                         component=component)
-
-        # holes: excise around bad-mass centers at radius r/6
-        bad = _bad_centers(mu, r, cfg.gamma_good, k, centers, masses)
-        if bad.shape[0]:
-            alive &= SpatialIndex(bad).nearest(samples) > r / 6.0
-
-        samples = moved
-        patch_records = _patch_records(samples, centers, planes, r,
-                                       (prev_centers, prev_planes, 3.0 * r / cfg.rho))
-        scales.append(ScaleRecord(index=start + step, radius=r, patches=patch_records,
-                                  sigma=sigma, motion_max=motion, distortion=distortion,
-                                  flatness=flats[start + step],
-                                  cover_state=CoverState(centers, bad)))
+        if centers.shape[0] == 0 and parents is None:
+            raise PlaneFitError("no good ball at the starting scale", radius=r)
+        if centers.shape[0]:
+            planes = _fit_patch_planes(mu, centers, r, k, cfg)
+            if parents is None:
+                samples, component = _initial_samples(centers, planes, r, spacing)
+                alive = np.ones(samples.shape[0], dtype=bool)
+            else:
+                rec.sigma = SigmaMap(build_partition(centers, r), planes)
+                moved = rec.sigma.apply(samples)
+                rec.motion_max = float(np.linalg.norm(moved - samples, axis=1).max())
+                rec.distortion = _sampled_distortion(samples, moved, r, rng, pair_count=2000,
+                                                     component=component)
+                # holes: excise around bad-mass centers at radius r/6
+                bad = _bad_centers(mu, r, cfg.gamma_good, k, centers, masses)
+                if bad.shape[0]:
+                    alive &= SpatialIndex(bad).nearest(samples) > r / 6.0
+                rec.cover_state = CoverState(centers, bad)
+                samples = moved
+            rec.patches = _patch_records(samples, centers, planes, r, None if parents is None
+                                         else (*parents, 3.0 * r / cfg.rho))
+            parents = (centers, planes)
+        scales.append(rec)
         samples_per_scale.append(samples)
-        prev_centers, prev_planes = centers, planes
 
     # coverage accounting
     dists = SpatialIndex(samples).nearest(mu.positions)
@@ -677,7 +665,7 @@ def measure_estimate(atlas, ball):
         return 0.0
     centers = [p.center for p in patches]
     owners = SpatialIndex(centers)
-    members = _ball_members(samples, centers, [p.radius * 1.2 for p in patches])
+    members = _ball_members(samples, centers, patches[0].radius * 1.2)  # one radius a scale
     total = 0.0
     for pi, (patch, idx) in enumerate(zip(patches, members)):
         plane = patch.plane

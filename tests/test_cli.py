@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from msgeom import covering
-from msgeom.cli import build_parser, main, read_cloud_csv, write_cloud_csv
+from msgeom.cli import (CliError, _check_options, build_parser, main, read_cloud_csv,
+                        write_cloud_csv)
 from msgeom.fixtures import circle_cloud, koch_polyline_measure, plane_cloud
 from msgeom.geometry import AtomicMeasure
 from msgeom.harmonic import theta
@@ -83,6 +84,28 @@ class TestBadInput:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    HUGE = "1e300,0\n-1e300,0\n0,1e300\n"
+
+    @pytest.mark.parametrize("command,rows", [
+        ("beta", HUGE), ("reconstruct", HUGE), ("fit-plane", HUGE),
+        ("pack", "0,0,1e200\n1e201,0,1e200\n"),
+    ], ids=["beta", "reconstruct", "fit-plane", "pack"])
+    def test_huge_value_is_parse_error(self, tmp_path, capsys, command, rows):
+        # squared differences of these overflowed to inf in the tree queries
+        # and the moment spectrum
+        path = tmp_path / "huge.csv"
+        path.write_text(rows)
+        code = run_cli([command, "--input", str(path), "--dim", "2", "--k", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse error on line 1: ") and "Traceback" not in err
+
+    def test_values_up_to_1e150_parse(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("1e150,-1e150,1e150\n0,0,1e-300\n")
+        coords, radii, _ = read_cloud_csv(str(path), 2, extra_columns=1)
+        assert coords[0].tolist() == [1e150, -1e150] and radii[:, 0].tolist() == [1e150, 1e-300]
+
     def test_overlapping_balls_violate_hypothesis(self, tmp_path):
         path = tmp_path / "balls.csv"
         path.write_text("0.0,0.0,0.1\n0.05,0.0,0.1\n")
@@ -110,16 +133,37 @@ class TestBadInput:
         assert run_cli(["reconstruct", "--scales", "2"] + args) == 5
 
 
+def _unread_option_cases():
+    fit_plane = ["fit-plane", "--input", "{cloud}", "--dim", "2", "--k", "1"]
+    stratify = ["stratify", "--fixture", "smooth", "--dim", "3", "--k", "0"]
+    beta = ["beta", "--input", "{cloud}", "--dim", "2", "--k", "1"]
+    pack = ["pack", "--input", "{cloud}", "--dim", "2", "--k", "1"]
+    cases = [(option, command)
+             for option in ("--rho", "--delta", "--eps-mass", "--gamma-good")
+             for command in (fit_plane, stratify)]
+    cases += [(option, command) for option in ("--rho", "--gamma-good") for command in (beta, pack)]
+    return [pytest.param(option, command, id=f"{option}-{command[0]}")
+            for option, command in cases]
+
+
 class TestOptionRanges:
     CLOUD = ["--input", "{cloud}", "--dim", "2", "--k", "1"]
 
     @pytest.mark.parametrize("argv", [
-        ["beta", *CLOUD, "--rho", "0.3"],
+        ["reconstruct", *CLOUD, "--rho", "0.3"],
         ["beta", *CLOUD, "--delta", "0"],
         ["beta", *CLOUD, "--eps-mass", "-1"],
-        ["beta", *CLOUD, "--gamma-good", "0"],
+        ["reconstruct", *CLOUD, "--gamma-good", "0"],
         ["beta", *CLOUD, "--alpha-min", "5", "--alpha-max", "2"],
+        ["beta", *CLOUD, "--alpha-min", "-1080", "--alpha-max", "0"],
+        ["beta", *CLOUD, "--alpha-min", "1070", "--alpha-max", "1080"],
+        ["beta", *CLOUD, "--alpha-max", "61"],
         ["reconstruct", *CLOUD, "--scales", "0"],
+        ["reconstruct", *CLOUD, "--scales", "70"],
+        ["reconstruct", *CLOUD, "--scales", "1100"],
+        ["reconstruct", "--input", "{cloud}", "--dim", "6", "--k", "5", "--scales", "1"],
+        ["reconstruct", "--input", "{cloud}", "--dim", "3", "--k", "2", "--rho", "0.25",
+         "--scales", "4"],
         ["reconstruct", "--input", "{cloud}", "--dim", "2", "--k", "0"],
         ["fit-plane", "--input", "{cloud}", "--dim", "2", "--k", "-1"],
         ["stratify", "--fixture", "smooth", "--dim", "3", "--k", "0", "--grid-step", "0"],
@@ -131,7 +175,9 @@ class TestOptionRanges:
          "--grid-step", "0.5", "--r-min", "1e-200"],
         ["stratify", "--fixture", "radial_projection", "--dim", "3", "--k", "0",
          "--grid-step", "0.5", "--r-min", "1e-110"],
-    ], ids=["rho", "delta", "eps-mass", "gamma-good", "alpha-range", "scales",
+    ], ids=["rho", "delta", "eps-mass", "gamma-good", "alpha-range",
+            "alpha-min-1080", "alpha-min-1070", "alpha-max-61", "scales",
+            "scales-70", "scales-1100", "k5-disk", "rho-quarter-disk",
             "reconstruct-k", "k",
             "grid-step", "eta", "r-min", "r-min-zero", "plane-count",
             "r-min-1e-200", "r-min-1e-110"])
@@ -144,13 +190,24 @@ class TestOptionRanges:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", [
-        ["fit-plane", "--input", "{cloud}", "--dim", "2", "--k", "1"],
-        ["stratify", "--fixture", "smooth", "--dim", "3", "--k", "0"],
-    ], ids=["fit-plane", "stratify"])
-    @pytest.mark.parametrize("option", ["--rho", "--delta", "--eps-mass", "--gamma-good"])
+    @pytest.mark.parametrize("argv", [
+        ["reconstruct", *CLOUD, "--scales", "16"],
+        ["reconstruct", "--input", "{cloud}", "--dim", "3", "--k", "2", "--scales", "6"],
+        ["reconstruct", "--input", "{cloud}", "--dim", "4", "--k", "3", "--scales", "2"],
+    ], ids=["k1-scales-16", "k2-scales-6", "k3-scales-2"])
+    def test_largest_start_disk_is_accepted(self, argv):
+        # (30 * 2**15 + 1), 961**2 and 61**3 grid points are at most 2**20;
+        # one more scale in each case exceeds it
+        args = build_parser().parse_args(argv)
+        assert _check_options(args) is None
+        args.scales += 1
+        with pytest.raises(CliError):
+            _check_options(args)
+
+    @pytest.mark.parametrize("option,command", _unread_option_cases())
     def test_displacement_options_only_where_read(self, tmp_path, command, option):
-        # fit-plane and stratify read no displacement coefficient
+        # fit-plane and stratify read no displacement coefficient, and beta
+        # and pack neither the scale ratio nor the good-ball threshold
         cloud = tmp_path / "cloud.csv"
         cloud.write_text("0,0\n1,0.1\n2,0\n")
         with pytest.raises(SystemExit) as exc:

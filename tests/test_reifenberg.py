@@ -500,7 +500,7 @@ class TestPatchScan:
         centers = np.array([[0.25, 0.5, -0.125], [-0.5, 0.0, 0.25], [0.0, -0.375, 0.0]])
         planes = [AffinePlane.from_spanning(c, rng.normal(size=(2, 3))) for c in centers]
         samples = self._boundary_samples(centers, r, rng)
-        members = reifenberg._ball_members(samples, centers, [1.5 * r] * len(centers))
+        members = reifenberg._ball_members(samples, centers, 1.5 * r)
         for c, idx in zip(centers, members):
             d = np.linalg.norm(samples - c, axis=1)
             assert idx.tolist() == np.flatnonzero(d <= 1.5 * r).tolist()
@@ -539,3 +539,46 @@ class TestPatchScan:
         atlas = reconstruct(mu, 1, DisplacementConfig.default(1), max_scale_count=4)
         assert calls == [(rec.radius, 1.5 * rec.radius * (1.0 + 1e-9))
                          for rec in atlas.scales if rec.patches]
+
+
+class TestScaleWithoutGoodCenter:
+    """A strip whose scales 4-6 have no good centre: gamma_good r^k outgrows
+    the mass of every ball there, and the finer scales have good centres
+    again."""
+
+    @staticmethod
+    def _strip_atlas():
+        rng = np.random.default_rng(7)
+        pts = np.column_stack([rng.uniform(-1.0, 1.0, 400), rng.uniform(-0.1, 0.1, 400)])
+        mu = AtomicMeasure(pts, np.full(400, 2.0 / 400))
+        cfg = DisplacementConfig(eps_mass=0.0, gamma_good=1.8)
+        return reconstruct(mu, 1, cfg, max_scale_count=9, check_summability=False,
+                           flat_tol=0.5), cfg
+
+    def test_empty_scales_record_no_step(self):
+        atlas, _ = self._strip_atlas()
+        assert [len(rec.patches) for rec in atlas.scales] == [1, 2, 6, 7, 0, 0, 0, 6, 13]
+        for i in (4, 5, 6):
+            rec = atlas.scales[i]
+            assert rec.sigma is None and rec.cover_state is None
+            assert (rec.motion_max, rec.distortion) == (0.0, 1.0)
+            assert np.array_equal(atlas.samples_per_scale[i], atlas.samples_per_scale[3])
+
+    def test_parents_are_the_last_scale_with_patches(self):
+        # scale 7 measures coherence against scale 3's planes, reached at
+        # 3 r / rho of its own radius r
+        atlas, cfg = self._strip_atlas()
+        parents, rec = atlas.scales[3].patches, atlas.scales[7]
+        parent_centers = np.array([p.center for p in parents])
+        reach = 3.0 * rec.radius / cfg.rho
+        parent_planes = []
+        for patch in rec.patches:
+            d = np.linalg.norm(parent_centers - patch.center, axis=1)
+            j = int(np.argmin(d))
+            parent_planes.append(parents[j].plane if d[j] <= reach else None)
+        want = _brute_force_patch_records(atlas.samples_per_scale[7],
+                                          [p.center for p in rec.patches],
+                                          [p.plane for p in rec.patches], rec.radius,
+                                          parent_planes)
+        for patch, (sup, lip, coh) in zip(rec.patches, want):
+            assert (patch.graph_sup, patch.graph_lip, patch.coherence) == (sup, lip, coh)
