@@ -44,7 +44,7 @@ from .moments import (
     second_moment_spectrum,
     summability_check,
 )
-from .reifenberg import measure_estimate, reconstruct
+from .reifenberg import check_scale_ladder, measure_estimate, reconstruct
 from .report import dump_json
 
 EXIT_OK = 0
@@ -179,12 +179,10 @@ def _check_options(args):
     if hasattr(args, "delta"):  # beta, reconstruct and pack
         _config(args, args.k)
     if args.command == "reconstruct":
-        # the start-scale disk has up to 30 / rho**(scales - 1) + 1 grid
-        # points per axis; rho = 2**-q, so the count is an integer power
-        shift = round(-math.log2(args.rho)) * (args.scales - 1)
-        if shift > 20 or (30 * 2**shift + 1) ** args.k > 2**20:
-            raise CliError(EXIT_PARSE, f"--scales {args.scales} with --rho {args.rho:g} and "
-                           f"--k {args.k} needs a start-scale disk of over 2**20 points")
+        try:
+            check_scale_ladder(args.k, args.rho, args.scales)
+        except ValueError as err:
+            raise CliError(EXIT_PARSE, f"bad --scales: {err}")
 
 
 def cmd_beta(args):

@@ -181,14 +181,15 @@ class AffinePlane:
 
     def coordinates(self, points):
         """In-plane coordinates <x - base, d_i> of point(s)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return (pts - self.base) @ self.directions.T
+        pts = np.asarray(points, dtype=float)
+        out = (np.atleast_2d(pts) - self.base) @ self.directions.T
+        return out[0] if pts.ndim == 1 else out
 
     def point_at(self, coords):
         """Inverse of `coordinates`: base + sum coords_i d_i."""
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        out = self.base + coords @ self.directions
-        return out[0] if out.shape[0] == 1 else out
+        coords = np.asarray(coords, dtype=float)
+        out = self.base + np.atleast_2d(coords) @ self.directions
+        return out[0] if coords.ndim == 1 else out
 
     def projection_matrix(self):
         """The n x n orthogonal projector onto the direction span."""

@@ -11,7 +11,9 @@ computed on a tensor grid of radial midpoint panels (dyadically refined
 toward radii where the integrand is singular) times a high-order angular
 rule, with a two-level refinement comparison enforcing the accuracy target.
 Every field carries its energy density |grad f|^2 in closed form, so no
-quadrature builds a Jacobian.  A ball near a point singularity is cut into
+quadrature builds a Jacobian.  A singular set is an AffinePlane, the plane
+of symmetry V^k of a k-symmetric cone; a point is the plane with k = 0, and
+x/|x| is the 0-symmetric cone.  A ball near a point singularity is cut into
 shells about that point, and every shell's cap is evaluated in stacked
 blocks of whole panels.  `theta` is a pure function of its arguments and
 stores nothing on the field; only the angular rules and the panel
@@ -51,9 +53,9 @@ class EnergyField:
 
     `fn(X)` maps (N, n) -> (N, m); `grad(X)` maps (N, n) -> (N, m, n);
     `density(X)` maps (N, n) -> (N,), the closed form of |grad f|^2, and is
-    0 at exactly singular points.  `singular` is None, ("point", p), or
-    ("subspace", AffinePlane); the density is assumed to blow up like
-    distance^-2 there.
+    0 at exactly singular points.  `singular` is None or the AffinePlane
+    the field is singular on, a point being the plane with k = 0; the
+    density is assumed to blow up like distance^-2 there.
     """
 
     def __init__(self, n, fn, grad, density, singular=None):
@@ -73,19 +75,12 @@ class EnergyField:
         """|grad f|^2 at each row of X."""
         return self.density(np.atleast_2d(np.asarray(X, dtype=float)))
 
-    def singular_codim(self):
-        if self.singular is None:
-            return None
-        kind, obj = self.singular
-        return self.n if kind == "point" else self.n - obj.k
-
     def singular_distance(self, X):
         """Distance of points to the singular set (inf when there is none)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.singular is None:
             return np.full(X.shape[0], np.inf)
-        kind, obj = self.singular
-        return np.linalg.norm(X - obj, axis=1) if kind == "point" else obj.distance(X)
+        return self.singular.distance(X)
 
 
 def _inverse_square(W, c):
@@ -112,12 +107,10 @@ def _norms(X):
 
 def radial_projection(n=3):
     """f(x) = x/|x|, the degree-zero cone map onto the sphere: the 0-symmetric
-    cone, with its singular set recorded as the point 0."""
+    cone, singular at the point 0."""
     if n < 2:
         raise ValueError("needs n >= 2")
-    field = k_symmetric_cone(n, 0)
-    field.singular = ("point", np.zeros(n))
-    return field
+    return k_symmetric_cone(n, 0)
 
 
 def smoothed_projection(n=3, core=0.05):
@@ -185,7 +178,7 @@ def k_symmetric_cone(n, k):
     """f(x) = w/|w| with w the component orthogonal to span(e_1..e_k).
 
     Exactly k-symmetric: 0-homogeneous about the origin and invariant along
-    the first k axes; singular on that subspace.
+    the first k axes; singular on that subspace, the point 0 when k = 0.
     """
     if n - k < 2:
         raise ValueError("needs n - k >= 2 for a nonconstant cone")
@@ -210,8 +203,7 @@ def k_symmetric_cone(n, k):
     def density(X):
         return _inverse_square(X[:, k:], d - 1.0)
 
-    plane = AffinePlane.coordinate(n, list(range(k)))
-    return EnergyField(n, fn, grad, density, singular=("subspace", plane))
+    return EnergyField(n, fn, grad, density, singular=AffinePlane.coordinate(n, list(range(k))))
 
 
 def translation_invariant(n, k):
@@ -283,8 +275,7 @@ def _node_blocks(count, per_item):
 def _theta_level(field, x, r, panel_count, angular_order):
     n = field.n
     d_sing = float(field.singular_distance(x)[0])
-    point_singular = field.singular is not None and field.singular[0] == "point"
-    if point_singular and 1e-14 < d_sing <= 1.5 * r:
+    if field.singular is not None and field.singular.k == 0 and 1e-14 < d_sing <= 1.5 * r:
         return _theta_cap_shells(field, x, r, d_sing, panel_count, angular_order)
     a, b = _radial_panels(r, [d_sing] if d_sing <= r * 1.5 else [], panel_count)
     omega, w_ang = _sphere_rule(n, angular_order)
@@ -311,7 +302,7 @@ def _theta_cap_shells(field, x, r, d, panel_count, angular_order):
     blocks of whole panels.
     """
     n = field.n
-    p = np.asarray(field.singular[1], dtype=float)
+    p = field.singular.base
     e = (x - p) / d
     lo = max(0.0, d - r)
     a, b = _radial_panels(d + r, [abs(d - r), d], panel_count)
@@ -360,12 +351,11 @@ def theta(field, x, r, panels=24, order=10):
     codimension <= 2 (the dist^-2 integrand is not locally integrable).
     """
     x = np.asarray(x, dtype=float)
-    if r <= 0:
+    if not r > 0:
         raise ValueError("theta needs r > 0")
-    if np.linalg.norm(x) + r > DOMAIN_RADIUS:
+    if not np.linalg.norm(x) + r <= DOMAIN_RADIUS:
         raise ValueError("ball exceeds the field domain")
-    codim = field.singular_codim()
-    if codim is not None and codim <= 2:
+    if field.singular is not None and field.n - field.singular.k <= 2:
         if float(field.singular_distance(x)[0]) <= r:
             raise EnergyInfiniteError(
                 "energy infinite: singular set of codimension <= 2 meets the ball"
@@ -646,8 +636,7 @@ def _sampled_grad_sup(field, x, r, angular_order=6, radial_count=6):
     samples = [x[None, :]] + [x[None, :] + frac * r * omega
                               for frac in np.linspace(1.0 / radial_count, 1.0, radial_count)]
     if field.singular is not None:
-        kind, obj = field.singular
-        target = np.asarray(obj) if kind == "point" else obj.project(x)
+        target = field.singular.project(x)
         gap = np.linalg.norm(target - x)
         if gap == 0:
             return np.inf

@@ -248,7 +248,7 @@ class ManifoldAtlas:
         patches = self.scales[0].patches
         d = np.linalg.norm(np.array([p.center for p in patches]) - x0, axis=1)
         plane = patches[int(np.argmin(d))].plane
-        u = plane.coordinates(x0)[0]
+        u = plane.coordinates(x0)
         for _ in range(_NEWTON_STEPS):
             x = plane.point_at(u)
             fx = self.apply_phi(x)
@@ -298,17 +298,16 @@ class ManifoldAtlas:
 # reconstruction driver
 # ---------------------------------------------------------------------------
 
-def _separated_good_centers(mu, r, gamma, k, masses):
+def _separated_good_centers(mu, r, good):
     """Greedy maximal r-separated subset of atoms whose r-ball is good;
-    masses[j] is mu(B_r(x_j))."""
-    cand = np.flatnonzero(masses >= gamma * r**k)
-    return mu.positions[mu._index.greedy_net(cand, r)]
+    good[j] says whether B_r(x_j) is."""
+    return mu.positions[mu._index.greedy_net(np.flatnonzero(good), r)]
 
 
-def _bad_centers(mu, r, gamma, k, good_centers, masses):
+def _bad_centers(mu, r, good, good_centers):
     """Greedy r-separated centers among atoms with deficient local mass
     at distance at least r from every good center."""
-    cand = np.flatnonzero(masses < gamma * r**k)
+    cand = np.flatnonzero(~good)
     if good_centers.shape[0]:
         cand = cand[SpatialIndex(good_centers).nearest(mu.positions[cand]) >= r]
     return mu.positions[mu._index.greedy_net(cand, r)]
@@ -352,9 +351,7 @@ def _patch_stats(pts, plane, radius, parent_plane):
     if pts.shape[0] < 2:
         return 0.0, 0.0, 0.0
     u = plane.coordinates(pts)
-    lift = plane.point_at(u)
-    lift = np.atleast_2d(lift)
-    v = pts - lift
+    v = pts - plane.point_at(u)
     heights = np.linalg.norm(v, axis=1)
     sup = float(heights.max())
     cap = min(pts.shape[0], 300)
@@ -371,7 +368,7 @@ def _patch_stats(pts, plane, radius, parent_plane):
         coh = 0.0
     else:
         probe = plane.point_at(_grid_disk(plane.k, radius, radius / 4.0))
-        coh = float(np.max(parent_plane.distance(np.atleast_2d(probe))))
+        coh = float(np.max(parent_plane.distance(probe)))
     return sup, lip, coh
 
 
@@ -415,9 +412,22 @@ def _initial_samples(centers, planes, r, spacing):
     disk = _grid_disk(planes[0].k, 1.5 * r, spacing)
     pieces = []
     for c, plane in zip(centers, planes):
-        pts = np.atleast_2d(plane.point_at(disk + plane.coordinates(c)[0]))
+        pts = plane.point_at(disk + plane.coordinates(c))
         pieces.append(pts[np.linalg.norm(pts - c, axis=1) <= index.nearest(pts) + 1e-12])
     return np.vstack(pieces), np.repeat(np.arange(len(pieces)), [len(p) for p in pieces])
+
+
+def check_scale_ladder(k, rho, scale_count):
+    """Raise ValueError unless there is a scale and the start-scale disk of
+    `reconstruct` (radius 1.5 r, spacing r_final / 10, so up to
+    30 / rho**(scale_count - 1) + 1 points per axis, an integer as
+    rho = 2**-q) has at most 2**20 grid points."""
+    if scale_count < 1:
+        raise ValueError(f"reconstruct needs at least one scale, got {scale_count}")
+    shift = round(-math.log2(rho)) * int(scale_count - 1)  # a Python int cannot overflow
+    if shift > 20 or (30 * 2**shift + 1) ** k > 2**20:
+        raise ValueError(f"{scale_count} scales with rho = {rho:g} and k = {k} need a "
+                         "start-scale disk of over 2**20 points")
 
 
 def reconstruct(mu, k, cfg, max_scale_count, flat_tol=0.2, seed=0, check_summability=True):
@@ -431,10 +441,11 @@ def reconstruct(mu, k, cfg, max_scale_count, flat_tol=0.2, seed=0, check_summabi
     from the hole-tracking copy at radius scale/6, and measures coherence
     against the last scale with patches.  A later scale without a good
     center records no step.  The root ball is the bounding ball of mu; k
-    must be at least 1.
+    must be at least 1, and the scales must pass `check_scale_ladder`.
     """
     if k < 1:
         raise ValueError(f"reconstruct needs k >= 1, got {k}")
+    check_scale_ladder(k, cfg.rho, max_scale_count)
     if mu.count == 0:
         raise PlaneFitError("cannot reconstruct from an empty measure")
     root = mu.bounding_ball(margin=1e-9)
@@ -466,8 +477,8 @@ def reconstruct(mu, k, cfg, max_scale_count, flat_tol=0.2, seed=0, check_summabi
     for i in range(start, max_scale_count):
         r = radii[i]
         rec = ScaleRecord(index=i, radius=r, flatness=flats[i])
-        masses = ball_masses_many(mu, mu.positions, r)
-        centers = _separated_good_centers(mu, r, cfg.gamma_good, k, masses)
+        good = ball_masses_many(mu, mu.positions, r) >= cfg.gamma_good * r**k
+        centers = _separated_good_centers(mu, r, good)
         if centers.shape[0] == 0 and parents is None:
             raise PlaneFitError("no good ball at the starting scale", radius=r)
         if centers.shape[0]:
@@ -482,7 +493,7 @@ def reconstruct(mu, k, cfg, max_scale_count, flat_tol=0.2, seed=0, check_summabi
                 rec.distortion = _sampled_distortion(samples, moved, r, rng, pair_count=2000,
                                                      component=component)
                 # holes: excise around bad-mass centers at radius r/6
-                bad = _bad_centers(mu, r, cfg.gamma_good, k, centers, masses)
+                bad = _bad_centers(mu, r, good, centers)
                 if bad.shape[0]:
                     alive &= SpatialIndex(bad).nearest(samples) > r / 6.0
                 rec.cover_state = CoverState(centers, bad)
@@ -496,8 +507,8 @@ def reconstruct(mu, k, cfg, max_scale_count, flat_tol=0.2, seed=0, check_summabi
     # coverage accounting
     dists = SpatialIndex(samples).nearest(mu.positions)
     tol = _COVERAGE_FACTOR * max(spacing, cfg.delta * r_final)
-    # masses now holds mu(B_r(x_j)) at the final radius
-    covered = (dists <= tol) | (masses < cfg.gamma_good * r_final**k)
+    # good now marks the good balls of the final radius
+    covered = (dists <= tol) | ~good
 
     return ManifoldAtlas(
         k=k,
@@ -678,7 +689,7 @@ def measure_estimate(atlas, ball):
         steps = h * 0.5 * np.eye(k)
         offs = np.linspace(-0.5 * h + h / 8, 0.5 * h - h / 8, 4)
         sub = np.stack([m.ravel() for m in np.meshgrid(*([offs] * k), indexing="ij")], axis=1)
-        cells = _grid_disk(k, patch.radius, h) + plane.coordinates(patch.center)[0]
+        cells = _grid_disk(k, patch.radius, h) + plane.coordinates(patch.center)
         # the patch owns the cells whose lifted centre is nearest its center;
         # the other probes are lifted for those cells only
         owned = owners.knn(_lift(plane, local, cells), 1)[1][:, 0] == pi
@@ -701,8 +712,8 @@ def _lift(plane, local, u):
     `local`: one kNN query on their plane coordinates, then the
     inverse-distance average of the neighbours' heights over the plane."""
     u_local = plane.coordinates(local)
-    v_local = local - np.atleast_2d(plane.point_at(u_local))
+    v_local = local - plane.point_at(u_local)
     d, idx = SpatialIndex(u_local).knn(u, min(_LIFT_NEIGHBORS, len(local)))
     w = 1.0 / np.maximum(d, 1e-12)
     v = (v_local[idx] * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
-    return np.atleast_2d(plane.point_at(u)) + v
+    return plane.point_at(u) + v

@@ -60,6 +60,16 @@ def radial_theta_oracle(d, r):
     return val / r
 
 
+def theta_radial(d, r):
+    """Closed form of theta_r(x) for x/|x| in R^3 at |x| = d > 0: the
+    density 2/|y|^2 integrated over the spheres about 0 met by the ball."""
+    def antiderivative(s):
+        return 2 * np.pi / d * ((r * r - d * d) * np.log(s) + 2 * d * s - 0.5 * s * s)
+
+    return (8 * np.pi * max(r - d, 0.0)
+            + antiderivative(d + r) - antiderivative(abs(d - r))) / r
+
+
 def cap_shell_oracle(n, d, r):
     """theta_r(x) of x/|x| in R^n at |x| = d by shells about 0: the shell of
     radius s carries (n-1) s^(n-3) |S^(n-2)| int_{z*(s)}^1 (1-z^2)^((n-3)/2) dz
@@ -125,12 +135,9 @@ class TestEnergyDensity:
                                       if "radial" in n or "cone" in n])
     def test_density_zero_on_singular_set(self, name):
         field = FIELD_MAKERS[name]()
-        kind, obj = field.singular
-        if kind == "point":
-            X = np.asarray(obj, dtype=float)[None, :]
-        else:
-            t = np.random.default_rng(12).normal(size=(5, obj.k))
-            X = obj.base + t @ obj.directions
+        plane = field.singular
+        t = np.random.default_rng(12).normal(size=(5, plane.k))
+        X = plane.base + t @ plane.directions
         assert np.all(field.singular_distance(X) == 0.0)
         assert np.all(field.grad_sq(X) == 0.0)
         # the Jacobian path gives the same 0
@@ -174,7 +181,45 @@ class TestCapShells:
         assert got == pytest.approx(cap_shell_oracle(n, d, r), rel=5e-4)
 
 
+class TestPointSingularity:
+    """A point singularity is the singular plane with k = 0, so x/|x| built
+    as radial_projection(n) and as k_symmetric_cone(n, 0) is one field."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_zero_symmetric_cone_is_radial_projection(self, n):
+        cone, radial = k_symmetric_cone(n, 0), radial_projection(n)
+        u = np.arange(1.0, n + 1.0) / np.linalg.norm(np.arange(1.0, n + 1.0))
+        # cap-shell balls (d <= 1.5 r), a plain-shell ball (d > 1.5 r), and
+        # for n >= 3 balls holding the singular point
+        balls = [(0.6, 0.5), (1.2, 1.0), (0.35, 0.3), (2.0, 0.25)]
+        if n >= 3:
+            balls += [(0.0, 0.5), (0.3, 0.5), (0.9, 1.0)]
+        for d, r in balls:
+            x = d * u
+            assert theta(cone, x, r) == theta(radial, x, r)
+            assert regularity_scale(cone, x) == regularity_scale(radial, x)
+        X = np.random.default_rng(21).normal(size=(50, n))
+        assert np.array_equal(cone.singular_distance(X), radial.singular_distance(X))
+
+    @pytest.mark.parametrize("d", [0.5, 0.9])
+    def test_zero_symmetric_cone_matches_closed_form(self, d):
+        x = np.array([d, 0.0, 0.0])
+        assert theta(k_symmetric_cone(3, 0), x, 1.0) == pytest.approx(theta_radial(d, 1.0),
+                                                                      rel=1e-4)
+
+
 class TestTheta:
+    @pytest.mark.parametrize("x, r", [
+        ([0.5, 0.0, 0.0], np.nan),
+        ([0.5, 0.0, 0.0], np.inf),
+        ([np.nan, 0.0, 0.0], 0.5),
+        ([0.5, np.inf, 0.0], 0.5),
+        ([-np.inf, 0.0, 0.0], 0.5),
+    ], ids=["r-nan", "r-inf", "x-nan", "x-inf", "x-minus-inf"])
+    def test_non_finite_ball_is_rejected(self, x, r):
+        with pytest.raises(ValueError):
+            theta(radial_projection(3), x, r)
+
     def test_constant_field_zero(self):
         f = linear_field(np.zeros((2, 3)))
         assert theta(f, np.zeros(3), 0.7) == pytest.approx(0.0, abs=1e-14)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -221,7 +223,8 @@ class TestReconstructCircle:
         noise = 1e-3
         mu = circle_cloud(count=2000, noise=noise, seed=10)
         cfg = DisplacementConfig.default(1, delta=0.25)
-        atlas = reconstruct(mu, 1, cfg, max_scale_count=6, flat_tol=0.12)
+        with pytest.warns(UserWarning, match="summed displacement"):
+            atlas = reconstruct(mu, 1, cfg, max_scale_count=6, flat_tol=0.12)
         # distance from manifold samples to the true circle
         radial = np.abs(np.linalg.norm(atlas.final_samples, axis=1) - 1.0)
         assert radial.max() <= 10 * noise
@@ -235,7 +238,8 @@ class TestReconstructCircle:
         # B_1 around a point on the circle cuts an arc of length 2 pi / 3
         mu = circle_cloud(count=2000, noise=0.0, seed=11)
         cfg = DisplacementConfig.default(1, delta=0.25)
-        atlas = reconstruct(mu, 1, cfg, max_scale_count=6, flat_tol=0.12)
+        with pytest.warns(UserWarning, match="summed displacement"):
+            atlas = reconstruct(mu, 1, cfg, max_scale_count=6, flat_tol=0.12)
         got = measure_estimate(atlas, Ball([1.0, 0.0], 1.0))
         # oracle: arc-length integral; chord <= 1 iff |theta| <= pi/3
         assert got == pytest.approx(2 * np.pi / 3, rel=0.02)
@@ -243,7 +247,8 @@ class TestReconstructCircle:
     def test_per_step_motion_bound(self):
         mu = circle_cloud(count=1500, noise=1e-3, seed=12)
         cfg = DisplacementConfig.default(1, delta=0.25)
-        atlas = reconstruct(mu, 1, cfg, max_scale_count=5, flat_tol=0.12)
+        with pytest.warns(UserWarning, match="summed displacement"):
+            atlas = reconstruct(mu, 1, cfg, max_scale_count=5, flat_tol=0.12)
         for rec in atlas.scales[1:]:
             if rec.sigma is None:
                 continue
@@ -255,7 +260,8 @@ class TestReconstructCircle:
         # circle: curvature-driven per-step terms; product stays bounded
         mu = circle_cloud(count=1500, noise=1e-3, seed=13)
         cfg = DisplacementConfig.default(1, delta=0.25)
-        atlas = reconstruct(mu, 1, cfg, max_scale_count=5, flat_tol=0.12)
+        with pytest.warns(UserWarning, match="summed displacement"):
+            atlas = reconstruct(mu, 1, cfg, max_scale_count=5, flat_tol=0.12)
         assert atlas.total_distortion_bound() <= 1.12
         # low-curvature graph: the quadratic accumulation keeps phi near isometric
         mu2 = sine_graph_cloud(count=6000, amplitude=0.05)
@@ -402,7 +408,8 @@ class TestInverse:
     def test_newton_inverse_round_trip(self):
         mu = circle_cloud(count=1500, noise=1e-3, seed=15)
         cfg = DisplacementConfig.default(1, delta=0.25)
-        atlas = reconstruct(mu, 1, cfg, max_scale_count=5, flat_tol=0.12)
+        with pytest.warns(UserWarning, match="summed displacement"):
+            atlas = reconstruct(mu, 1, cfg, max_scale_count=5, flat_tol=0.12)
         rng = np.random.default_rng(16)
         final = atlas.final_samples
         for j in rng.integers(0, len(final), size=10):
@@ -582,3 +589,25 @@ class TestScaleWithoutGoodCenter:
                                           parent_planes)
         for patch, (sup, lip, coh) in zip(rec.patches, want):
             assert (patch.graph_sup, patch.graph_lip, patch.coherence) == (sup, lip, coh)
+
+
+class TestScaleLadder:
+    """reconstruct rejects a scale ladder it cannot lay out before any work:
+    no scale, or a start-scale disk of over 2**20 grid points."""
+
+    @pytest.mark.parametrize("k, scales", [(1, 0), (1, -1), (1, 40), (1, 70), (5, 1),
+                                           (3, np.int64(21))],
+                             ids=["scales-0", "scales-minus-1", "scales-40", "scales-70",
+                                  "k5-disk", "k3-numpy-scales"])
+    def test_bad_ladder_is_value_error(self, k, scales):
+        pts = np.zeros((50, k + 1))
+        pts[:, 0] = np.linspace(0.0, 1.0, 50)
+        mu = AtomicMeasure(pts)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="scale"):
+                reconstruct(mu, k, DisplacementConfig.default(k), max_scale_count=scales)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
