@@ -76,13 +76,15 @@ def orthonormalize(vectors):
 
 
 class Ball:
-    """Closed ball B_r(x). Radius must be positive."""
+    """Closed ball B_r(x). The centre must be finite, the radius positive."""
 
     __slots__ = ("center", "radius")
 
     def __init__(self, center, radius):
         center = _as_point(center)
         radius = float(radius)
+        if not np.isfinite(center).all():
+            raise ValueError("ball center must be finite")
         if not radius > 0:
             raise ValueError(f"ball radius must be positive, got {radius}")
         object.__setattr__(self, "center", center)

@@ -18,10 +18,15 @@ shells about that point, and every shell's cap is evaluated in stacked
 blocks of whole panels.  `theta` is a pure function of its arguments and
 stores nothing on the field; only the angular rules and the panel
 rotations, which depend on small integers alone, are memoized.
-Every field lives on B_64(0).  The symmetry distance uses one ball rule per
-distance to the singular set and candidate planes from an in-repo scrambled
-Halton sequence; a stratum walks the dyadic ladder once, finest rung first,
-in one batch per rule and rung, down to a floor r >= 2^-60.
+Every field lives on B_64(0): `theta`, `symmetry_distance` and
+`regularity_scales` reject a ball that is not finite or not inside it.
+Each catalog field carries `density_sup(centers, r)`, a closed-form upper
+bound of |grad f|^2 over each closed ball B_r(c), inf when the ball meets
+the singular set; r_f(x) is the largest r <= 1 with r^2 * density_sup(x, r)
+<= 1.  The symmetry distance uses one ball rule per distance to the
+singular set and candidate planes from an in-repo scrambled Halton
+sequence; a stratum walks the dyadic ladder once, finest rung first, in
+one batch per rule and rung, down to a floor r >= 2^-60.
 """
 
 from __future__ import annotations
@@ -56,14 +61,18 @@ class EnergyField:
     0 at exactly singular points.  `singular` is None or the AffinePlane
     the field is singular on, a point being the plane with k = 0; the
     density is assumed to blow up like distance^-2 there.
+    `density_sup(C, r)` gives (N,) upper bounds of the density over the
+    closed balls B_r(c), c a row of C and r a scalar or (N,): inf where the
+    ball meets the singular set, never decreasing in r.  Only r_f reads it.
     """
 
-    def __init__(self, n, fn, grad, density, singular=None):
+    def __init__(self, n, fn, grad, density, singular=None, density_sup=None):
         self.n = n
         self.fn = fn
         self.grad = grad
         self.density = density
         self.singular = singular
+        self.density_sup = density_sup
 
     def __call__(self, X):
         return self.fn(np.atleast_2d(np.asarray(X, dtype=float)))
@@ -81,12 +90,6 @@ class EnergyField:
         if self.singular is None:
             return np.full(X.shape[0], np.inf)
         return self.singular.distance(X)
-
-
-def _inverse_square(W, c):
-    """c / |w|^2 for each row w of W, and 0 where w = 0."""
-    sq = np.einsum("ij,ij->i", W, W)
-    return np.divide(c, sq, out=np.zeros_like(sq), where=sq > 0.0)
 
 
 def _sum_last(a):
@@ -129,7 +132,9 @@ def smoothed_projection(n=3, core=0.05):
         g2 = (X**2).sum(axis=1) + core**2
         return (n - 1) / g2 + core**4 / g2**3
 
-    return EnergyField(n, fn, grad, density)
+    # the density falls in |x|: its sup over a ball is at |x| = max(0, |c| - r)
+    return EnergyField(n, fn, grad, density, density_sup=lambda C, r: density(
+        np.maximum(np.linalg.norm(C, axis=1) - r, 0.0)[:, None] * np.eye(n)[0]))
 
 
 def linear_field(A):
@@ -146,7 +151,7 @@ def linear_field(A):
     def density(X):
         return np.full(X.shape[0], float((A**2).sum()))
 
-    return EnergyField(n, fn, grad, density)
+    return EnergyField(n, fn, grad, density, density_sup=lambda C, r: density(C))
 
 
 def _wave(n, a, c, c_sq, phase):
@@ -166,7 +171,9 @@ def _wave(n, a, c, c_sq, phase):
         t = X @ a
         return (a @ a) * (np.cos(t) ** 2 + c_sq * np.sin(c * t + phase) ** 2)
 
-    return EnergyField(n, fn, grad, density)
+    # cos^2 and sin^2 are at most 1: an upper bound, not the sup
+    return EnergyField(n, fn, grad, density,
+                       density_sup=lambda C, r: np.full(len(C), (a @ a) * (1.0 + c_sq)))
 
 
 def smooth_wave(n=3, freq=1.0):
@@ -200,10 +207,16 @@ def k_symmetric_cone(n, k):
         out[:, :, k:] = inner
         return out
 
-    def density(X):
-        return _inverse_square(X[:, k:], d - 1.0)
+    def density(X):  # 0 on the plane
+        sq = np.einsum("ij,ij->i", X[:, k:], X[:, k:])
+        return np.divide(d - 1.0, sq, out=np.zeros_like(sq), where=sq > 0.0)
 
-    return EnergyField(n, fn, grad, density, singular=AffinePlane.coordinate(n, list(range(k))))
+    def density_sup(C, r):  # attained at the ball point nearest the plane
+        gap = np.linalg.norm(C[:, k:], axis=1) - r
+        return np.divide(d - 1.0, gap * gap, out=np.full(gap.shape, np.inf), where=gap > 0)
+
+    return EnergyField(n, fn, grad, density, singular=AffinePlane.coordinate(n, list(range(k))),
+                       density_sup=density_sup)
 
 
 def translation_invariant(n, k):
@@ -263,6 +276,15 @@ def _radial_panels(r, critical, base_count, min_width_factor=1e-10):
         else:
             out.append((a, b))
     return np.array(sorted(out)).T
+
+
+def _check_domain(field, X, r):
+    """Raise ValueError unless r > 0 and every ball B_r(x), x a row of X (or
+    X itself), is a finite ball of R^n inside the field domain B_64(0)."""
+    X = np.atleast_2d(X)
+    if not (X.shape[-1] == field.n and r > 0
+            and np.all(np.linalg.norm(X, axis=1) + r <= DOMAIN_RADIUS)):
+        raise ValueError(f"a ball needs r > 0 and a finite centre in R^{field.n} inside B_64(0)")
 
 
 def _node_blocks(count, per_item):
@@ -351,10 +373,7 @@ def theta(field, x, r, panels=24, order=10):
     codimension <= 2 (the dist^-2 integrand is not locally integrable).
     """
     x = np.asarray(x, dtype=float)
-    if not r > 0:
-        raise ValueError("theta needs r > 0")
-    if not np.linalg.norm(x) + r <= DOMAIN_RADIUS:
-        raise ValueError("ball exceeds the field domain")
+    _check_domain(field, x, r)
     if field.singular is not None and field.n - field.singular.k <= 2:
         if float(field.singular_distance(x)[0]) <= r:
             raise EnergyInfiniteError(
@@ -560,6 +579,7 @@ def symmetry_distance(field, ball, k, plane_candidates=None, bins=24, stop_below
     upper bound of the true infimum.  One ball is a batch of one.
     """
     n, center = field.n, ball.center
+    _check_domain(field, center, ball.radius)
     if plane_candidates is None:
         plane_candidates = grassmann_candidates(n, k, 64) if k < n else []
     frames = _frame_stack(plane_candidates, k, n)
@@ -629,45 +649,25 @@ def quantitative_stratum(field, k, epsilon, r, grid_step, center=None, radius=1.
 # regularity scale
 # ---------------------------------------------------------------------------
 
-def _sampled_grad_sup(field, x, r, angular_order=6, radial_count=6):
-    """Sampled sup of |grad f| over the closed ball, biased toward the
-    nearest singular point (where the true sup is attained for cone maps)."""
-    omega, _ = _sphere_rule(field.n, angular_order)
-    samples = [x[None, :]] + [x[None, :] + frac * r * omega
-                              for frac in np.linspace(1.0 / radial_count, 1.0, radial_count)]
-    if field.singular is not None:
-        target = field.singular.project(x)
-        gap = np.linalg.norm(target - x)
-        if gap == 0:
-            return np.inf
-        step = min(r, gap) * (target - x) / gap
-        samples += [(x + step)[None, :], (x + step * (1.0 - 1e-9))[None, :]]
-    pts = np.vstack(samples)
-    d = field.singular_distance(pts)
-    if np.any(d <= 1e-14):
-        return np.inf
-    return float(np.sqrt(field.grad_sq(pts)).max())
+def regularity_scales(field, X):
+    """r_f(x) for each row x of X: the largest r <= 1 with
+    r^2 * density_sup(x, r) <= 1, to 2^-60 by 60 halvings of [0, 1] for all
+    rows at once; 0 on the singular set, where the bound is inf.  Raises
+    ValueError unless each x is a finite point of R^n and B_1(x) lies in
+    B_64(0)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    _check_domain(field, X, 1.0)
+    lo, hi = np.zeros(len(X)), np.ones(len(X))
+    for _ in range(60):  # a row that always fits reaches 1: 0.5 * (2 - 2^-53) rounds up
+        mid = 0.5 * (lo + hi)
+        ok = mid * mid * field.density_sup(X, mid) <= 1.0
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return lo
 
 
 def regularity_scale(field, x):
-    """Largest r <= 1 with sampled sup_{B_r(x)} |grad f| <= 1/r.
-
-    Bisection keeps a monotone bracket; returns 0 at singular points.
-    """
-    x = np.asarray(x, dtype=float)
-
-    def ok(r):
-        return _sampled_grad_sup(field, x, r) <= 1.0 / r
-
-    if ok(1.0):
-        return 1.0
-    if float(field.singular_distance(x)[0]) <= 1e-14 or not ok(1e-9):
-        return 0.0
-    lo, hi = 1e-9, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
-    return lo
+    """r_f(x) of one point: the batch of one of `regularity_scales`."""
+    return float(regularity_scales(field, x)[0])
 
 
 # ---------------------------------------------------------------------------

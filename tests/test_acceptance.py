@@ -31,11 +31,11 @@ from msgeom.geometry import (
 )
 from msgeom.harmonic import (
     _sphere_rule,
-    _sampled_grad_sup,
     best_approx_check,
     quantitative_stratum,
     radial_projection,
     regularity_scale,
+    regularity_scales,
     smoothed_projection,
     theta,
     translation_invariant,
@@ -392,14 +392,9 @@ def test_08_regularity_scale_law():
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in mesh], axis=1)
         h = axes[0][1] - axes[0][0]
-        count = 0
-        for p in pts:
-            if np.linalg.norm(p) > 1.0:
-                continue
-            # the sup sampler is exact here: its singular-direction candidate
-            # attains the true supremum for the cone map
-            if _sampled_grad_sup(f, p, r, angular_order=2, radial_count=2) > 1.0 / r:
-                count += 1
+        # r_f(p) < r exactly when r^2 sup_{B_r(p)} |grad f|^2 > 1: the ball
+        # bound is the true sup for the cone map
+        count = np.count_nonzero(regularity_scales(f, pts[np.linalg.norm(pts, axis=1) <= 1.0]) < r)
         vols.append(count * h**3)
     slope = float(np.polyfit(np.log(radii), np.log(vols), 1)[0])
     assert 2.9 <= slope <= 3.1

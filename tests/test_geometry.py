@@ -14,7 +14,8 @@ from msgeom.geometry import (
     plane_distance,
     project,
 )
-from msgeom.moments import second_moment_spectra
+from msgeom.moments import (DisplacementConfig, displacement, second_moment_spectra,
+                            summability_check)
 
 
 def sampled_unit_ball(plane, count=720):
@@ -382,3 +383,16 @@ class TestOrthonormalize:
     def test_ball_radius_positive(self):
         with pytest.raises(ValueError):
             Ball([0.0], 0.0)
+
+    @pytest.mark.parametrize("center", [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
+    def test_ball_center_finite(self, center):
+        # the one-ball entry points raise the constructor's error before
+        # any index query sees the centre
+        mu = AtomicMeasure(np.random.default_rng(3).normal(size=(40, 2)))
+        cfg = DisplacementConfig.default(1)
+        for call in (lambda: Ball(center, 1.0),
+                     lambda: displacement(mu, center, 1.0, 1, cfg),
+                     lambda: mu.mass_in_ball(Ball(center, 1.0)),
+                     lambda: summability_check(mu, Ball(center, 1.0), 1, cfg)):
+            with pytest.raises(ValueError, match="^ball center must be finite$"):
+                call()

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from msgeom.harmonic import (
     quantitative_stratum,
     radial_projection,
     regularity_scale,
+    regularity_scales,
     smooth_wave,
     smoothed_projection,
     symmetry_distance,
@@ -150,7 +152,7 @@ class TestEnergyDensity:
             raise AssertionError("a quadrature asked for the Jacobian")
 
         # the plain shell path, the cap-shell path for n = 3 and n = 2, and
-        # the sampled gradient sup of the regularity scale
+        # the closed-form ball bound of the regularity scale
         for field, x, r in [(radial_projection(3), np.zeros(3), 0.5),
                             (radial_projection(3), np.array([0.3, 0.0, 0.0]), 0.5),
                             (radial_projection(2), np.array([0.6, 0.0]), 0.5),
@@ -376,6 +378,15 @@ class TestSymmetryDistance:
         res = symmetry_distance(f, Ball(np.array([0.3, 0.1, 0.0]), 0.02), 1)
         assert res.value < 1e-3
 
+    @pytest.mark.parametrize("center, r", [([100.0, 0.0, 0.0], 0.5), ([63.8, 0.0, 0.0], 0.5)])
+    def test_ball_outside_the_domain_is_rejected(self, center, r):
+        with pytest.raises(ValueError, match="inside B_64"):
+            symmetry_distance(radial_projection(3), Ball(center, r), 0)
+
+    def test_non_finite_center_is_rejected(self):
+        with pytest.raises(ValueError):
+            symmetry_distance(radial_projection(3), Ball([np.nan, 0.0, 0.0], 0.5), 0)
+
 
 class TestStratum:
     def test_smooth_field_empty(self):
@@ -554,6 +565,87 @@ class TestRegularityScale:
     def test_zero_at_singular_point(self):
         f = radial_projection(3)
         assert regularity_scale(f, np.zeros(3)) == 0.0
+
+    @pytest.mark.parametrize("n, k", [(3, 0), (3, 1), (4, 0), (4, 1)])
+    def test_cone_closed_form(self, n, k):
+        # r^2 (m - 1) / (d - r)^2 = 1 at r = d / (1 + sqrt(m - 1)), m = n - k
+        X = np.random.default_rng(40 + n + k).uniform(-0.6, 0.6, size=(300, n))
+        X = X[np.linalg.norm(X[:, k:], axis=1) > 0.02]
+        want = np.linalg.norm(X[:, k:], axis=1) / (1.0 + np.sqrt(n - k - 1.0))
+        got = regularity_scales(k_symmetric_cone(n, k), X)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert [regularity_scale(k_symmetric_cone(n, k), x) for x in X[:5]] == got[:5].tolist()
+
+    def test_zero_on_the_singular_plane(self):
+        X = np.array([[0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [-0.2, 0.0, 0.0], [0.0, 0.3, 0.0]])
+        got = regularity_scales(k_symmetric_cone(3, 1), X)
+        assert got[:3].tolist() == [0.0, 0.0, 0.0] and got[3] == pytest.approx(0.15, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
+                                   [100.0, 0.0, 0.0], [63.5, 0.0, 0.0]],
+                             ids=["nan", "inf", "far", "ball-leaves-domain"])
+    def test_non_finite_or_outside_the_domain_is_rejected(self, x):
+        # the largest ball r_f reads is B_1(x), so |x| = 63.5 is already outside
+        f = radial_projection(3)
+        with pytest.raises(ValueError, match="inside B_64"):
+            regularity_scale(f, x)
+        with pytest.raises(ValueError, match="inside B_64"):
+            regularity_scales(f, np.array([[0.5, 0.0, 0.0], x]))
+
+    def test_point_of_another_dimension_is_rejected(self):
+        # the ball bounds read coordinates by column, so a point of R^2 would
+        # otherwise give a value for a field on R^3
+        f, x = radial_projection(3), np.array([0.5, 0.0])
+        for call in (lambda: regularity_scale(f, x), lambda: theta(f, x, 0.2),
+                     lambda: symmetry_distance(f, Ball(x, 0.2), 0)):
+            with pytest.raises(ValueError, match="centre in R\\^3"):
+                call()
+
+
+# every field maker, and the cones with a point and a line singularity in R^3 and R^4
+BOUND_MAKERS = {**FIELD_MAKERS, **{f"k_symmetric_cone({n}, {k})": functools.partial(
+    k_symmetric_cone, n, k) for n in (3, 4) for k in (0, 1)}}
+
+
+def _balls(field, rng):
+    """40 centres in [-1, 1]^n and radii in [0.01, 0.8]."""
+    return rng.uniform(-1.0, 1.0, size=(40, field.n)), rng.uniform(0.01, 0.8, size=40)
+
+
+class TestDensitySup:
+    @pytest.mark.parametrize("name", sorted(BOUND_MAKERS))
+    def test_bounds_the_density_on_the_ball(self, name):
+        field = BOUND_MAKERS[name]()
+        rng = np.random.default_rng(31)
+        C, R = _balls(field, rng)
+        sup = field.density_sup(C, R)
+        assert sup.shape == (len(C),)
+        for c, r, s in zip(C, R, sup):
+            u = rng.normal(size=(300, field.n))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            # inside the ball and on its sphere
+            pts = c + r * np.vstack([rng.random((300, 1)) ** (1.0 / field.n) * u, u])
+            assert np.all(field.grad_sq(pts) <= s * (1.0 + 1e-12))
+        # a scalar radius is the same bound as one radius per centre
+        assert np.array_equal(field.density_sup(C, 0.3),
+                              field.density_sup(C, np.full(len(C), 0.3)))
+
+    @pytest.mark.parametrize("name", [n for n in sorted(BOUND_MAKERS)
+                                      if "wave" not in n and "translation" not in n])
+    def test_attained_at_the_nearest_ball_point(self, name):
+        # the cones at the ball point nearest the singular plane, the smoothed
+        # projection at the one nearest 0, the linear field anywhere; inf
+        # exactly when the ball meets the singular set
+        field = BOUND_MAKERS[name]()
+        C, R = _balls(field, np.random.default_rng(32))
+        sup = field.density_sup(C, R)
+        base = np.zeros_like(C) if field.singular is None else field.singular.project(C)
+        gap = np.linalg.norm(C - base, axis=1)
+        near = np.where((gap > R)[:, None], C - (R / gap)[:, None] * (C - base), base)
+        finite = np.isfinite(sup)
+        assert np.array_equal(~finite, (gap <= R) & (field.singular is not None))
+        assert finite.sum() >= 10
+        np.testing.assert_allclose(field.grad_sq(near[finite]), sup[finite], rtol=1e-12, atol=0.0)
 
 
 class TestBestApprox:

@@ -6,9 +6,11 @@ function, method or constructor is passed by some call in the package, the
 tests or the benchmark (whose sources are parsed, never imported).  No
 linter ships with the project, so these AST scans stand in for the unused
 import and unused variable checks (pyflakes F401 and F841) and for a
-dead-parameter check.  No package module imports scipy.stats, whose import
-alone costs a fresh process most of a second.  Outside
-`geometry.pairwise_distances`, no package code takes the norm of a
+dead-parameter check.  Every private package name a test imports or
+reaches through a package module is read somewhere in the package, so no
+test keeps a dead private helper alive.  No package module imports
+scipy.stats, whose import alone costs a fresh process most of a second.
+Outside `geometry.pairwise_distances`, no package code takes the norm of a
 difference of two None-broadcast arrays, so pairwise distances have one
 kernel."""
 
@@ -240,6 +242,85 @@ def test_no_unpassed_defaults():
                for path in sorted(TESTS.glob("*.py")) + sorted(BENCH.glob("*.py"))]
     found = [f"{fn}({param})" for fn, param in unpassed_defaults(read, callers)]
     assert not found, "defaults no call passes:\n" + "\n".join(found)
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _dotted(node):
+    """'a.b.c' for a chain of Name and Attribute nodes, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else None
+
+
+def private_reaches(source, modules, filename="<source>"):
+    """(line, name) of each private name of a package module that the source
+    imports (`from msgeom.m import _name`) or reaches through a package
+    module (`m._name`, `msgeom.m._name`, `setattr(m, "_name", ...)`).
+    `modules` holds the package's module names; dunders are left out."""
+    tree = ast.parse(source, filename)
+    aliases, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "msgeom":
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append((node.lineno, alias.name))
+                elif node.module == "msgeom" and alias.name in modules:
+                    aliases.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            aliases.update(alias.asname or alias.name for alias in node.names
+                           if alias.name.split(".")[0] == "msgeom")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and _dotted(node.value) in aliases):
+            found.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.Call) and len(node.args) >= 2
+              and _dotted(node.args[0]) in aliases and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str) and _private(node.args[1].value)):
+            found.append((node.lineno, node.args[1].value))
+    return sorted(found)
+
+
+def read_names(sources):
+    """Every name the sources read, as a Name or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_private_reach_scan_flags_every_form():
+    source = (
+        "import msgeom.harmonic\n"
+        "import msgeom.geometry as g\n"
+        "from msgeom import moments, covering as cov, AtomicMeasure\n"
+        "from msgeom.cli import _check, main\n"
+        "monkeypatch.setattr(moments, '_budget', 1)\n"
+        "monkeypatch.setattr(moments, 'ball_sums', f)\n"
+        "x = msgeom.harmonic._rule(3) + g._kernel + cov._walk + moments.__name__\n"
+        "y = AtomicMeasure._index + other._hidden\n"
+    )
+    modules = {"harmonic", "geometry", "moments", "covering", "cli"}
+    assert private_reaches(source, modules) == [(4, "_check"), (5, "_budget"), (7, "_kernel"),
+                                                (7, "_rule"), (7, "_walk")]
+    assert read_names(["def _walk(a):\n    return _kernel(a.x)\n_rule = 1\n"]) == {
+        "_kernel", "a", "x"}
+
+
+def test_tests_reach_no_dead_private_names():
+    package = sorted(PACKAGE.glob("*.py"))
+    read = read_names(path.read_text(encoding="utf-8") for path in package)
+    modules = {path.stem for path in package}
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(TESTS.glob("*.py"))
+        for line, name in private_reaches(path.read_text(encoding="utf-8"), modules, str(path))
+        if name not in read
+    ]
+    assert not found, "private names only tests use:\n" + "\n".join(found)
 
 
 def scipy_stats_imports(source, filename="<source>"):

@@ -335,6 +335,35 @@ class TestDisplacement:
             for name in ("x_cm", "eigenvalues", "eigenvectors"):
                 assert np.array_equal(getattr(one, name), getattr(spec, name))
 
+    @pytest.mark.parametrize("count, r", [(30, 0.5), (3000, 0.25)])
+    def test_atom_permutation_and_rotation_invariance(self, count, r):
+        # D, the second-moment spectra and the dyadic sums of a noisy arc:
+        # permuting the atoms moves them by at most 1e-14 relative, and a
+        # rotation about the origin (offset 0) by at most 1e-12
+        rng = np.random.default_rng(count)
+        t = rng.uniform(-1.0, 1.0, count)
+        pts = np.stack([t, 0.3 * t**2, np.zeros(count)], axis=1)
+        pts += 0.05 * rng.normal(size=(count, 3))
+        w = rng.random(count) + 0.1
+        cfg = DisplacementConfig.default(1)
+
+        def quantities(points, weights, centers):
+            mu = AtomicMeasure(points, weights)
+            _, spectra = second_moment_spectra(mu, centers, r)
+            return [displacement_profile_many(mu, centers, r, 1, cfg),
+                    np.array([s.eigenvalues for s in spectra]),
+                    dyadic_displacement_sums(mu, centers, r, 1, cfg)]
+
+        centers = pts[:20]
+        base = quantities(pts, w, centers)
+        assert all(np.count_nonzero(q) >= 20 for q in base)
+        perm = rng.permutation(count)
+        Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        for moved, rtol in [(quantities(pts[perm], w[perm], centers), 1e-14),
+                            (quantities(pts @ Q.T, w, centers @ Q.T), 1e-12)]:
+            for got, want in zip(moved, base):
+                np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
     @pytest.mark.parametrize("count", [200, 1200])
     def test_one_ball_equals_batch_at_boundary_radii(self, count):
         # radius = computed distance to another atom puts that atom on the
