@@ -76,7 +76,7 @@ def orthonormalize(vectors):
 
 
 class Ball:
-    """Closed ball B_r(x). The centre must be finite, the radius positive."""
+    """Closed ball B_r(x). The centre must be finite, the radius positive and finite."""
 
     __slots__ = ("center", "radius")
 
@@ -85,8 +85,8 @@ class Ball:
         radius = float(radius)
         if not np.isfinite(center).all():
             raise ValueError("ball center must be finite")
-        if not radius > 0:
-            raise ValueError(f"ball radius must be positive, got {radius}")
+        if not 0 < radius < np.inf:
+            raise ValueError(f"ball radius must be positive and finite, got {radius}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
         center.setflags(write=False)

@@ -26,7 +26,10 @@ the singular set; r_f(x) is the largest r <= 1 with r^2 * density_sup(x, r)
 <= 1.  The symmetry distance uses one ball rule per distance to the
 singular set and candidate planes from an in-repo scrambled Halton
 sequence; a stratum walks the dyadic ladder once, finest rung first, in
-one batch per rule and rung, down to a floor r >= 2^-60.
+one batch per rule and rung, down to a floor r >= 2^-60.  A stratum
+decides a ball B_s(x) with s^2 * density_sup(x, s) < epsilon without
+evaluating the field: the constant map is symmetric for every k, and the
+mean-value inequality puts the ball's constant residual below epsilon.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ class EnergyField:
     density is assumed to blow up like distance^-2 there.
     `density_sup(C, r)` gives (N,) upper bounds of the density over the
     closed balls B_r(c), c a row of C and r a scalar or (N,): inf where the
-    ball meets the singular set, never decreasing in r.  Only r_f reads it.
+    ball meets the singular set, never decreasing in r.  r_f and the
+    stratum read it.
     """
 
     def __init__(self, n, fn, grad, density, singular=None, density_sup=None):
@@ -621,7 +625,10 @@ def quantitative_stratum(field, k, epsilon, r, grid_step, center=None, radius=1.
     The ladder is walked once, finest rung first; at each rung the points
     not yet found symmetric form one batch per ball rule.  Membership uses
     the sampled upper bound of the symmetry distance (see module docs); a
-    NaN residual counts as not symmetric.  Weights are the k-content
+    NaN residual counts as not symmetric.  A ball B_s(x) with
+    s^2 * density_sup(x, s) < epsilon is decided without evaluating the field
+    (see module docs), as the quadrature decides it wherever epsilon is above
+    its rounding, about 1e-28 for |f| near 1.  Weights are the k-content
     grid_step^k of each grid cell.  Raises ValueError unless r >= 2^-60.
     """
     if not r >= FINEST_SCALE:
@@ -636,6 +643,11 @@ def quantitative_stratum(field, k, epsilon, r, grid_step, center=None, radius=1.
     undecided = np.ones(len(pts), dtype=bool)
     for s in _dyadic_scales_in(r, radius):
         live = np.flatnonzero(undecided)
+        if field.density_sup is not None:
+            # the constant residual is at most s^2 * density_sup; NaN screens nothing
+            screened = s * s * field.density_sup(pts[live], s) < epsilon * (1 - 1e-9)
+            undecided[live[screened]] = False
+            live = live[~screened]
         rule = np.where(d_sing[live] <= 1.5 * s, d_sing[live], np.inf)
         for d in np.unique(rule):
             ids = live[rule == d]

@@ -396,3 +396,16 @@ class TestOrthonormalize:
                      lambda: summability_check(mu, Ball(center, 1.0), 1, cfg)):
             with pytest.raises(ValueError, match="^ball center must be finite$"):
                 call()
+
+    @pytest.mark.parametrize("radius", [np.inf, np.nan, -np.inf])
+    def test_ball_radius_finite(self, radius):
+        # the one-ball entry points raise the constructor's error: an
+        # infinite ball has no dyadic ladder and holds every atom
+        mu = AtomicMeasure(np.random.default_rng(4).normal(size=(50, 2)))
+        cfg = DisplacementConfig.default(1)
+        center = [0.0, 0.0]
+        for call in (lambda: Ball(center, radius),
+                     lambda: summability_check(mu, Ball(center, radius), 1, cfg),
+                     lambda: displacement(mu, center, radius, 1, cfg)):
+            with pytest.raises(ValueError, match="^ball radius must be positive and finite"):
+                call()

@@ -648,6 +648,78 @@ class TestDensitySup:
         np.testing.assert_allclose(field.grad_sq(near[finite]), sup[finite], rtol=1e-12, atol=0.0)
 
 
+class TestStratumScreen:
+    # the stratum decides a ball with s^2 * density_sup < epsilon without
+    # evaluating the field: by the mean-value inequality its constant
+    # residual is below epsilon, so the quadrature would have decided it too
+    STRATA = {
+        **TestBatchedStratum.CASES,
+        "test_09 stratum": (lambda: radial_projection(3), 0, 0.3, 2.0**-6,
+                            dict(grid_step=2.0**-4)),
+        "test_09 cover stratum": (lambda: smoothed_projection(3, core=0.02), 0, 0.25, 2.0**-4,
+                                  dict(grid_step=2.0**-3, radius=0.5, plane_count=32)),
+        "smooth": (lambda: smooth_wave(3), 0, 0.3, 2.0**-6,
+                   dict(grid_step=2.0**-3, plane_count=32)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BOUND_MAKERS))
+    def test_screened_balls_have_a_constant_residual_below_epsilon(self, name, monkeypatch):
+        # a ball the stratum asked the bound for and did not evaluate was
+        # screened; the grid is off the singular sets, so that some balls come
+        # within a few radii of them
+        field = BOUND_MAKERS[name]()
+        bound, residuals, asked, sent = field.density_sup, harmonic._symmetry_residuals, [], []
+        field.density_sup = lambda C, r: asked.append((C.copy(), r)) or bound(C, r)
+        monkeypatch.setattr(harmonic, "_symmetry_residuals", lambda f, C, r, *rest: (
+            sent.append((C.copy(), r)) or residuals(f, C, r, *rest)))
+        screened = 0
+        for k, epsilon in [(0, 0.3), (1, 0.1), (1, 1.0), (0, 0.004)]:
+            asked.clear()
+            sent.clear()
+            quantitative_stratum(field, k, epsilon, 2.0**-4, grid_step=0.5, plane_count=1,
+                                 center=[0.05, 0.1, 0.15, 0.2][:field.n])
+            no_frames = np.zeros((0, k + 1, field.n))
+            for C, s in asked:  # one call per rung, on the balls still undecided
+                evaluated = {c.tobytes() for B, r in sent if r == s for c in B}
+                C = np.array([c for c in C if c.tobytes() not in evaluated]).reshape(-1, field.n)
+                d_sing = field.singular_distance(C)
+                rule = np.where(d_sing <= 1.5 * s, d_sing, np.inf)
+                for d in np.unique(rule):
+                    balls = C[rule == d]
+                    const, _ = residuals(field, balls, s, d, no_frames, 16, None)
+                    assert np.all(const < epsilon)
+                    assert np.all(const <= s * s * bound(balls, s))
+                screened += len(C)
+        assert screened > 0
+
+    @pytest.mark.parametrize("case", list(STRATA))
+    def test_same_stratum_as_the_unscreened_field(self, case):
+        make, k, epsilon, r, options = self.STRATA[case]
+        f = make()
+        unscreened = harmonic.EnergyField(f.n, f.fn, f.grad, f.density, singular=f.singular)
+        screened = quantitative_stratum(f, k, epsilon, r, **options)
+        reference = quantitative_stratum(unscreened, k, epsilon, r, **options)
+        assert np.array_equal(screened.positions, reference.positions)
+        assert np.array_equal(screened.weights, reference.weights)
+
+    def test_decided_balls_evaluate_no_node(self):
+        # every ball of the finest rung has 2^-12 * density_sup <= 1200 / 4096
+        # < 0.3, so the stratum needs no quadrature at all
+        field = smoothed_projection(3)
+        fn, rows = field.fn, []
+        field.fn = lambda X: rows.append(len(X)) or fn(X)
+        mu = quantitative_stratum(field, 0, 0.3, 2.0**-6, grid_step=0.125)
+        assert mu.count == 0
+        assert sum(rows) == 0
+
+    def test_smooth_field_has_no_stratum_at_the_rounding_floor(self):
+        # at r = 2^-60 the quadrature's constant residuals of the wave are
+        # rounding noise, 2e-30 to 2e-28 here, above this epsilon; the bound,
+        # 5.2e-36, decides every ball, as in exact arithmetic
+        mu = quantitative_stratum(smooth_wave(3), 0, 1e-33, 2.0**-60, grid_step=0.5, radius=0.5)
+        assert mu.count == 0
+
+
 class TestBestApprox:
     def test_single_atom_trivial(self):
         f = radial_projection(3)
