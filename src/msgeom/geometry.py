@@ -1,7 +1,7 @@
 """Core geometric types: affine planes, balls, weighted atomic measures,
 subspace/set distances, and an exact kd-tree spatial index.  Every
 neighbourhood, nearest-neighbour and greedy separated-net query goes
-through the index.  Ball totals of a measure go through `ball_items`: the
+through the index, and every one of them is a walk of `ball_items`: the
 kd-nodes wholly inside a ball, plus the atoms of its boundary leaves, each
 item carrying its node's aggregates.
 
@@ -12,11 +12,10 @@ measure builds on first use come out the same whichever thread builds them.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EmptySupportError
 
@@ -24,6 +23,8 @@ ORTHONORMALITY_TOL = 1e-10
 _DEPENDENCE_TOL = 1e-8
 _PAIR_BUDGET = 1 << 18       # (ball, item) pairs a `ball_items` chunk aims to hold
 _BOX_SLACK = 1e-12           # relative margin of the whole-node tests of `ball_items`
+_LEAF_SIZE = 16              # most atoms a kd-tree leaf holds, unless they coincide
+_NET_ITEMS = 1 << 12         # items a `greedy_net` batch aims to walk
 
 
 def _as_point(p, dim=None):
@@ -281,21 +282,22 @@ def _ranges(start, size):
 
 
 def _tree_sqdist(diff):
-    """Squared norms of the rows of diff, summed as cKDTree sums them: four
-    running sums over whole blocks of four coordinates, added in order,
-    then the remaining coordinates one by one."""
+    """Squared norms of the columns of the coordinate-major diff (n, rows),
+    the index's distance: four running sums over whole blocks of four
+    coordinates, added in order, then the remaining coordinates one by
+    one."""
     sq = diff * diff
-    n = sq.shape[1]
+    n = sq.shape[0]
     whole = n - n % 4
     if whole:
-        acc = sq[:, :4]
+        acc = sq[:4]
         for j in range(4, whole, 4):
-            acc = acc + sq[:, j:j + 4]
-        out = ((acc[:, 0] + acc[:, 1]) + acc[:, 2]) + acc[:, 3]
+            acc = acc + sq[j:j + 4]
+        out = ((acc[0] + acc[1]) + acc[2]) + acc[3]
     else:
-        out, whole = sq[:, 0], 1  # 0 + sq[:, 0] is sq[:, 0]: squares are never -0
+        out, whole = sq[0], 1  # 0 + sq[0] is sq[0]: squares are never -0
     for j in range(whole, n):
-        out = out + sq[:, j]
+        out = out + sq[j]
     return out
 
 
@@ -313,55 +315,117 @@ def centred_sums(rel, w, indptr, owner):
     return mass, mean, segment_sums(((w * cen)[upper[0]] * cen[upper[1]]).T, indptr)
 
 
+def _coordinate_orders(coords):
+    """(n, count) array whose row e orders the points of the coordinate-major
+    coords (n, count) by coordinate e, ties by index.  A stable sort is
+    needed only where a coordinate repeats."""
+    orders = np.empty(coords.shape, dtype=np.intp)
+    for e, x in enumerate(coords):
+        order = np.argsort(x)
+        ordered = x[order]
+        if (ordered[1:] == ordered[:-1]).any():
+            order = np.argsort(x, kind="stable")
+        orders[e] = order
+    return orders
+
+
 @dataclass(frozen=True)
 class ItemTree:
-    """A kd-tree flattened into items.  Items 0..nodes-1 are the tree's
+    """A balanced kd-tree in item form.  Items 0..nodes-1 are the tree's
     nodes, depth first, lesser child first; item nodes + s is the atom in
     tree slot s.  Item i covers the atoms order[start[i]:start[i] + size[i]]
-    and is anchored at the first of them."""
+    and is anchored at the first of them.  Coordinates are stored
+    coordinate-major, so that a walk gathers and sums whole rows."""
 
-    order: np.ndarray       # tree slot -> point index (cKDTree.indices)
+    order: np.ndarray       # tree slot -> point index
+    coords: np.ndarray      # (n, atoms) coordinates of the atom in each slot
     start: np.ndarray       # (items,) first slot
     size: np.ndarray        # (items,) points covered
     anchor: np.ndarray      # (items,) point index of the first slot
-    kids: np.ndarray        # (nodes, 2) lesser and greater child; -1 at a leaf
-    lo: np.ndarray          # (nodes, n) bounding box of the node's points
+    greater: np.ndarray     # (nodes,) greater child, -1 at a leaf; the lesser is i + 1
+    axis: np.ndarray        # (nodes,) coordinate an inner node splits
+    lo: np.ndarray          # (n, nodes) bounding box of the node's points
     hi: np.ndarray
-    member_ptr: np.ndarray  # points of node i: order[start[i]:...], concatenated
-    members: np.ndarray     # in `members[member_ptr[i]:member_ptr[i + 1]]`
 
     @property
     def nodes(self):
-        return self.kids.shape[0]
+        return self.greater.shape[0]
+
+    @functools.cached_property
+    def members(self):
+        """The points of every node, order[start[i]:start[i] + size[i]],
+        concatenated; node i's are members[member_ptr[i]:member_ptr[i + 1]].
+        Built on first use: only node totals read them."""
+        return self.order[self.slots(np.arange(self.nodes))]
+
+    @functools.cached_property
+    def member_ptr(self):
+        ptr = np.zeros(self.nodes + 1, dtype=np.intp)
+        np.cumsum(self.size[:self.nodes], out=ptr[1:])
+        return ptr
 
     @classmethod
-    def flatten(cls, tree, points):
-        """The item form of a cKDTree over points (None: no points)."""
-        start, end, kids = [], [], []
-        stack = [] if tree is None else [(tree.tree, -1, 0)]
-        while stack:
-            node, parent, side = stack.pop()
-            if parent >= 0:
-                kids[parent][side] = len(start)
-            start.append(node.start_idx)
-            end.append(node.end_idx)
-            kids.append([-1, -1])
-            if node.lesser is not None:
-                stack += [(node.greater, len(start) - 1, 1), (node.lesser, len(start) - 1, 0)]
-        order = np.zeros(0, dtype=np.intp) if tree is None else tree.indices.astype(np.intp)
-        start = np.array(start, dtype=np.intp)
-        size = np.array(end, dtype=np.intp) - start
-        member_ptr = np.zeros(len(start) + 1, dtype=np.intp)
-        np.cumsum(size, out=member_ptr[1:])
-        members = order[_ranges(start, size)]
-        boxed = points[members]
-        start = np.concatenate([start, np.arange(len(order))])
-        return cls(order=order, start=start,
-                   size=np.concatenate([size, np.ones(len(order), dtype=np.intp)]),
-                   anchor=order[start], kids=np.array(kids, dtype=np.intp).reshape(-1, 2),
-                   lo=np.minimum.reduceat(boxed, member_ptr[:-1]),
-                   hi=np.maximum.reduceat(boxed, member_ptr[:-1]),
-                   member_ptr=member_ptr, members=members)
+    def build(cls, points):
+        """The balanced kd-tree of Friedman, Bentley & Finkel (ACM TOMS,
+        1977) over finite points.  A node of more than _LEAF_SIZE atoms
+        whose tight bounding box has positive width splits along its widest
+        side, the first of equal ones: its size // 2 least atoms in that
+        coordinate, ties by index, form the lesser child and the rest the
+        greater.  Where no coordinate repeats, these are the nodes of
+        scipy's balanced cKDTree.
+
+        The tree grows a level at a time.  Every coordinate keeps its own
+        order of the atoms, sorted within each node, so a node's box and
+        split point are read off the orders, and a split partitions every
+        order stably.  A leaf's slots hold its atoms by first coordinate."""
+        count = points.shape[0]
+        coords = np.ascontiguousarray(points.T)
+        orders = _coordinate_orders(coords)
+        start = np.zeros(min(count, 1), dtype=np.intp)
+        size = np.full(start.shape, count)
+        levels, lesser_side = [], np.zeros(count, dtype=bool)
+        while True:
+            lo = np.take_along_axis(coords, orders[:, start], axis=1)
+            hi = np.take_along_axis(coords, orders[:, start + size - 1], axis=1)
+            dim = np.argmax(hi - lo, axis=0)
+            split = (size > _LEAF_SIZE) & ((hi - lo)[dim, np.arange(start.size)] > 0.0)
+            levels.append((start, size, lo, hi, dim, split))
+            if not split.any():
+                break
+            start, size, dim = start[split], size[split], dim[split]
+            half = size // 2
+            lesser, greater = _ranges(start, half), _ranges(start + half, size - half)
+            slots = _ranges(start, size)
+            lesser_side[orders[np.repeat(dim, half), lesser]] = True
+            for row in orders:
+                atoms = row[slots]
+                side = lesser_side[atoms]
+                row[lesser] = atoms[np.flatnonzero(side)]
+                row[greater] = atoms[np.flatnonzero(~side)]
+            lesser_side[:] = False
+            start = np.column_stack([start, start + half]).ravel()
+            size = np.column_stack([half, size - half]).ravel()
+
+        # nodes numbered level by level: the children of the j-th split
+        # node are nodes 2j + 1 and 2j + 2
+        start, size, lo, hi, axis, split = (np.concatenate(f, axis=-1) for f in zip(*levels))
+        depth = np.repeat(np.arange(len(levels)), [len(level[0]) for level in levels])
+        greater = np.full(start.size, -1, dtype=np.intp)
+        greater[split] = np.arange(2, 2 * split.sum() + 2, 2)
+        # depth first: by first slot, a parent before its lesser child
+        pre = np.lexsort((depth, start))
+        rank = np.empty_like(pre)
+        rank[pre] = np.arange(pre.size)
+        greater = np.where(greater[pre] >= 0, rank[greater[pre]], -1)
+        order = orders[0]
+        start = np.concatenate([start[pre], np.arange(count)])
+        return cls(order=order, coords=coords[:, order], start=start,
+                   size=np.concatenate([size[pre], np.ones(count, dtype=np.intp)]),
+                   anchor=order[start], greater=greater, axis=axis[pre], lo=lo[:, pre], hi=hi[:, pre])
+
+    def slots(self, items):
+        """The tree slots of the atoms the items cover, item by item."""
+        return _ranges(self.start[items], self.size[items])
 
     def totals(self, values):
         """Per-item sums of per-atom values (atoms,) or (atoms, columns): a
@@ -371,27 +435,24 @@ class ItemTree:
 
 
 class SpatialIndex:
-    """Immutable kd-tree index over points with exact closed-ball queries.
+    """Immutable kd-tree index over finite points with exact closed-ball
+    queries: x_j lies in the ball B_r(c) when `_tree_sqdist(x_j - c) <= r *
+    r`.  The tree (`item_tree`) is built on the first query."""
 
-    Every query is cKDTree's or follows its predicate: the closed ball
-    |x_j - center| <= r as the tree evaluates it.  The tree's item form
-    (`item_tree`) is built on first use.
-    """
-
-    __slots__ = ("points", "_tree", "_items")
+    __slots__ = ("points", "_items")
 
     def __init__(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float)).copy()
+        if not np.isfinite(points).all():
+            raise ValueError("indexed points must be finite")
         object.__setattr__(self, "points", points)
-        tree = cKDTree(points) if points.shape[0] else None
-        object.__setattr__(self, "_tree", tree)
         object.__setattr__(self, "_items", None)
         points.setflags(write=False)
 
     def item_tree(self):
         """The tree as an `ItemTree`, built on first use."""
         if self._items is None:
-            object.__setattr__(self, "_items", ItemTree.flatten(self._tree, self.points))
+            object.__setattr__(self, "_items", ItemTree.build(self.points))
         return self._items
 
     def ball_items(self, centers, radius):
@@ -403,57 +464,60 @@ class SpatialIndex:
         bounding box lies inside the ball by the relative margin
         _BOX_SLACK, and skips it when the nearest box point lies outside by
         that margin.  Of the leaves left, it takes the atoms that pass the
-        tree's own predicate, `_tree_sqdist(x - c) <= radius * radius`.  So
-        the atoms covered are those of `neighborhoods`.  The tree is walked
-        one level at a time for a chunk of centers at once.  The first chunk
-        holds _PAIR_BUDGET // len(self) centers (a ball never holds more
-        than len(self) items), and each later one is sized from the pairs
-        its predecessor held, growing at most eightfold.
+        index's predicate, `_tree_sqdist(x - c) <= radius * radius`.  The
+        tree is walked one level at a time for a chunk of centers at once.
+        The first chunk holds _PAIR_BUDGET // len(self) centers (a ball
+        never holds more than len(self) items), and each later one is sized
+        from the pairs its predecessor held, growing at most eightfold.
         """
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         m, t = centers.shape[0], self.item_tree()
-        if self._tree is None:
+        if not len(self):
             yield 0, m, np.zeros(m + 1, dtype=np.intp), np.zeros(0, dtype=np.intp)
             return
+        coords, r2 = np.ascontiguousarray(centers.T), np.full(m, radius * radius)
         lo, step = 0, max(1, _PAIR_BUDGET // len(self))
         while lo < m:
             hi = min(m, lo + step)
-            indptr, items, held = self._walk(t, centers[lo:hi], radius * radius)
+            indptr, items, held = self._walk(t, coords[:, lo:hi], r2[lo:hi])
             yield lo, hi, indptr, items
             lo, step = hi, max(1, min(8 * step, step * _PAIR_BUDGET // max(held, 1)))
 
     def _walk(self, t, centers, r2):
-        """CSR items of the balls of squared radius r2 around the centers,
-        and the most (ball, node or atom) pairs held at once."""
-        ball = np.arange(centers.shape[0])
-        node = np.zeros(centers.shape[0], dtype=np.intp)
+        """CSR items of the balls of squared radii r2 around the
+        coordinate-major centers (n, m), and the most (ball, node or atom)
+        pairs held at once."""
+        m = centers.shape[1]
+        ball, node = np.arange(m), np.zeros(m, dtype=np.intp)
         owners, items, held = [], [], 0
         while ball.size:
-            c = centers[ball]
-            d_lo, d_hi = t.lo[node] - c, c - t.hi[node]
+            c, rr = np.take(centers, ball, axis=1), r2[ball]
+            d_lo, d_hi = np.take(t.lo, node, axis=1) - c, c - np.take(t.hi, node, axis=1)
             far = _tree_sqdist(np.maximum(-d_lo, -d_hi))
-            inside = far * (1.0 + _BOX_SLACK) < r2 * (1.0 - _BOX_SLACK)
+            inside = far * (1.0 + _BOX_SLACK) < rr * (1.0 - _BOX_SLACK)
             near = _tree_sqdist(np.maximum(np.maximum(d_lo, d_hi), 0.0))
-            cut = ~inside & (near <= r2 * (1.0 + _BOX_SLACK))
+            cut = ~inside & (near <= rr * (1.0 + _BOX_SLACK))
             owners.append(ball[inside])
             items.append(node[inside])
             ball, node = ball[cut], node[cut]
             held = max(held, ball.size)
-            leaf = t.kids[node, 0] < 0
+            leaf = t.greater[node] < 0
             if leaf.any():
                 size = t.size[node[leaf]]
                 slots = _ranges(t.start[node[leaf]], size)
                 owner = np.repeat(ball[leaf], size)
-                hit = _tree_sqdist(self.points[t.order[slots]] - centers[owner]) <= r2
+                hit = _tree_sqdist(np.take(t.coords, slots, axis=1)
+                                   - np.take(centers, owner, axis=1)) <= r2[owner]
                 owners.append(owner[hit])
                 items.append(t.nodes + slots[hit])
                 held = max(held, ball.size + slots.size)
                 ball, node = ball[~leaf], node[~leaf]
-            ball, node = np.repeat(ball, 2), t.kids[node].ravel()
+            ball, node = np.repeat(ball, 2), np.column_stack([node + 1, t.greater[node]]).ravel()
         owner, item = np.concatenate(owners), np.concatenate(items)
-        order = np.argsort(owner * len(self) + t.start[item], kind="stable")
-        indptr = np.zeros(centers.shape[0] + 1, dtype=np.intp)
-        np.cumsum(np.bincount(owner, minlength=centers.shape[0]), out=indptr[1:])
+        # the items of one ball do not overlap, so no two keys are equal
+        order = np.argsort(owner * len(self) + t.start[item])
+        indptr = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(np.bincount(owner, minlength=m), out=indptr[1:])
         return indptr, item[order], max(held, item.size)
 
     def __setattr__(self, name, value):
@@ -467,28 +531,84 @@ class SpatialIndex:
     def neighborhoods(self, centers, radius):
         """CSR neighbourhoods (indptr, indices) of the closed balls around
         the centers: indices[indptr[i]:indptr[i + 1]] are the indices of the
-        points within radius of centers[i], in the tree's traversal order,
-        which depends only on the center and the radius."""
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        indptr = np.zeros(centers.shape[0] + 1, dtype=np.intp)
-        if self._tree is None:
-            return indptr, np.zeros(0, dtype=np.intp)
-        lists = self._tree.query_ball_point(centers, radius, return_sorted=False)
-        np.cumsum([len(lst) for lst in lists], out=indptr[1:])
-        indices = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
-                              count=int(indptr[-1]))
-        return indptr, indices
+        points within radius of centers[i], in tree-slot order."""
+        t = self.item_tree()
+        indptr, parts = [np.zeros(1, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        for _, _, ptr, items in self.ball_items(centers, radius):
+            indptr.append(segment_sums(t.size[items], ptr))
+            parts.append(t.order[t.slots(items)])
+        return np.cumsum(np.concatenate(indptr)), np.concatenate(parts)
 
     def knn(self, points, k):
         """The k nearest indexed points of each point: (distances, indices),
-        two (N, k) arrays with the nearest first.  Points at equal distance
-        come in the tree's order."""
+        two (N, k) arrays with the nearest first, and points at equal
+        distance in slot order.
+
+        Exact: each point descends to the deepest node holding k atoms
+        (`_descend`) and measures the first w = 2 max(k, _LEAF_SIZE) of
+        them.  An index of at most w points is measured whole, and the k
+        least by (distance, slot) are taken.  Otherwise the k-th least
+        squared distance bounds a walk, and the k least of the atoms it
+        finds are taken.  Points are walked in the order of their nodes,
+        so that a walk's gathers stay near each other."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self._tree is None:
+        if not len(self):
             raise EmptySupportError("an empty index has no nearest point")
         if not 1 <= k <= len(self):
             raise ValueError(f"cannot take {k} nearest of {len(self)} points")
-        return self._tree.query(points, k=np.arange(1, k + 1))
+        t, m = self.item_tree(), points.shape[0]
+        coords = np.ascontiguousarray(points.T)
+        cols = np.arange(min(len(self), 2 * max(k, _LEAF_SIZE)))
+        whole = cols.size == len(self)
+        node = np.zeros(m, dtype=np.intp) if whole else self._descend(t, coords, k)
+        order = np.argsort(t.start[node], kind="stable")
+        dist, index = np.empty((m, k)), np.empty((m, k), dtype=np.intp)
+        block = max(1, _PAIR_BUDGET // cols.size)
+        for lo in range(0, m, block):
+            rows = order[lo:lo + block]
+            queries = np.take(coords, rows, axis=1)
+            slots = np.minimum(t.start[node[rows]][:, None] + cols, len(self) - 1)
+            sq = _tree_sqdist(np.take(t.coords, slots.ravel(), axis=1)
+                              - np.repeat(queries, cols.size, axis=1)).reshape(slots.shape)
+            sq[cols >= t.size[node[rows]][:, None]] = np.inf
+            if whole:
+                d = np.sqrt(sq)
+                pick = np.argsort(d, axis=1, kind="stable")[:, :k]
+                dist[rows] = np.take_along_axis(d, pick, axis=1)
+                index[rows] = t.order[np.take_along_axis(slots, pick, axis=1)]
+                continue
+            ptr, items, _ = self._walk(t, queries, np.partition(sq, k - 1, axis=1)[:, k - 1])
+            slots = t.slots(items)
+            counts = segment_sums(t.size[items], ptr)
+            owner = np.repeat(np.arange(rows.size), counts)
+            d = np.sqrt(_tree_sqdist(np.take(t.coords, slots, axis=1)
+                                     - np.take(queries, owner, axis=1)))
+            seg, pos = np.cumsum(counts) - counts, np.arange(d.size)
+            for j in range(k):
+                least = np.minimum.reduceat(d, seg)
+                at = np.minimum.reduceat(np.where(d == least[owner], pos, d.size), seg)
+                dist[rows, j], index[rows, j] = least, t.order[slots[at]]
+                d[at] = np.inf
+        return dist, index
+
+    def _descend(self, t, queries, k):
+        """The deepest node holding k atoms or more on the way of each of
+        the coordinate-major queries (n, m) down the splits: to the lesser
+        child where the query lies at or below its box along the split
+        axis."""
+        m = queries.shape[1]
+        node, live = np.zeros(m, dtype=np.intp), np.arange(m)
+        while live.size:
+            live = live[t.greater[node[live]] >= 0]
+            at = node[live]
+            # flat indices into the coordinate-major queries and boxes
+            lesser = (np.take(queries, t.axis[at] * m + live)
+                      <= np.take(t.hi, t.axis[at] * t.nodes + at + 1))
+            child = np.where(lesser, at + 1, t.greater[at])
+            deeper = t.size[child] >= k
+            live = live[deeper]
+            node[live] = child[deeper]
+        return node
 
     def nearest(self, points):
         """Distance from each point to the nearest indexed point."""
@@ -501,14 +621,25 @@ class SpatialIndex:
         given radius, so kept points are pairwise farther apart than the
         radius and every candidate lies within the radius of a kept one.
         The closed-ball predicate is symmetric, so each kept index blocks
-        its own neighbourhood.  Returns the kept indices in candidate order.
+        its own neighbourhood.  The candidates still unblocked are walked
+        in batches and scanned in order, and only a kept index's items are
+        expanded to atoms.  A batch holds about _NET_ITEMS items, by the
+        items per ball of the last one.  Returns the kept indices in
+        candidate order.
         """
-        blocked = np.zeros(len(self), dtype=bool)
-        kept = []
-        for j in np.asarray(order, dtype=np.intp):
-            if not blocked[j]:
-                kept.append(j)
-                blocked[self.neighborhoods(self.points[j], radius)[1]] = True
+        todo = np.asarray(order, dtype=np.intp)
+        blocked, kept = np.zeros(len(self), dtype=bool), []
+        t, step = self.item_tree(), 1
+        while todo.size:
+            batch, todo, held = todo[:step], todo[step:], 0
+            for lo, _, ptr, items in self.ball_items(self.points[batch], radius):
+                held += items.size
+                for j, a, b in zip(batch[lo:].tolist(), ptr[:-1], ptr[1:]):
+                    if not blocked[j]:
+                        kept.append(j)
+                        blocked[t.order[t.slots(items[a:b])]] = True
+            todo = todo[~blocked[todo]]
+            step = max(1, _NET_ITEMS * batch.size // max(held, 1))
         return np.array(kept, dtype=np.intp)
 
     def query_counts(self, centers, radius):

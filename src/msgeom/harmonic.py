@@ -16,8 +16,8 @@ of symmetry V^k of a k-symmetric cone; a point is the plane with k = 0, and
 x/|x| is the 0-symmetric cone.  A ball near a point singularity is cut into
 shells about that point, and every shell's cap is evaluated in stacked
 blocks of whole panels.  `theta` is a pure function of its arguments and
-stores nothing on the field; only the angular rules and the panel
-rotations, which depend on small integers alone, are memoized.
+stores nothing on the field; only the Gauss rules, the angular rules and
+the panel rotations, which depend on small integers alone, are memoized.
 Every field lives on B_64(0): `theta`, `symmetry_distance` and
 `regularity_scales` reject a ball that is not finite or not inside it.
 Each catalog field carries `density_sup(centers, r)`, a closed-form upper
@@ -25,8 +25,9 @@ bound of |grad f|^2 over each closed ball B_r(c), inf when the ball meets
 the singular set; r_f(x) is the largest r <= 1 with r^2 * density_sup(x, r)
 <= 1.  The symmetry distance uses one ball rule per distance to the
 singular set and candidate planes from an in-repo scrambled Halton
-sequence; a stratum walks the dyadic ladder once, finest rung first, in
-one batch per rule and rung, down to a floor r >= 2^-60.  A stratum
+sequence through an in-repo normal quantile; a stratum walks the dyadic
+ladder once, finest rung first, in one batch per rule and rung, down to a
+floor r >= 2^-60.  A stratum
 decides a ball B_s(x) with s^2 * density_sup(x, s) < epsilon without
 evaluating the field: the constant map is symmetric for every k, and the
 mean-value inequality puts the ball's constant residual below epsilon.
@@ -40,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri, roots_jacobi, roots_legendre
+from numpy.random import default_rng
 
 from .errors import EmptySupportError, EnergyInfiniteError
 from .geometry import AffinePlane, AtomicMeasure, Ball
@@ -242,6 +243,39 @@ FIELD_CATALOG = {
 # ---------------------------------------------------------------------------
 
 @functools.cache
+def _gauss_rule(order, a=0.0):
+    """Gauss nodes and weights of `order` points for the weight
+    (1 - z^2)^a on [-1, 1], a >= 0, by Golub & Welsch (Math. Comp., 1969):
+    the eigenvalues of the Jacobi matrix of the orthonormal Gegenbauer
+    polynomials p_j, one Newton step on p_order, and the Christoffel weights
+    1 / sum_{j < order} p_j(z)^2 at the polished nodes, symmetrized about 0
+    and scaled to the weight's integral.  Memoized like `_sphere_rule`."""
+    lam = a + 0.5
+    j = np.arange(1.0, order + 1)
+    # p_{j+1} b_{j+1} = z p_j - b_j p_{j-1}
+    b = np.sqrt(j * (j + 2 * lam - 1) / (4 * (j + lam) * (j + lam - 1)))
+    mass = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
+
+    def recurrence(z):
+        """p_order(z), its derivative, and sum_{j < order} p_j(z)^2."""
+        p_prev, p = np.zeros_like(z), np.full_like(z, 1.0 / math.sqrt(mass))
+        dp_prev, dp, squares = np.zeros_like(z), np.zeros_like(z), np.zeros_like(z)
+        for i in range(order):
+            squares = squares + p * p
+            b_prev = b[i - 1] if i else 0.0
+            p_prev, p, dp_prev, dp = (p, (z * p - b_prev * p_prev) / b[i],
+                                      dp, (p + z * dp - b_prev * dp_prev) / b[i])
+        return p, dp, squares
+
+    z = np.linalg.eigvalsh(np.diag(b[:-1], 1) + np.diag(b[:-1], -1))
+    p, dp, _ = recurrence(z)
+    z = z - p / dp
+    w = 1.0 / recurrence(z)[2]
+    w, z = (w + w[::-1]) / 2, (z - z[::-1]) / 2
+    return z, w * (mass / w.sum())
+
+
+@functools.cache
 def _sphere_rule(n, order):
     """Nodes/weights on S^{n-1}; exact for high angular polynomial degree.
     Memoized: the arguments are small integers, so the memo stays small."""
@@ -252,10 +286,7 @@ def _sphere_rule(n, order):
         ang = (np.arange(m) + 0.5) * (2 * np.pi / m)
         return np.stack([np.cos(ang), np.sin(ang)], axis=1), np.full(m, 2 * np.pi / m)
     # polar angle via Gauss-Jacobi in z = cos(theta), weight (1-z^2)^((n-3)/2)
-    if n == 3:
-        z, wz = roots_legendre(order)
-    else:
-        z, wz = roots_jacobi(order, (n - 3) / 2.0, (n - 3) / 2.0)
+    z, wz = _gauss_rule(order, (n - 3) / 2.0)
     sub_nodes, sub_w = _sphere_rule(n - 1, order)
     sin_t = np.sqrt(np.maximum(1.0 - z**2, 0.0))
     # one block of rows per polar node z: (z, sin * sub_nodes), weight wz * sub_w
@@ -348,7 +379,7 @@ def _theta_cap_shells(field, x, r, d, panel_count, angular_order):
         w_polar = np.repeat((phi_star / half)[:, None], half, axis=1)
     else:
         # Gauss-Legendre in z = cos on [z*, 1], weight (1 - z^2)^((n - 3) / 2)
-        z_nodes, z_weights = roots_legendre(max(8, angular_order))
+        z_nodes, z_weights = _gauss_rule(max(8, angular_order))
         cos_t = 0.5 * (zstar + 1.0)[:, None] + 0.5 * (1.0 - zstar)[:, None] * z_nodes
         w_polar = (0.5 * (1.0 - zstar)[:, None] * z_weights
                    * (1.0 - cos_t * cos_t) ** ((n - 3) / 2.0))
@@ -435,7 +466,7 @@ def _scrambled_halton(d, count):
     leading digits sent through its own shuffle of 0..b-1, drawn from
     default_rng(0) in base order.  Bit for bit scipy.stats.qmc.Halton(d,
     scramble=True, seed=0), without importing scipy.stats."""
-    rng, out = np.random.default_rng(0), np.zeros((count, d))
+    rng, out = default_rng(0), np.zeros((count, d))
     for j, base in enumerate(_primes(d)):
         perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
         for perm in perms:
@@ -447,18 +478,60 @@ def _scrambled_halton(d, count):
     return out
 
 
+# Wichura, Algorithm AS 241 (Applied Statistics, 1988), as the standard
+# library's statistics.NormalDist.inv_cdf evaluates it: numerator and
+# denominator coefficients, highest degree first, of the central region
+# |p - 1/2| <= 0.425 in r = 0.180625 - (p - 1/2)^2, and of the tails in
+# r = sqrt(-log(min(p, 1 - p))) - 1.6 for r <= 5 and r - 5 beyond
+_AS241 = {
+    "central": ([2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+                 4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+                 1.3314166789178437745e+2, 3.3871328727963666080e+0],
+                [5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+                 2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+                 4.2313330701600911252e+1, 1.0]),
+    "near": ([7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+              1.2704582524523683826e+0, 3.6478483247632046050e+0, 5.7694972214606914055e+0,
+              4.6303378461565452959e+0, 1.4234371107496835773e+0],
+             [1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+              1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
+              2.0531916266377588219e+0, 1.0]),
+    "far": ([2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+             2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
+             5.4637849111641143699e+0, 6.6579046435011037772e+0],
+            [2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+             7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+             5.9983220655588793769e-1, 1.0]),
+}
+
+
+def _normal_quantile(p):
+    """The standard normal quantile of each p in (0, 1), by AS 241, to
+    about 1e-16 relative."""
+    def ratio(region, r):
+        num, den = _AS241[region]
+        return np.polyval(num, r) / np.polyval(den, r)
+
+    q = p - 0.5
+    r = 0.180625 - q * q
+    central = np.polyval(_AS241["central"][0], r) * q / np.polyval(_AS241["central"][1], r)
+    r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+    tail = np.where(r <= 5.0, ratio("near", r - 1.6), ratio("far", r - 5.0))
+    return np.where(np.abs(q) <= 0.425, central, np.copysign(tail, q))
+
+
 def grassmann_candidates(n, k, count):
     """Deterministic low-discrepancy sample of k-frames in R^n: scrambled
     Halton points through the normal quantile, orthonormalized."""
     if k == 0:
         return [np.zeros((0, n))]
     raw = np.clip(_scrambled_halton(n * k, count), 1e-12, 1 - 1e-12)
-    return [np.linalg.qr(G)[0].T.copy() for G in ndtri(raw).reshape(count, n, k)]
+    return [np.linalg.qr(G)[0].T.copy() for G in _normal_quantile(raw).reshape(count, n, k)]
 
 
 @functools.cache
 def _panel_rotation(n, index):
-    return np.linalg.qr(np.random.default_rng(1000 + index).normal(size=(n, n)))[0]
+    return np.linalg.qr(default_rng(1000 + index).normal(size=(n, n)))[0]
 
 
 def _ball_rule(n, r, d_sing):
@@ -649,7 +722,8 @@ def quantitative_stratum(field, k, epsilon, r, grid_step, center=None, radius=1.
             undecided[live[screened]] = False
             live = live[~screened]
         rule = np.where(d_sing[live] <= 1.5 * s, d_sing[live], np.inf)
-        for d in np.unique(rule):
+        # a handful of distances; np.unique would load numpy.ma on first use
+        for d in sorted(set(rule.tolist())):
             ids = live[rule == d]
             const, cand = _symmetry_residuals(field, pts[ids], s, d, frames, bins, epsilon, kept)
             undecided[ids[(const < epsilon) | np.any(cand < epsilon, axis=1)]] = False

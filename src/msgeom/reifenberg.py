@@ -27,6 +27,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import PlaneFitError, SeparationError
 from .geometry import AffinePlane, Ball, SpatialIndex, grassmann_distance, pairwise_distances
@@ -372,13 +373,14 @@ def _patch_stats(pts, plane, radius, parent_plane):
     return sup, lip, coh
 
 
-def _ball_members(points, centers, radius):
-    """The indices of the points within radius of each center, in index
-    order, by the test `np.linalg.norm(points - c, axis=1) <= radius`.  One
-    tree query at the radius widened by 1e-9 gives candidates, and the same
-    test filters them, so the members are those of a scan over every
+def _ball_members(index, centers, radius):
+    """The indices of the index's points within radius of each center, in
+    index order, by the test `np.linalg.norm(points - c, axis=1) <= radius`.
+    One tree query at the radius widened by 1e-9 gives candidates, and the
+    same test filters them, so the members are those of a scan over every
     point."""
-    indptr, cand = SpatialIndex(points).neighborhoods(centers, radius * (1.0 + 1e-9))
+    points = index.points
+    indptr, cand = index.neighborhoods(centers, radius * (1.0 + 1e-9))
     members = []
     for c, lo, hi in zip(centers, indptr[:-1], indptr[1:]):
         idx = np.sort(cand[lo:hi])
@@ -386,12 +388,14 @@ def _ball_members(points, centers, radius):
     return members
 
 
-def _patch_records(samples, centers, planes, r, parents=None):
-    """Patch records of one scale.  `parents` is (centers, planes, reach) of
-    the last scale with patches; coherence is measured against the plane of
-    the nearest parent center if it lies within reach."""
+def _patch_records(index, centers, planes, r, parents=None):
+    """Patch records of one scale over the samples of `index`.  `parents` is
+    (centers, planes, reach) of the last scale with patches; coherence is
+    measured against the plane of the nearest parent center if it lies
+    within reach."""
     radius = 1.5 * r
-    members = _ball_members(samples, centers, radius)
+    samples = index.points
+    members = _ball_members(index, centers, radius)
     records = []
     for c, pl, idx in zip(centers, planes, members):
         parent = None
@@ -473,7 +477,7 @@ def reconstruct(mu, k, cfg, max_scale_count, flat_tol=0.2, seed=0, check_summabi
 
     scales, samples_per_scale = [], []
     parents = None  # (centers, planes) of the last scale with patches
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     for i in range(start, max_scale_count):
         r = radii[i]
         rec = ScaleRecord(index=i, radius=r, flatness=flats[i])
@@ -498,14 +502,16 @@ def reconstruct(mu, k, cfg, max_scale_count, flat_tol=0.2, seed=0, check_summabi
                     alive &= SpatialIndex(bad).nearest(samples) > r / 6.0
                 rec.cover_state = CoverState(centers, bad)
                 samples = moved
-            rec.patches = _patch_records(samples, centers, planes, r, None if parents is None
+            # the last scale's index over the final samples also serves coverage
+            index = SpatialIndex(samples)
+            rec.patches = _patch_records(index, centers, planes, r, None if parents is None
                                          else (*parents, 3.0 * r / cfg.rho))
             parents = (centers, planes)
         scales.append(rec)
         samples_per_scale.append(samples)
 
     # coverage accounting
-    dists = SpatialIndex(samples).nearest(mu.positions)
+    dists = index.nearest(mu.positions)
     tol = _COVERAGE_FACTOR * max(spacing, cfg.delta * r_final)
     # good now marks the good balls of the final radius
     covered = (dists <= tol) | ~good
@@ -563,7 +569,7 @@ def bilipschitz_distortion(atlas, step):
     before = atlas.samples_per_scale[step - 1]
     after = rec.sigma.apply(before)
     return _sampled_distortion(before, after, rec.radius,
-                               np.random.default_rng(_DISTORTION_SEED), _DISTORTION_PAIRS,
+                               default_rng(_DISTORTION_SEED), _DISTORTION_PAIRS,
                                atlas.sample_component)
 
 
@@ -575,7 +581,8 @@ def _chain_samples_1d(samples):
     """Order curve samples by nearest-neighbor walking; returns index order
     and whether the chain closes into a loop.  A step takes the nearest
     unused sample (first in index order among equals) within the guard, so
-    it scans one tree ball of slightly larger radius, not every sample."""
+    it scans the current sample's tree ball of slightly larger radius, not
+    every sample; one `neighborhoods` query gives every sample's ball."""
     m = samples.shape[0]
     order = [0]
     # median spacing guard: the second nearest sample of a probe is its
@@ -587,9 +594,10 @@ def _chain_samples_1d(samples):
         index = SpatialIndex(samples)
         probe = samples[::max(1, m // 50)]
         guard = 6.0 * np.median(index.knn(probe, 2)[0][:, 1])
+        indptr, nbrs = index.neighborhoods(samples, guard * (1.0 + 1e-9))
         while True:
             cur = samples[order[-1]]
-            cand = index.query(cur, guard * (1.0 + 1e-9))
+            cand = np.sort(nbrs[indptr[order[-1]]:indptr[order[-1] + 1]])
             cand = cand[~used[cand]]
             d = np.linalg.norm(samples[cand] - cur, axis=1)
             if len(cand) == 0 or d.min() > guard:
@@ -676,7 +684,8 @@ def measure_estimate(atlas, ball):
         return 0.0
     centers = [p.center for p in patches]
     owners = SpatialIndex(centers)
-    members = _ball_members(samples, centers, patches[0].radius * 1.2)  # one radius a scale
+    members = _ball_members(SpatialIndex(samples), centers,
+                            patches[0].radius * 1.2)  # one radius a scale
     total = 0.0
     for pi, (patch, idx) in enumerate(zip(patches, members)):
         plane = patch.plane

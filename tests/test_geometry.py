@@ -330,6 +330,53 @@ class TestSpatialIndex:
         net = SpatialIndex([[0.0, 0.0]]).greedy_net([], 1.0)
         assert net.shape == (0,)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        # the tree is built on the first query, so the constructor checks
+        pts = np.random.default_rng(17).normal(size=(40, 3))
+        pts[11, 1] = bad
+        with pytest.raises(ValueError, match="^indexed points must be finite$"):
+            SpatialIndex(pts)
+
+    @pytest.mark.parametrize("count, n", [(3, 2), (17, 2), (1399, 2), (1521, 3),
+                                          (4000, 3), (500, 6)])
+    def test_nodes_are_those_of_scipy_balanced_tree(self, count, n):
+        # generic points (no repeated coordinate): the split rule is
+        # cKDTree's, so every node holds the same set of points
+        from scipy.spatial import cKDTree
+
+        pts = np.random.default_rng(count + n).normal(size=(count, n))
+        oracle, stack = cKDTree(pts), []
+        stack.append(oracle.tree)
+        expected = set()
+        while stack:
+            node = stack.pop()
+            expected.add(frozenset(oracle.indices[node.start_idx:node.end_idx].tolist()))
+            if node.lesser is not None:
+                stack += [node.lesser, node.greater]
+        t = SpatialIndex(pts).item_tree()
+        got = [frozenset(t.order[s:s + z].tolist())
+               for s, z in zip(t.start[:t.nodes], t.size[:t.nodes])]
+        assert len(got) == len(expected) and set(got) == expected
+
+    def test_tree_layout(self):
+        # depth first, lesser child first; tight boxes; leaves of at most
+        # 16 points unless the points coincide
+        pts = np.random.default_rng(18).normal(size=(900, 3))
+        pts[:40] = pts[0]
+        t = SpatialIndex(pts).item_tree()
+        assert sorted(t.order.tolist()) == list(range(900))
+        for i in range(t.nodes):
+            own = pts[t.order[t.start[i]:t.start[i] + t.size[i]]]
+            assert np.array_equal(t.lo[:, i], own.min(axis=0))
+            assert np.array_equal(t.hi[:, i], own.max(axis=0))
+            a, b = i + 1, t.greater[i]
+            if b < 0:
+                assert t.size[i] <= 16 or np.ptp(own, axis=0).max() == 0.0
+            else:
+                assert t.start[a] == t.start[i] and t.start[b] == t.start[i] + t.size[a]
+                assert t.size[a] == t.size[i] // 2 and t.size[a] + t.size[b] == t.size[i]
+
 
 class TestPairwiseDistances:
     @pytest.mark.parametrize("dim", range(1, 13))

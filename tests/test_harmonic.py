@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import gamma, ndtri, roots_legendre
+from scipy.special import gamma, ndtri, roots_jacobi, roots_legendre
 
 from msgeom import harmonic
 from msgeom.errors import EnergyInfiniteError
@@ -538,12 +538,62 @@ class TestHalton:
     def test_frames_equal_the_scipy_frames(self, n, k, count):
         from scipy.stats import qmc
 
+        # the package's own normal quantile is within 2e-15 of scipy's
+        # ndtri, not bitwise, so the frames are pinned to 1e-14
         raw = np.clip(qmc.Halton(d=n * k, scramble=True, seed=0).random(count),
                       1e-12, 1 - 1e-12)
         expected = [np.linalg.qr(G)[0].T for G in ndtri(raw).reshape(count, n, k)]
         frames = grassmann_candidates(n, k, count)
         assert len(frames) == count
-        assert all(np.array_equal(a, b) for a, b in zip(frames, expected))
+        assert all(np.abs(a - b).max() <= 1e-14 for a, b in zip(frames, expected))
+
+
+class TestNormalQuantile:
+    P = np.concatenate([np.random.default_rng(19).random(100_000),
+                        np.geomspace(1e-12, 0.5, 2000), 1.0 - np.geomspace(1e-12, 0.5, 2000)])
+
+    def test_bitwise_equal_to_the_standard_library(self):
+        # the same AS 241 evaluation as statistics.NormalDist.inv_cdf
+        import statistics
+
+        p = self.P[::20]
+        expected = [statistics.NormalDist().inv_cdf(float(v)) for v in p]
+        assert np.array_equal(harmonic._normal_quantile(p), expected)
+
+    def test_matches_scipy_ndtri(self):
+        # both are within about 6.3e-16 of the exact quantile (checked at 40
+        # digits), so they can differ by twice that: 1.06e-15 on these inputs
+        p = np.clip(self.P, 1e-12, 1 - 1e-12)
+        got, want = harmonic._normal_quantile(p), ndtri(p)
+        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+        assert harmonic._normal_quantile(np.array([0.5]))[0] == 0.0
+
+
+class TestGaussRule:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_scipy(self, n):
+        # scipy's Legendre weights are themselves off by up to 7.3e-15
+        # (40-digit check) from order 10 on, so for n = 3 the weights are
+        # pinned to 1e-14 here and to 1e-15 by the classical formula below
+        a = (n - 3) / 2.0
+        for order in range(1, 65):
+            z, w = harmonic._gauss_rule(order, a)
+            zs, ws = roots_legendre(order) if n == 3 else roots_jacobi(order, a, a)
+            assert np.abs(z - zs).max() <= 1e-15
+            assert np.abs(w - ws).max() <= (1e-14 if n == 3 else 1e-15)
+
+    def test_legendre_weights_by_the_classical_formula(self):
+        # w = 2 / ((1 - z^2) P_m'(z)^2), with P_m by its recurrence in
+        # extended precision at the rule's own nodes
+        for order in range(1, 65):
+            z, w = harmonic._gauss_rule(order)
+            x = z.astype(np.longdouble)
+            p_prev, p = np.ones_like(x), x
+            for j in range(2, order + 1):
+                p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+            dp = order * (x * p - p_prev) / (x * x - 1)
+            exact = (2 / ((1 - x * x) * dp * dp)).astype(float)
+            assert np.abs(w - exact).max() <= 1e-15
 
 
 class TestRegularityScale:

@@ -507,7 +507,7 @@ class TestPatchScan:
         centers = np.array([[0.25, 0.5, -0.125], [-0.5, 0.0, 0.25], [0.0, -0.375, 0.0]])
         planes = [AffinePlane.from_spanning(c, rng.normal(size=(2, 3))) for c in centers]
         samples = self._boundary_samples(centers, r, rng)
-        members = reifenberg._ball_members(samples, centers, 1.5 * r)
+        members = reifenberg._ball_members(SpatialIndex(samples), centers, 1.5 * r)
         for c, idx in zip(centers, members):
             d = np.linalg.norm(samples - c, axis=1)
             assert idx.tolist() == np.flatnonzero(d <= 1.5 * r).tolist()
@@ -515,7 +515,7 @@ class TestPatchScan:
             assert (d == 1.5 * r).sum() >= 6 and (d[idx] == 1.5 * r).sum() >= 6
             assert ((d > 1.5 * r) & (d <= 1.5 * r * (1 + 1e-15))).any()
         # the third centre's nearest parent lies beyond the reach
-        records = reifenberg._patch_records(samples, centers, planes, r,
+        records = reifenberg._patch_records(SpatialIndex(samples), centers, planes, r,
                                             (centers[:2], planes[:2], 0.6))
         want = _brute_force_patch_records(samples, centers, planes, r,
                                           [planes[0], planes[1], None])
@@ -528,10 +528,10 @@ class TestPatchScan:
         records = reifenberg._patch_records
         query = SpatialIndex.neighborhoods
 
-        def counting_records(samples, centers, planes, r, parents=None):
+        def counting_records(index, centers, planes, r, parents=None):
             inside.append(r)
             try:
-                return records(samples, centers, planes, r, parents)
+                return records(index, centers, planes, r, parents)
             finally:
                 inside.pop()
 
