@@ -93,9 +93,10 @@ def read_cloud_csv(path, dim, extra_columns=0):
             tokens = [t.strip() for t in line.split(",")]
             if lineno == 1 and not _is_number(tokens[0]):
                 continue  # header row
-            if not all(_is_number(t) for t in tokens):
+            try:
+                vals = [float(t) for t in tokens]
+            except ValueError:
                 raise CliError(EXIT_PARSE, f"parse error on line {lineno}: non-numeric value")
-            vals = [float(t) for t in tokens]
             if expected is None:
                 base = dim + extra_columns
                 if len(vals) == base:

@@ -25,12 +25,12 @@ bound of |grad f|^2 over each closed ball B_r(c), inf when the ball meets
 the singular set; r_f(x) is the largest r <= 1 with r^2 * density_sup(x, r)
 <= 1.  The symmetry distance uses one ball rule per distance to the
 singular set and candidate planes from an in-repo scrambled Halton
-sequence through an in-repo normal quantile; a stratum walks the dyadic
-ladder once, finest rung first, in one batch per rule and rung, down to a
-floor r >= 2^-60.  A stratum
-decides a ball B_s(x) with s^2 * density_sup(x, s) < epsilon without
-evaluating the field: the constant map is symmetric for every k, and the
-mean-value inequality puts the ball's constant residual below epsilon.
+sequence through the standard library's normal quantile; a stratum walks
+the dyadic ladder once, finest rung first, in one batch per rule and rung,
+down to a floor r >= 2^-60.  A stratum decides a ball B_s(x) with
+s^2 * density_sup(x, s) < epsilon without evaluating the field: the
+constant map is symmetric for every k, and the mean-value inequality puts
+the ball's constant residual below epsilon.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import EmptySupportError, EnergyInfiniteError
-from .geometry import AffinePlane, AtomicMeasure, Ball
+from .geometry import AffinePlane, AtomicMeasure, Ball, sum_last
 from .moments import second_moment_spectrum
 
 QUAD_REL_TOL = 1e-4
@@ -97,20 +97,10 @@ class EnergyField:
         return self.singular.distance(X)
 
 
-def _sum_last(a):
-    """a.sum(axis=-1) bit for bit, several times faster on a short axis:
-    numpy adds fewer than 8 terms left to right, and so do these column adds."""
-    if a.shape[-1] >= 8:
-        return a.sum(axis=-1)
-    out = a[..., 0].copy()
-    for j in range(1, a.shape[-1]):
-        out += a[..., j]
-    return out
-
-
 def _norms(X):
-    """np.linalg.norm(X, axis=-1, keepdims=True), bit for bit."""
-    return np.sqrt(_sum_last(X * X))[..., None]
+    """Norms over the last axis, kept as an axis of length 1; below 8
+    coordinates they equal np.linalg.norm(X, axis=-1, keepdims=True)."""
+    return np.sqrt(sum_last(X * X))[..., None]
 
 
 def radial_projection(n=3):
@@ -125,7 +115,7 @@ def smoothed_projection(n=3, core=0.05):
     """f(x) = x / sqrt(|x|^2 + core^2): conical far out, smooth at the origin."""
 
     def fn(X):
-        return X / np.sqrt(_sum_last(X**2) + core**2)[:, None]
+        return X / np.sqrt(sum_last(X**2) + core**2)[:, None]
 
     def grad(X):
         g = np.sqrt((X**2).sum(axis=1) + core**2)
@@ -478,55 +468,18 @@ def _scrambled_halton(d, count):
     return out
 
 
-# Wichura, Algorithm AS 241 (Applied Statistics, 1988), as the standard
-# library's statistics.NormalDist.inv_cdf evaluates it: numerator and
-# denominator coefficients, highest degree first, of the central region
-# |p - 1/2| <= 0.425 in r = 0.180625 - (p - 1/2)^2, and of the tails in
-# r = sqrt(-log(min(p, 1 - p))) - 1.6 for r <= 5 and r - 5 beyond
-_AS241 = {
-    "central": ([2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
-                 4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
-                 1.3314166789178437745e+2, 3.3871328727963666080e+0],
-                [5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
-                 2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
-                 4.2313330701600911252e+1, 1.0]),
-    "near": ([7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
-              1.2704582524523683826e+0, 3.6478483247632046050e+0, 5.7694972214606914055e+0,
-              4.6303378461565452959e+0, 1.4234371107496835773e+0],
-             [1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
-              1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
-              2.0531916266377588219e+0, 1.0]),
-    "far": ([2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
-             2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
-             5.4637849111641143699e+0, 6.6579046435011037772e+0],
-            [2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
-             7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
-             5.9983220655588793769e-1, 1.0]),
-}
-
-
-def _normal_quantile(p):
-    """The standard normal quantile of each p in (0, 1), by AS 241, to
-    about 1e-16 relative."""
-    def ratio(region, r):
-        num, den = _AS241[region]
-        return np.polyval(num, r) / np.polyval(den, r)
-
-    q = p - 0.5
-    r = 0.180625 - q * q
-    central = np.polyval(_AS241["central"][0], r) * q / np.polyval(_AS241["central"][1], r)
-    r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
-    tail = np.where(r <= 5.0, ratio("near", r - 1.6), ratio("far", r - 5.0))
-    return np.where(np.abs(q) <= 0.425, central, np.copysign(tail, q))
-
-
 def grassmann_candidates(n, k, count):
     """Deterministic low-discrepancy sample of k-frames in R^n: scrambled
-    Halton points through the normal quantile, orthonormalized."""
+    Halton points through the standard normal quantile, orthonormalized."""
     if k == 0:
         return [np.zeros((0, n))]
+    # statistics loads here, not with the package: only a stratum needs it
+    from statistics import NormalDist
+
     raw = np.clip(_scrambled_halton(n * k, count), 1e-12, 1 - 1e-12)
-    return [np.linalg.qr(G)[0].T.copy() for G in _normal_quantile(raw).reshape(count, n, k)]
+    quantile = NormalDist().inv_cdf
+    gauss = np.array([quantile(p) for p in raw.ravel().tolist()])
+    return [np.linalg.qr(G)[0].T.copy() for G in gauss.reshape(count, n, k)]
 
 
 @functools.cache
@@ -607,7 +560,7 @@ def _symmetry_residuals(field, centers, r, d_sing, frames, bins, stop_below, kep
         nodes += c
         values = field(nodes.reshape(-1, n)).reshape(N, len(c), -1)
         mean = (weights[:, None, None] * values).sum(axis=0) / total
-        dev = _sum_last((values - mean) ** 2).T.copy()
+        dev = sum_last((values - mean) ** 2).T.copy()
         const[blk] = (weights * dev).sum(axis=1) / total
     stop = -np.inf if stop_below is None else stop_below
     cand = np.full((len(centers), len(frames)), np.inf)
@@ -628,12 +581,12 @@ def _symmetry_residuals(field, centers, r, d_sing, frames, bins, stop_below, kep
             # competitor 1: conditional mean over direction bins
             v = values.take(src, axis=0)
             means = np.add.reduceat(w[:, None] * v, starts, axis=0) / w_sums[:, None]
-            dev = _sum_last((v - np.repeat(means, lengths, axis=0)) ** 2)
+            dev = sum_last((v - np.repeat(means, lengths, axis=0)) ** 2)
             binned = (w * dev).reshape(count, N).sum(axis=1) / total
             # competitor 2: pullback through the orbit representative; exact
             # for fields that are k-symmetric with this plane
             rep = field((centers[i] + perp_unit).reshape(-1, n)).reshape(count, N, -1)
-            pull = (weights * _sum_last((values - rep) ** 2)).sum(axis=1) / total
+            pull = (weights * sum_last((values - rep) ** 2)).sum(axis=1) / total
             cand[i, fs] = np.where(pull < binned, pull, binned)
     return const, cand
 

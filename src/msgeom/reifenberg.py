@@ -652,9 +652,9 @@ def measure_estimate(atlas, ball):
     clipping of the chained samples.  k >= 2 integrates each final patch
     graph over the plane cells whose lifted centre is nearest its center:
     the cell centres of a patch are lifted in one batch and the other probes
-    of its owned cells in a second (see `_lift`), and a cell adds its graph
-    area h^k sqrt(det(G G^T)) times the fraction of its 4^k sub-grid whose
-    lift lies in the ball.
+    of its owned cells in a second, over one index per patch (see `_lift`),
+    and a cell adds its graph area h^k sqrt(det(G G^T)) times the fraction
+    of its 4^k sub-grid whose lift lies in the ball.
     """
     root = atlas.root_ball
     if np.linalg.norm(ball.center - root.center) > root.radius + ball.radius:
@@ -699,13 +699,15 @@ def measure_estimate(atlas, ball):
         offs = np.linspace(-0.5 * h + h / 8, 0.5 * h - h / 8, 4)
         sub = np.stack([m.ravel() for m in np.meshgrid(*([offs] * k), indexing="ij")], axis=1)
         cells = _grid_disk(k, patch.radius, h) + plane.coordinates(patch.center)
+        u_local = plane.coordinates(local)
+        index, heights = SpatialIndex(u_local), local - plane.point_at(u_local)
         # the patch owns the cells whose lifted centre is nearest its center;
         # the other probes are lifted for those cells only
-        owned = owners.knn(_lift(plane, local, cells), 1)[1][:, 0] == pi
+        owned = owners.knn(_lift(plane, index, heights, cells), 1)[1][:, 0] == pi
         if not owned.any():
             continue
         probes = cells[owned][:, None, :] + np.vstack([steps, -steps, sub])
-        x = _lift(plane, local, probes.reshape(-1, k)).reshape(probes.shape[:2] + (-1,))
+        x = _lift(plane, index, heights, probes.reshape(-1, k)).reshape(probes.shape[:2] + (-1,))
         # G: the k x n central differences of the lift at each cell centre
         G = (x[:, :k] - x[:, k:2 * k]) / h
         area = h**k * np.sqrt(np.maximum(np.linalg.det(G @ G.swapaxes(1, 2)), 0.0))
@@ -716,13 +718,11 @@ def measure_estimate(atlas, ball):
     return total
 
 
-def _lift(plane, local, u):
-    """Lift of the plane coordinates u (N, k) to the graph of the samples
-    `local`: one kNN query on their plane coordinates, then the
-    inverse-distance average of the neighbours' heights over the plane."""
-    u_local = plane.coordinates(local)
-    v_local = local - plane.point_at(u_local)
-    d, idx = SpatialIndex(u_local).knn(u, min(_LIFT_NEIGHBORS, len(local)))
+def _lift(plane, index, heights, u):
+    """Lift of the plane coordinates u (N, k) to the graph of samples whose
+    plane coordinates `index` holds and whose offsets from the plane are
+    `heights`: the inverse-distance average of the nearest samples' heights."""
+    d, idx = index.knn(u, min(_LIFT_NEIGHBORS, len(index)))
     w = 1.0 / np.maximum(d, 1e-12)
-    v = (v_local[idx] * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
+    v = (heights[idx] * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
     return plane.point_at(u) + v

@@ -276,6 +276,26 @@ class TestSpatialIndex:
             assert np.array_equal(dq, dist[order])
             assert np.array_equal(iq, order)
 
+    @pytest.mark.parametrize("n", [3, 5, 8, 12, 16])
+    def test_distances_add_squares_one_coordinate_at_a_time(self, n):
+        # the index sums squared coordinate differences left to right in
+        # every dimension; numpy's norm sums in pairwise blocks from 8
+        # coordinates on, so it is no oracle there.  600 points take the
+        # walk and 20 are measured whole
+        rng = np.random.default_rng(40 + n)
+        cloud, queries = rng.normal(size=(600, n)), rng.normal(size=(200, n)) * 1.5
+        for pts in (cloud, cloud[:20]):
+            sq = np.zeros((len(queries), len(pts)))
+            for j in range(n):
+                sq += (queries[:, j, None] - pts[None, :, j]) ** 2
+            dist = np.sqrt(sq)
+            order = np.argsort(dist, axis=1, kind="stable")[:, :5]
+            index = SpatialIndex(pts)
+            d, idx = index.knn(queries, 5)
+            assert np.array_equal(d, np.take_along_axis(dist, order, axis=1))
+            assert np.array_equal(idx, order)
+            assert np.array_equal(index.nearest(queries), dist.min(axis=1))
+
     def test_knn_at_exact_ties(self):
         # dyadic grid queried at grid points and cell centres: 4 or more
         # neighbours sit at exactly the same distance, and the tree may

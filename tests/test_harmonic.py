@@ -538,7 +538,7 @@ class TestHalton:
     def test_frames_equal_the_scipy_frames(self, n, k, count):
         from scipy.stats import qmc
 
-        # the package's own normal quantile is within 2e-15 of scipy's
+        # the standard library's normal quantile is within 2e-15 of scipy's
         # ndtri, not bitwise, so the frames are pinned to 1e-14
         raw = np.clip(qmc.Halton(d=n * k, scramble=True, seed=0).random(count),
                       1e-12, 1 - 1e-12)
@@ -546,27 +546,6 @@ class TestHalton:
         frames = grassmann_candidates(n, k, count)
         assert len(frames) == count
         assert all(np.abs(a - b).max() <= 1e-14 for a, b in zip(frames, expected))
-
-
-class TestNormalQuantile:
-    P = np.concatenate([np.random.default_rng(19).random(100_000),
-                        np.geomspace(1e-12, 0.5, 2000), 1.0 - np.geomspace(1e-12, 0.5, 2000)])
-
-    def test_bitwise_equal_to_the_standard_library(self):
-        # the same AS 241 evaluation as statistics.NormalDist.inv_cdf
-        import statistics
-
-        p = self.P[::20]
-        expected = [statistics.NormalDist().inv_cdf(float(v)) for v in p]
-        assert np.array_equal(harmonic._normal_quantile(p), expected)
-
-    def test_matches_scipy_ndtri(self):
-        # both are within about 6.3e-16 of the exact quantile (checked at 40
-        # digits), so they can differ by twice that: 1.06e-15 on these inputs
-        p = np.clip(self.P, 1e-12, 1 - 1e-12)
-        got, want = harmonic._normal_quantile(p), ndtri(p)
-        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
-        assert harmonic._normal_quantile(np.array([0.5]))[0] == 0.0
 
 
 class TestGaussRule:

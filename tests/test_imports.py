@@ -10,7 +10,9 @@ dead-parameter check.  Every private package name a test imports or
 reaches through a package module is read somewhere in the package, so no
 test keeps a dead private helper alive.  No package module imports scipy,
 whose kd-tree and special functions alone cost a fresh process half a
-second; the tests use it as an oracle only.
+second; the tests use it as an oracle only.  Nor do the point-cloud
+commands load the standard library's statistics: only a stratum's normal
+quantile imports it.
 Outside `geometry.pairwise_distances`, no package code takes the norm of a
 difference of two None-broadcast arrays, so pairwise distances have one
 kernel."""
@@ -364,8 +366,9 @@ def test_package_never_imports_scipy():
     assert not found, "scipy imported at:\n" + "\n".join(found)
 
 
-def test_commands_leave_scipy_unloaded(tmp_path):
-    # every command on a tiny input, in one fresh interpreter
+def _command_runs(tmp_path):
+    """Every command on a tiny input, by name, each writing its report
+    under tmp_path."""
     from msgeom.fixtures import dyadic_segment_family, plane_cloud
 
     def cloud(name, mu):
@@ -388,18 +391,36 @@ def test_commands_leave_scipy_unloaded(tmp_path):
         ["stratify", "--fixture", "radial_projection", "--dim", "3", "--k", "0",
          "--grid-step", "0.5", "--r-min", "0.25"],
     ]
-    runs = [argv + ["--output", str(tmp_path / f"report{i}.json")] for i, argv in enumerate(runs)]
+    return {argv[0]: argv + ["--output", str(tmp_path / f"report{i}.json")]
+            for i, argv in enumerate(runs)}
+
+
+def _fresh_run(runs, package):
+    """The exit statuses of the CLI runs, made in turn in one fresh
+    interpreter after `import msgeom.cli`, then the sorted names of the
+    modules of `package` loaded there, as printed words."""
     code = (
         "import sys\n"
         "from msgeom.cli import main\n"
         f"status = [main(argv) for argv in {runs!r}]\n"
-        "print(*status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"print(*status, sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert proc.stdout.split() == ["0"] * len(runs) + ["[]"]
+    return proc.stdout.split()
+
+
+def test_commands_leave_scipy_unloaded(tmp_path):
+    runs = list(_command_runs(tmp_path).values())
+    assert _fresh_run(runs, "scipy") == ["0"] * len(runs) + ["[]"]
+
+
+def test_point_cloud_commands_leave_statistics_unloaded(tmp_path):
+    # only a stratum's normal quantile imports statistics, inside the call
+    runs = [argv for name, argv in _command_runs(tmp_path).items() if name != "stratify"]
+    assert _fresh_run(runs, "statistics") == ["0"] * len(runs) + ["[]"]
 
 
 def _broadcast(node):
