@@ -53,6 +53,8 @@ EXIT_DIMENSION = 3
 EXIT_HYPOTHESIS = 4
 EXIT_NUMERICAL = 5
 _MAX_COORD = 1e150  # squared differences of larger coordinates could overflow
+_VALUE_FAULTS = ("non-finite value", "coordinate or radius beyond 1e150 in magnitude",
+                 "negative weight", "radius must be positive")
 
 
 class CliError(Exception):
@@ -77,10 +79,8 @@ def read_cloud_csv(path, dim, extra_columns=0):
     must be nonnegative.  Every value must be finite, and coordinates and
     radii at most _MAX_COORD in magnitude.
     """
-    rows = []
-    weights = []
-    extras = []
-    expected = None
+    rows, linenos, fault, expected = [], [], None, None
+    base = dim + extra_columns
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as err:
@@ -96,40 +96,37 @@ def read_cloud_csv(path, dim, extra_columns=0):
             try:
                 vals = [float(t) for t in tokens]
             except ValueError:
-                raise CliError(EXIT_PARSE, f"parse error on line {lineno}: non-numeric value")
+                fault = CliError(EXIT_PARSE, f"parse error on line {lineno}: non-numeric value")
+                break
             if expected is None:
-                base = dim + extra_columns
-                if len(vals) == base:
-                    expected = (len(vals), False)
-                elif len(vals) == base + 1:
-                    expected = (len(vals), True)
-                else:
-                    raise CliError(
-                        EXIT_DIMENSION,
-                        f"dimension mismatch on line {lineno}: {len(vals)} columns "
-                        f"for ambient dimension {dim}",
-                    )
-            if len(vals) != expected[0]:
-                raise CliError(EXIT_PARSE, f"parse error on line {lineno}: ragged row")
-            if not all(math.isfinite(v) for v in vals):
-                raise CliError(EXIT_PARSE, f"parse error on line {lineno}: non-finite value")
-            if any(abs(v) > _MAX_COORD for v in vals[:dim + extra_columns]):
-                raise CliError(EXIT_PARSE, f"parse error on line {lineno}: "
-                               "coordinate or radius beyond 1e150 in magnitude")
-            has_weight = expected[1]
-            coord = vals[:dim]
-            trail = vals[dim : dim + extra_columns]
-            w = vals[-1] if has_weight else 1.0
-            if w < 0:
-                raise CliError(EXIT_PARSE, f"parse error on line {lineno}: negative weight")
-            if not all(t > 0 for t in trail):
-                raise CliError(EXIT_PARSE, f"parse error on line {lineno}: radius must be positive")
-            rows.append(coord)
-            extras.append(trail)
-            weights.append(w)
+                expected = len(vals)
+                if expected not in (base, base + 1):
+                    fault = CliError(EXIT_DIMENSION, f"dimension mismatch on line {lineno}: "
+                                     f"{expected} columns for ambient dimension {dim}")
+                    break
+            if len(vals) != expected:
+                fault = CliError(EXIT_PARSE, f"parse error on line {lineno}: ragged row")
+                break
+            rows.append(vals)
+            linenos.append(lineno)
+    if rows:
+        # the value checks of every parsed row, in order; the first failing
+        # row wins, also over a later parse fault
+        data = np.array(rows)
+        weights = data[:, base] if expected > base else np.ones(len(data))
+        failed = np.stack([~np.isfinite(data).all(axis=1),
+                           (np.abs(data[:, :base]) > _MAX_COORD).any(axis=1),
+                           weights < 0,
+                           ~(data[:, dim:base] > 0).all(axis=1)])
+        bad = np.flatnonzero(failed.any(axis=0))
+        if len(bad):
+            check = _VALUE_FAULTS[int(np.argmax(failed[:, bad[0]]))]
+            raise CliError(EXIT_PARSE, f"parse error on line {linenos[bad[0]]}: {check}")
+    if fault is not None:
+        raise fault
     if not rows:
         raise CliError(EXIT_PARSE, "parse error: no data rows")
-    return np.array(rows), np.array(extras), np.array(weights)
+    return data[:, :dim].copy(), data[:, dim:base].copy(), weights.copy()
 
 
 def write_cloud_csv(path, mu):

@@ -100,6 +100,29 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: parse error on line 1: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("rows, line, fault", [
+        ("0,0,1\n1,0,-1\n2,nan,1\n", 2, "negative weight"),
+        ("0,0,1\n1,inf,-1\n2,0,1\n", 2, "non-finite value"),
+        ("0,0\n1,nan\nx,0\n", 2, "non-finite value"),
+        ("0,0\n1e151,0\n1,2,3,4\n", 2, "coordinate or radius beyond 1e150"),
+        ("0,0\n0,1,2,3\n1,nan\n", 2, "ragged row"),
+    ], ids=["weight-then-nan", "nan-before-weight", "then-non-numeric", "then-ragged",
+            "ragged-first"])
+    def test_first_failing_row_wins(self, tmp_path, capsys, rows, line, fault):
+        path = tmp_path / "bad.csv"
+        path.write_text(rows)
+        code = run_cli(["beta", "--input", str(path), "--dim", "2", "--k", "1"])
+        assert code == 2
+        assert f"parse error on line {line}: {fault}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["x,y\n", "x,y\n\n  \n", "", "\n"])
+    def test_no_data_rows_is_parse_error(self, tmp_path, capsys, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        code = run_cli(["beta", "--input", str(path), "--dim", "2", "--k", "1"])
+        assert code == 2
+        assert "no data rows" in capsys.readouterr().err
+
     def test_values_up_to_1e150_parse(self, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("1e150,-1e150,1e150\n0,0,1e-300\n")

@@ -169,11 +169,11 @@ class TestCapShells:
         (2, 0.6, 0.5, 3.7261299395313476),
         (2, 0.7, 0.5, 2.2432066118822824),
         (2, 0.35, 0.3, 4.169887116288396),
-        (3, 0.3, 0.5, 21.856350366585534),
+        (3, 0.3, 0.5, 21.857044281107868),
         (3, 0.6, 0.5, 7.0429950054829495),
         (4, 0.3, 0.5, 24.279984719995007),
         (4, 0.6, 0.5, 10.281218038793533),
-        (4, 0.2, 1.0, 29.018125173333043),
+        (4, 0.2, 1.0, 29.017337217805128),
     ])
     def test_radial_theta_matches_shell_oracle(self, n, d, r, pinned):
         u = np.arange(1.0, n + 1.0)
@@ -181,6 +181,30 @@ class TestCapShells:
         got = theta(radial_projection(n), x, r)
         assert got == pytest.approx(pinned, rel=1e-12)
         assert got == pytest.approx(cap_shell_oracle(n, d, r), rel=5e-4)
+
+    def test_finest_rule_error_in_r3(self):
+        # one rule at 96 panels and order 24: 1.65e-5 off the closed form
+        x = 0.3 * np.arange(1.0, 4.0) / np.linalg.norm(np.arange(1.0, 4.0))
+        got = theta(radial_projection(3), x, 0.5)
+        assert abs(got - theta_radial(0.3, 0.5)) <= 2e-5 * got
+
+    def test_finest_rule_error_in_r4(self):
+        x = 0.2 * np.arange(1.0, 5.0) / np.linalg.norm(np.arange(1.0, 5.0))
+        want = cap_shell_oracle(4, 0.2, 1.0)
+        assert abs(theta(radial_projection(4), x, 1.0) - want) <= 3e-5 * want
+
+    @pytest.mark.parametrize("make, x, r", [
+        (lambda: radial_projection(3), [0.3, 0.0, 0.0], 0.5),     # cap shells
+        (lambda: radial_projection(3), [0.9, 0.0, 0.0], 0.5),     # plain shells
+        (lambda: k_symmetric_cone(4, 1), [0.0, 0.3, 0.0, 0.0], 0.5),
+        (lambda: smooth_wave(3), [0.1, 0.2, 0.3], 0.5),
+    ], ids=["cap", "plain", "cone", "smooth"])
+    def test_one_rule_per_call(self, monkeypatch, make, x, r):
+        built, panels = [], harmonic._radial_panels
+        monkeypatch.setattr(harmonic, "_radial_panels",
+                            lambda *args, **kw: built.append(args) or panels(*args, **kw))
+        theta(make(), np.array(x), r)
+        assert len(built) == 1
 
 
 class TestPointSingularity:
@@ -741,10 +765,18 @@ class TestStratumScreen:
         assert mu.count == 0
         assert sum(rows) == 0
 
+    def test_constant_residual_follows_the_bound_below_the_mean_floor(self):
+        # below s^2 ~ 1e-28 the residual's rounding must scale with the
+        # deviations over the ball, not with |f| near 1
+        field, s = smooth_wave(3), 2.0**-52
+        centers = np.random.default_rng(0).uniform(-0.5, 0.5, size=(20, 3))
+        const, _ = harmonic._symmetry_residuals(field, centers, s, np.inf,
+                                                np.zeros((0, 1, 3)), 16, None)
+        assert np.all(const <= s * s * field.density_sup(centers, s))
+
     def test_smooth_field_has_no_stratum_at_the_rounding_floor(self):
-        # at r = 2^-60 the quadrature's constant residuals of the wave are
-        # rounding noise, 2e-30 to 2e-28 here, above this epsilon; the bound,
-        # 5.2e-36, decides every ball, as in exact arithmetic
+        # at r = 2^-60 the bound, 5.2e-36, decides every ball, as in exact
+        # arithmetic, below the quadrature's rounding floor of about 1e-32
         mu = quantitative_stratum(smooth_wave(3), 0, 1e-33, 2.0**-60, grid_step=0.5, radius=0.5)
         assert mu.count == 0
 
