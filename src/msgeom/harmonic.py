@@ -8,29 +8,30 @@ The normalized energy of a field f over B_r(x) is
     theta_r(x) = r^(2-n) * integral_{B_r(x)} |grad f|^2,
 
 computed on one tensor grid of radial midpoint panels (dyadically refined
-toward radii where the integrand is singular) times a high-order angular
-rule; the value carries no error estimate of its own.
-Every field carries its energy density |grad f|^2 in closed form, so no
-quadrature builds a Jacobian.  A singular set is an AffinePlane, the plane
-of symmetry V^k of a k-symmetric cone; a point is the plane with k = 0, and
-x/|x| is the 0-symmetric cone.  A ball near a point singularity is cut into
-shells about that point, and every shell's cap is evaluated in stacked
-blocks of whole panels.  `theta` is a pure function of its arguments and
-stores nothing on the field; only the Gauss rules, the angular rules and
-the panel rotations, which depend on small integers alone, are memoized.
-Every field lives on B_64(0): `theta`, `symmetry_distance` and
-`regularity_scales` reject a ball that is not finite or not inside it.
+toward a kink) times a high-order angular rule, with no error estimate.  For
+theta and the stratum alike, `_kink` makes a singular distance d a kink of
+B_r only where 1e-12 r < d <= 1.5 r.  Every field carries its energy density
+|grad f|^2 in closed form, so no quadrature builds a Jacobian.  A singular
+set is an AffinePlane, the plane of symmetry V^k of a k-symmetric cone; a
+point is the plane with k = 0, and x/|x| is the 0-symmetric cone.  A ball
+with a kink at a point singularity is cut into shells about that point; each
+shell's cap takes one Gauss-Legendre rule in the polar angle with weight
+sin^(n-2), for every n, in stacked blocks of whole panels.  `theta` is a
+pure function of its arguments and stores nothing on the field; only the
+Gauss rules, the angular rules and the panel rotations, which depend on
+small integers alone, are memoized.  Every field lives on B_64(0): `theta`,
+`symmetry_distance`, the stratum and `regularity_scales` reject a ball that
+is not finite or not inside it.
 Each catalog field carries `density_sup(centers, r)`, a closed-form upper
 bound of |grad f|^2 over each closed ball B_r(c), inf when the ball meets
 the singular set; r_f(x) is the largest r <= 1 with r^2 * density_sup(x, r)
-<= 1.  The symmetry distance uses one ball rule per distance to the
-singular set and candidate planes from an in-repo scrambled Halton
-sequence through the standard library's normal quantile; a stratum walks
-the dyadic ladder once, finest rung first, in one batch per rule and rung,
-down to a floor r >= 2^-60.  A stratum decides a ball B_s(x) with
-s^2 * density_sup(x, s) < epsilon without evaluating the field: the
-constant map is symmetric for every k, and the mean-value inequality puts
-the ball's constant residual below epsilon.
+<= 1.  The symmetry distance uses one ball rule per kink and candidate
+planes from an in-repo scrambled Halton sequence through the standard
+library's normal quantile.  A stratum walks the dyadic ladder once, finest
+rung first, in one batch per rule and rung, down to r >= 2^-60; it decides a
+ball B_s(x) with s^2 * density_sup(x, s) < epsilon without evaluating the
+field: the constant map is symmetric for every k, and the mean-value
+inequality puts the ball's constant residual below epsilon.
 """
 
 from __future__ import annotations
@@ -302,6 +303,12 @@ def _radial_panels(r, critical, base_count, min_width_factor=1e-10):
     return np.array(sorted(out)).T
 
 
+def _kink(d_sing, r):
+    """The critical radius of B_r(x) at singular distance d_sing: d_sing where
+    1e-12 r < d_sing <= 1.5 r, else inf, which `_radial_panels` ignores."""
+    return np.where((1e-12 * r < d_sing) & (d_sing <= 1.5 * r), d_sing, np.inf)
+
+
 def _check_domain(field, X, r):
     """Raise ValueError unless r > 0 and every ball B_r(x), x a row of X (or
     X itself), is a finite ball of R^n inside the field domain B_64(0)."""
@@ -324,37 +331,25 @@ def _theta_cap_shells(field, x, r, d, panel_count, angular_order):
     The sphere of radius s about p meets the ball in the polar cap
     cos(angle to x - p) >= z* = (s^2 + d^2 - r^2) / (2 s d); the integrand is
     smooth on every such shell, so the angular rule converges fast and the
-    only radial kinks sit at s = |d - r| and s = d + r.  Each cap is a polar
-    rule in the angle to x - p times the sphere S^(n-2) of directions
-    orthogonal to it; the caps of all panels are stacked and evaluated in
-    blocks of whole panels.
+    only radial kinks sit at s = |d - r| and s = d + r.  Each cap is a
+    Gauss-Legendre rule in the angle phi to x - p on [0, arccos z*], weight
+    sin^(n-2) phi, times the sphere S^(n-2) of directions orthogonal to it;
+    the caps of all panels are stacked and evaluated in blocks of whole panels.
     """
-    n = field.n
-    p = field.singular.base
+    n, p = field.n, field.singular.base
     e = (x - p) / d
     lo = max(0.0, d - r)
     a, b = _radial_panels(d + r, [abs(d - r), d], panel_count)
     a, b = np.maximum(a[b > lo], lo), b[b > lo]
-    s = 0.5 * (a + b)
-    width = b - a
+    s, width = 0.5 * (a + b), b - a
     zstar = (s * s + d * d - r * r) / (2.0 * s * d)
     keep = zstar < 1.0
     s, width, zstar = s[keep], width[keep], np.maximum(zstar[keep], -1.0)
-    # polar rule per panel: cosine and sine of the angle to e, and weights
-    if n == 2:
-        # midpoints of [0, phi*] in 2 * order + 4 equal steps, mirrored by S^0
-        half = 2 * angular_order + 4
-        phi_star = np.arccos(zstar)
-        phi = phi_star[:, None] * ((np.arange(half) + 0.5) / half)
-        cos_t, sin_t = np.cos(phi), np.sin(phi)
-        w_polar = np.repeat((phi_star / half)[:, None], half, axis=1)
-    else:
-        # Gauss-Legendre in z = cos on [z*, 1], weight (1 - z^2)^((n - 3) / 2)
-        z_nodes, z_weights = _gauss_rule(max(8, angular_order))
-        cos_t = 0.5 * (zstar + 1.0)[:, None] + 0.5 * (1.0 - zstar)[:, None] * z_nodes
-        w_polar = (0.5 * (1.0 - zstar)[:, None] * z_weights
-                   * (1.0 - cos_t * cos_t) ** ((n - 3) / 2.0))
-        sin_t = np.sqrt(np.maximum(1.0 - cos_t * cos_t, 0.0))
+    t, wt = _gauss_rule(max(8, angular_order))
+    phi_star = np.arccos(zstar)[:, None]
+    phi = 0.5 * phi_star * (1.0 + t)
+    cos_t, sin_t = np.cos(phi), np.sin(phi)
+    w_polar = 0.5 * phi_star * wt * sin_t ** (n - 2)
     sub_nodes, sub_w = _sphere_rule(n - 1, angular_order)
     ring = sub_nodes @ _perp_basis(e[None, :], n)  # rows: S^(n-2) orthogonal to e
     # nodes p + s cos(t) e + s sin(t) u: panel radius s, polar node t, u in ring
@@ -370,9 +365,10 @@ def _theta_cap_shells(field, x, r, d, panel_count, angular_order):
 
 def theta(field, x, r, panels=24, order=10):
     """Normalized energy theta_r(x) from one rule: 4 * `panels` radial panels
-    refined toward the singular radii times angular order `order` + 14 (raise
-    both to halve the step).  No self-check; the worst measured error is
-    2.5e-4 relative for x/|x| in R^3 and 3.8e-4 on the caps of n = 2.
+    refined toward the `_kink` (cap shells if it is at a point singularity)
+    times angular order `order` + 14 (raise both to halve the step).  No
+    self-check; the worst measured error is 2.5e-4 relative for x/|x| in R^3,
+    3.8e-4 on the caps of n = 2 and 2.6e-5 on those of n = 4.
 
     Raises EnergyInfiniteError when the ball meets a singular set of
     codimension <= 2 (the dist^-2 integrand is not locally integrable).
@@ -383,10 +379,10 @@ def theta(field, x, r, panels=24, order=10):
     if field.singular is not None and n - field.singular.k <= 2 and d_sing <= r:
         raise EnergyInfiniteError(
             "energy infinite: singular set of codimension <= 2 meets the ball")
-    panel_count, angular_order = 4 * panels, order + 14
-    if field.singular is not None and field.singular.k == 0 and 1e-14 < d_sing <= 1.5 * r:
-        return _theta_cap_shells(field, x, r, d_sing, panel_count, angular_order)
-    a, b = _radial_panels(r, [d_sing] if d_sing <= 1.5 * r else [], panel_count)
+    panel_count, angular_order, kink = 4 * panels, order + 14, float(_kink(d_sing, r))
+    if kink < math.inf and field.singular.k == 0:  # a kink needs a singular set
+        return _theta_cap_shells(field, x, r, kink, panel_count, angular_order)
+    a, b = _radial_panels(r, [kink], panel_count)
     omega, w_ang = _sphere_rule(n, angular_order)
     mids, widths = 0.5 * (a + b), b - a
     shell = np.empty(len(mids))
@@ -475,13 +471,13 @@ def _panel_rotation(n, index):
     return np.linalg.qr(default_rng(1000 + index).normal(size=(n, n)))[0]
 
 
-def _ball_rule(n, r, d_sing):
+def _ball_rule(n, r, kink):
     """Node offsets and weights over B_r: 10 base radial panels, split toward
-    a singular set within 1.5 r, times the angular rule of order 8, rotated
-    per shell so node directions do not repeat (repetition lets an adversarial
-    plane overfit the binned competitor).  The centre enters only through its
-    singular distance d_sing: every ball farther out shares one rule."""
-    a, b = _radial_panels(r, [d_sing] if d_sing <= 1.5 * r else [], 10, min_width_factor=1e-6)
+    the critical radius `kink` (see `_kink`), times the angular rule of order
+    8, rotated per shell so node directions do not repeat (repetition lets an
+    adversarial plane overfit the binned competitor).  The centre enters only
+    through its kink: every ball without one shares one rule."""
+    a, b = _radial_panels(r, [kink], 10, min_width_factor=1e-6)
     omega, w_ang = _sphere_rule(n, 8)
     mids, widths = 0.5 * (a + b), b - a
     offsets = np.concatenate([s * omega @ _panel_rotation(n, i).T for i, s in enumerate(mids)])
@@ -531,14 +527,14 @@ def _frame_table(offsets, frames, bins, r):
     return perp_unit, order, np.flatnonzero(np.diff(keys[order], prepend=-1))
 
 
-def _symmetry_residuals(field, centers, r, d_sing, frames, bins, stop_below, kept=None):
+def _symmetry_residuals(field, centers, r, kink, frames, bins, stop_below, kept=None):
     """Constant-map residuals (balls,) and best-competitor residuals (balls,
     frames) of the balls B_r(c), c in centers, which share the rule for
-    d_sing, in blocks of at most _NODE_BUDGET nodes.  Once a ball has a
+    `kink`, in blocks of at most _NODE_BUDGET nodes.  Once a ball has a
     residual below stop_below, or a NaN constant residual, its remaining
     entries stay inf.  `kept` holds frame tables by rule shape offsets / r:
     at power-of-two r the shape fixes the tables, whose cut is relative."""
-    offsets, weights = _ball_rule(field.n, r, d_sing)
+    offsets, weights = _ball_rule(field.n, r, kink)
     (N, n), total = offsets.shape, weights.sum()
     const = np.empty(len(centers))
     for blk in _node_blocks(len(centers), N):
@@ -604,7 +600,7 @@ def symmetry_distance(field, ball, k, plane_candidates=None, bins=24, stop_below
         plane_candidates = grassmann_candidates(n, k, 64) if k < n else []
     frames = _frame_stack(plane_candidates, k, n)
     const, cand = _symmetry_residuals(field, center[None, :], ball.radius,
-                                      float(field.singular_distance(center)[0]),
+                                      _kink(field.singular_distance(center)[0], ball.radius),
                                       frames, bins, stop_below)
     best = float(const[0])  # the constant map is k-symmetric for every k
     for val in cand[0]:
@@ -640,17 +636,18 @@ def quantitative_stratum(field, k, epsilon, r, grid_step, center=None, radius=1.
 
     The ladder is walked once, finest rung first; at each rung the points
     not yet found symmetric form one batch per ball rule.  Membership uses
-    the sampled upper bound of the symmetry distance (see module docs); a
-    NaN residual counts as not symmetric.  A ball B_s(x) with
-    s^2 * density_sup(x, s) < epsilon is decided without evaluating the field
-    (see module docs), as the quadrature decides it wherever epsilon is above
-    its rounding, about 1e-32 for |f| near 1.  Weights are the k-content
-    grid_step^k of each grid cell.  Raises ValueError unless r >= 2^-60.
-    """
-    if not r >= FINEST_SCALE:
-        raise ValueError("quantitative_stratum needs r > 0 and r >= 2**-60, the finest rung")
+    the sampled upper bound of the symmetry distance; a NaN residual counts
+    as not symmetric.  A ball with s^2 * density_sup(x, s) < epsilon is
+    decided unevaluated (see module docs), as the quadrature decides it for
+    epsilon above its rounding, about 1e-32 for |f| near 1.  Weights are the
+    k-content grid_step^k.  Raises ValueError unless r >= 2^-60, grid_step
+    is finite and positive and B_radius(center) lies in B_64(0)."""
+    if not (r >= FINEST_SCALE and 0.0 < grid_step < math.inf):
+        raise ValueError("quantitative_stratum needs r > 0 and r >= 2**-60, the finest rung,"
+                         " and a finite grid_step > 0")
     n = field.n
     center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+    _check_domain(field, center, radius)
     axis = np.arange(-radius, radius + grid_step * 0.5, grid_step)
     pts = np.stack([m.ravel() for m in np.meshgrid(*[axis] * n, indexing="ij")], axis=1) + center
     pts = pts[np.linalg.norm(pts - center, axis=1) <= radius]
@@ -664,7 +661,7 @@ def quantitative_stratum(field, k, epsilon, r, grid_step, center=None, radius=1.
             screened = s * s * field.density_sup(pts[live], s) < epsilon * (1 - 1e-9)
             undecided[live[screened]] = False
             live = live[~screened]
-        rule = np.where(d_sing[live] <= 1.5 * s, d_sing[live], np.inf)
+        rule = _kink(d_sing[live], s)
         # a handful of distances; np.unique would load numpy.ma on first use
         for d in sorted(set(rule.tolist())):
             ids = live[rule == d]
@@ -682,8 +679,10 @@ def regularity_scales(field, X):
     """r_f(x) for each row x of X: the largest r <= 1 with
     r^2 * density_sup(x, r) <= 1, to 2^-60 by 60 halvings of [0, 1] for all
     rows at once; 0 on the singular set, where the bound is inf.  Raises
-    ValueError unless each x is a finite point of R^n and B_1(x) lies in
-    B_64(0)."""
+    ValueError unless the field has a density_sup, each x is a finite point
+    of R^n and B_1(x) lies in B_64(0)."""
+    if field.density_sup is None:
+        raise ValueError("regularity_scales needs a field with a density_sup bound")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     _check_domain(field, X, 1.0)
     lo, hi = np.zeros(len(X)), np.ones(len(X))

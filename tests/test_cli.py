@@ -1,7 +1,9 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -436,9 +438,13 @@ class TestDeterminism:
         mu = plane_cloud(2, 1, count=30, seed=6)
         inp = tmp_path / "cloud.csv"
         write_csv(inp, mu)
+        # the child finds the package in src/ without an installed copy
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                          os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "msgeom", "beta", "--input", str(inp),
              "--dim", "2", "--k", "1"],
-            capture_output=True,
+            capture_output=True, env=env,
         )
         assert proc.returncode == 0

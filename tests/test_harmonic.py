@@ -171,9 +171,10 @@ class TestCapShells:
         (2, 0.35, 0.3, 4.169887116288396),
         (3, 0.3, 0.5, 21.857044281107868),
         (3, 0.6, 0.5, 7.0429950054829495),
-        (4, 0.3, 0.5, 24.279984719995007),
-        (4, 0.6, 0.5, 10.281218038793533),
-        (4, 0.2, 1.0, 29.017337217805128),
+        (4, 0.3, 0.5, 24.279559723448415),
+        (4, 0.6, 0.5, 10.28110397106764),
+        (4, 0.2, 1.0, 29.016519814250763),
+        (5, 0.3, 0.5, 27.91913477673176),
     ])
     def test_radial_theta_matches_shell_oracle(self, n, d, r, pinned):
         u = np.arange(1.0, n + 1.0)
@@ -189,9 +190,22 @@ class TestCapShells:
         assert abs(got - theta_radial(0.3, 0.5)) <= 2e-5 * got
 
     def test_finest_rule_error_in_r4(self):
+        # the polar rule in the angle is exact for x/|x|: 4.0e-6 off, all radial
         x = 0.2 * np.arange(1.0, 5.0) / np.linalg.norm(np.arange(1.0, 5.0))
         want = cap_shell_oracle(4, 0.2, 1.0)
-        assert abs(theta(radial_projection(4), x, 1.0) - want) <= 3e-5 * want
+        assert abs(theta(radial_projection(4), x, 1.0) - want) <= 5e-6 * want
+
+    @pytest.mark.parametrize("r", [1.0, 2.0**-7])
+    def test_rounding_distance_is_no_kink(self, monkeypatch, r):
+        # the stratify grid point nearest 0 on a 0.1 step lies 3.8e-16 from the
+        # singular point, where the radial integrand 8 pi per unit radius is smooth
+        axis = np.arange(-1.0, 1.05, 0.1)
+        x = np.full(3, axis[np.argmin(np.abs(axis))])
+        built, panels = [], harmonic._radial_panels
+        monkeypatch.setattr(harmonic, "_radial_panels",
+                            lambda *args, **kw: built.append(panels(*args, **kw)) or built[-1])
+        assert theta(radial_projection(3), x, r, panels=24) == EIGHT_PI
+        assert [a.size for a, _ in built] == [4 * 24]
 
     @pytest.mark.parametrize("make, x, r", [
         (lambda: radial_projection(3), [0.3, 0.0, 0.0], 0.5),     # cap shells
@@ -394,7 +408,7 @@ class TestSymmetryDistance:
         cands = grassmann_candidates(3, 1, 32)
         values = [symmetry_distance(radial_projection(3), Ball(np.zeros(3), 2.0**-a), 1,
                                     plane_candidates=cands, bins=16).value for a in range(61)]
-        assert values[0] == pytest.approx(0.38698, abs=1e-5)
+        assert values[0] == pytest.approx(0.38555, abs=1e-5)
         assert np.allclose(values, values[0], rtol=1e-12, atol=0.0)
 
     def test_smooth_field_small_ball_symmetric(self):
@@ -447,6 +461,21 @@ class TestStratum:
         # from about 1e-110 down the ball-rule weights underflow into NaN
         with pytest.raises(ValueError, match=r"r >= 2\*\*-60"):
             quantitative_stratum(radial_projection(3), 0, 0.3, r, grid_step=0.5)
+
+    @pytest.mark.parametrize("grid_step", [0.0, -0.5, float("nan"), float("inf")])
+    def test_grid_step_must_be_finite_and_positive(self, grid_step):
+        # 0 divided by zero, -0.5 gave an empty stratum and NaN numpy's arange error
+        with pytest.raises(ValueError, match="finite grid_step > 0"):
+            quantitative_stratum(radial_projection(3), 0, 0.3, 0.25, grid_step=grid_step)
+
+    @pytest.mark.parametrize("center, radius", [([100.0, 0.0, 0.0], 1.0),
+                                                ([63.5, 0.0, 0.0], 1.0),
+                                                ([0.0, 0.0, 0.0], 0.0)])
+    def test_ball_outside_the_domain_is_rejected(self, center, radius):
+        # B_1([100, 0, 0]) used to give an empty stratum; theta rejects the ball
+        with pytest.raises(ValueError, match="inside B_64"):
+            quantitative_stratum(radial_projection(3), 0, 0.3, 0.25, grid_step=0.5,
+                                 center=center, radius=radius)
 
 
 def reference_stratum(field, k, epsilon, r, grid_step, center=None, radius=1.0,
@@ -644,6 +673,12 @@ class TestRegularityScale:
             regularity_scale(f, x)
         with pytest.raises(ValueError, match="inside B_64"):
             regularity_scales(f, np.array([[0.5, 0.0, 0.0], x]))
+
+    def test_field_without_a_bound_is_rejected(self):
+        f = radial_projection(3)
+        bare = harmonic.EnergyField(f.n, f.fn, f.grad, f.density, singular=f.singular)
+        with pytest.raises(ValueError, match="density_sup"):
+            regularity_scale(bare, np.array([0.5, 0.0, 0.0]))
 
     def test_point_of_another_dimension_is_rejected(self):
         # the ball bounds read coordinates by column, so a point of R^2 would
