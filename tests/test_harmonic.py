@@ -166,46 +166,71 @@ class TestCapShells:
     # off-centre balls of x/|x| with 0 < d <= 1.5 r take the shell path about
     # the singular point; for n = 2 the ball must miss 0 (r < d)
     @pytest.mark.parametrize("n, d, r, pinned", [
-        (2, 0.6, 0.5, 3.7261299395313476),
-        (2, 0.7, 0.5, 2.2432066118822824),
-        (2, 0.35, 0.3, 4.169887116288396),
-        (3, 0.3, 0.5, 21.857044281107868),
-        (3, 0.6, 0.5, 7.0429950054829495),
-        (4, 0.3, 0.5, 24.279559723448415),
-        (4, 0.6, 0.5, 10.28110397106764),
-        (4, 0.2, 1.0, 29.016519814250763),
-        (5, 0.3, 0.5, 27.91913477673176),
+        (2, 0.6, 0.5, 3.7247465979527328),
+        (2, 0.7, 0.5, 2.24236349150202),
+        (2, 0.35, 0.3, 4.168487999405193),
+        (3, 0.3, 0.5, 21.857405062663034),
+        (3, 0.6, 0.5, 7.042016487419376),
+        (4, 0.3, 0.5, 24.279233751060946),
+        (4, 0.6, 0.5, 10.280837917804124),
+        (4, 0.2, 1.0, 29.01663693921584),
+        (5, 0.3, 0.5, 27.919292299541343),
     ])
     def test_radial_theta_matches_shell_oracle(self, n, d, r, pinned):
+        # the radial square-root endpoints of the n = 2 caps need no branch:
+        # the cosine map of `_radial_rule` smooths them
         u = np.arange(1.0, n + 1.0)
         x = d * u / np.linalg.norm(u)
         got = theta(radial_projection(n), x, r)
         assert got == pytest.approx(pinned, rel=1e-12)
-        assert got == pytest.approx(cap_shell_oracle(n, d, r), rel=5e-4)
+        assert got == pytest.approx(cap_shell_oracle(n, d, r), rel=1e-6)
 
     def test_finest_rule_error_in_r3(self):
-        # one rule at 96 panels and order 24: 1.65e-5 off the closed form
+        # 12 panels of 6 nodes, cut at 0.2 and 0.3 on [0, 0.8]: 2.1e-8 off the closed form
         x = 0.3 * np.arange(1.0, 4.0) / np.linalg.norm(np.arange(1.0, 4.0))
         got = theta(radial_projection(3), x, 0.5)
-        assert abs(got - theta_radial(0.3, 0.5)) <= 2e-5 * got
+        assert abs(got - theta_radial(0.3, 0.5)) <= 3e-8 * got
 
     def test_finest_rule_error_in_r4(self):
-        # the polar rule in the angle is exact for x/|x|: 4.0e-6 off, all radial
+        # the polar rule in the angle is exact for x/|x|: 3.4e-13 off
         x = 0.2 * np.arange(1.0, 5.0) / np.linalg.norm(np.arange(1.0, 5.0))
         want = cap_shell_oracle(4, 0.2, 1.0)
-        assert abs(theta(radial_projection(4), x, 1.0) - want) <= 5e-6 * want
+        assert abs(theta(radial_projection(4), x, 1.0) - want) <= 1e-12 * want
 
-    @pytest.mark.parametrize("r", [1.0, 2.0**-7])
-    def test_rounding_distance_is_no_kink(self, monkeypatch, r):
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_energy_point_inputs_meet_one_in_a_million(self, seed):
+        # the energy benchmark's points: 4 directions from the seed at the
+        # midpoints of 4 equal strata of |x| in [0.02, 0.9], with every radius
+        # energy_point(f, x, 1.0) reads
+        dirs = np.random.default_rng(seed).normal(size=(4, 3))
+        dist = 0.02 + (np.arange(4) + 0.5) * (0.9 - 0.02) / 4
+        radii = {2.0**-a for a in range(7)} | {2.0 ** (3 - a) for a in range(3, 7)}
+        f = radial_projection(3)
+        for x in dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * dist[:, None]:
+            d = np.linalg.norm(x)
+            for r in sorted(radii):
+                assert theta(f, x, r) == pytest.approx(theta_radial(d, r), rel=1e-6)
+
+    def test_r3_mix_meets_one_in_a_million(self):
+        # 7.1e-8 worst, at d / r = 0.056
+        rng, f = np.random.default_rng(107), radial_projection(3)
+        for _ in range(200):
+            d, u, r = rng.uniform(0.02, 0.9), rng.normal(size=3), 2.0 ** -rng.integers(0, 7)
+            got = theta(f, d * u / np.linalg.norm(u), r)
+            assert got == pytest.approx(theta_radial(d, r), rel=1e-6)
+
+    @pytest.mark.parametrize("r, pinned", [(1.0, EIGHT_PI), (2.0**-7, 25.132741228718338)])
+    def test_rounding_distance_is_no_kink(self, monkeypatch, r, pinned):
         # the stratify grid point nearest 0 on a 0.1 step lies 3.8e-16 from the
-        # singular point, where the radial integrand 8 pi per unit radius is smooth
+        # singular point, where the radial integrand 8 pi per unit radius is
+        # smooth: one uncut segment; at r = 2^-7 the offset rounds 2 ulps off 8 pi
         axis = np.arange(-1.0, 1.05, 0.1)
         x = np.full(3, axis[np.argmin(np.abs(axis))])
-        built, panels = [], harmonic._radial_panels
-        monkeypatch.setattr(harmonic, "_radial_panels",
-                            lambda *args, **kw: built.append(panels(*args, **kw)) or built[-1])
-        assert theta(radial_projection(3), x, r, panels=24) == EIGHT_PI
-        assert [a.size for a, _ in built] == [4 * 24]
+        built, rule = [], harmonic._radial_rule
+        monkeypatch.setattr(harmonic, "_radial_rule",
+                            lambda *args: built.append(args) or rule(*args))
+        assert theta(radial_projection(3), x, r, panels=24) == pinned
+        assert built == [(0.0, r, [np.inf], 12)]
 
     @pytest.mark.parametrize("make, x, r", [
         (lambda: radial_projection(3), [0.3, 0.0, 0.0], 0.5),     # cap shells
@@ -214,9 +239,11 @@ class TestCapShells:
         (lambda: smooth_wave(3), [0.1, 0.2, 0.3], 0.5),
     ], ids=["cap", "plain", "cone", "smooth"])
     def test_one_rule_per_call(self, monkeypatch, make, x, r):
-        built, panels = [], harmonic._radial_panels
-        monkeypatch.setattr(harmonic, "_radial_panels",
-                            lambda *args, **kw: built.append(args) or panels(*args, **kw))
+        # one Gauss rule, and none of the stratum's dyadic panels
+        built, rule = [], harmonic._radial_rule
+        monkeypatch.setattr(harmonic, "_radial_rule",
+                            lambda *args: built.append(args) or rule(*args))
+        monkeypatch.setattr(harmonic, "_radial_panels", None)
         theta(make(), np.array(x), r)
         assert len(built) == 1
 
