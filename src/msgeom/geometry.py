@@ -3,7 +3,10 @@ subspace/set distances, and an exact kd-tree spatial index.  Every
 neighbourhood, nearest-neighbour and greedy separated-net query goes
 through the index, and every one of them is a walk of `ball_items`: the
 kd-nodes wholly inside a ball, plus the atoms of its boundary leaves, each
-item carrying its node's aggregates.
+item carrying its node's aggregates.  A closed ball has one membership
+predicate, the index's, which `Ball.contains` applies too: x lies in B_r(c)
+when the squares of the coordinates of x - c, added left to right
+(`sum_last`), total at most r * r.
 
 All types are immutable after construction and every operation is pure, so
 instances can be shared freely across threads; the tables an index or a
@@ -100,9 +103,10 @@ class Ball:
         return self.center.shape[0]
 
     def contains(self, points):
-        """Boolean mask of points lying in the closed ball."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.linalg.norm(pts - self.center, axis=1) <= self.radius
+        """Boolean mask of the points (..., n) lying in the closed ball, by
+        the index's predicate (see the module docs)."""
+        diff = np.atleast_2d(np.asarray(points, dtype=float)) - self.center
+        return sum_last(diff * diff) <= self.radius * self.radius
 
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"

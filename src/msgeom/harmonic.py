@@ -53,6 +53,7 @@ from .moments import second_moment_spectrum
 DOMAIN_RADIUS = 64.0          # every field is defined on B_64(0)
 _NODE_BUDGET = 1 << 16       # quadrature nodes evaluated at once
 _KEPT_TABLES = 16            # frame tables (of at most _NODE_BUDGET nodes) a stratum keeps
+_BINS = 16                   # bins per direction angle of the binned competitor (2x in longitude)
 
 
 # ---------------------------------------------------------------------------
@@ -499,23 +500,23 @@ def _ball_rule(n, r, kink):
     return offsets, weights.reshape(-1)
 
 
-def _direction_bins(dirs, bin_spec):
+def _direction_bins(dirs):
     """Assign unit vectors to direction bins; returns integer labels."""
     d = dirs.shape[1]
     if d == 1:
         return (dirs[:, 0] < 0).astype(int)
     if d == 2:
         ang = np.arctan2(dirs[:, 1], dirs[:, 0])
-        return np.floor((ang + np.pi) / (2 * np.pi) * bin_spec).astype(int) % bin_spec
+        return np.floor((ang + np.pi) / (2 * np.pi) * _BINS).astype(int) % _BINS
     # d >= 3: latitude-longitude boxes on the first two angles
     lat = np.clip(dirs[:, 0], -1.0, 1.0)
-    band = np.floor((lat + 1.0) / 2.0 * bin_spec).astype(int) % bin_spec
+    band = np.floor((lat + 1.0) / 2.0 * _BINS).astype(int) % _BINS
     ang = np.arctan2(dirs[:, 2], dirs[:, 1])
-    sector = np.floor((ang + np.pi) / (2 * np.pi) * (2 * bin_spec)).astype(int) % (2 * bin_spec)
-    return band * (2 * bin_spec) + sector
+    sector = np.floor((ang + np.pi) / (2 * np.pi) * (2 * _BINS)).astype(int) % (2 * _BINS)
+    return band * (2 * _BINS) + sector
 
 
-def _frame_table(offsets, frames, bins, r):
+def _frame_table(offsets, frames, r):
     """Per frame V of a block over a rule of radius r: the unit V-orthogonal
     parts of the offsets (frames, N, n), a part of norm at most 1e-14 r cut
     to 0, and all nodes sorted stably by (frame, direction bin of the part),
@@ -535,13 +536,13 @@ def _frame_table(offsets, frames, bins, r):
         dirs = perp_unit @ np.stack([_perp_basis(f, n) for f in frames]).transpose(0, 2, 1)
         renrm = _norms(dirs)
         dirs /= np.where(renrm == 0.0, 1.0, renrm)
-    labels = _direction_bins(dirs.reshape(-1, dirs.shape[2]), bins).reshape(count, -1)
+    labels = _direction_bins(dirs.reshape(-1, dirs.shape[2])).reshape(count, -1)
     keys = (labels + (labels.max() + 1) * np.arange(count)[:, None]).ravel()
     order = np.argsort(keys.astype(np.min_scalar_type(keys.max())), kind="stable")
     return perp_unit, order, np.flatnonzero(np.diff(keys[order], prepend=-1))
 
 
-def _symmetry_residuals(field, centers, r, kink, frames, bins, stop_below, kept=None):
+def _symmetry_residuals(field, centers, r, kink, frames, stop_below, kept=None):
     """Constant-map residuals (balls,) and best-competitor residuals (balls,
     frames) of the balls B_r(c), c in centers, which share the rule for
     `kink`, in blocks of at most _NODE_BUDGET nodes.  Once a ball has a
@@ -569,7 +570,7 @@ def _symmetry_residuals(field, centers, r, kink, frames, bins, stop_below, kept=
     for fs in _node_blocks(len(frames), N):
         table = (kept or {}).get((shape, fs.start))
         if table is None:
-            table = _frame_table(offsets, frames[fs], bins, r)
+            table = _frame_table(offsets, frames[fs], r)
             if kept is not None and len(kept) < _KEPT_TABLES:
                 kept[shape, fs.start] = table
         perp_unit, order, starts = table
@@ -597,7 +598,7 @@ def _frame_stack(plane_candidates, k, n):
     return np.array(frames).reshape(len(frames), k, n)
 
 
-def symmetry_distance(field, ball, k, plane_candidates=None, bins=24, stop_below=None):
+def symmetry_distance(field, ball, k, plane_candidates=None, stop_below=None):
     """Upper bound for the L2 distance of f on the ball from the nearest
     k-symmetric competitor.
 
@@ -615,7 +616,7 @@ def symmetry_distance(field, ball, k, plane_candidates=None, bins=24, stop_below
     frames = _frame_stack(plane_candidates, k, n)
     const, cand = _symmetry_residuals(field, center[None, :], ball.radius,
                                       _kink(field.singular_distance(center)[0], ball.radius),
-                                      frames, bins, stop_below)
+                                      frames, stop_below)
     best = float(const[0])  # the constant map is k-symmetric for every k
     for val in cand[0]:
         best = min(best, float(val))
@@ -644,7 +645,7 @@ def _dyadic_scales_in(r_min, r_max):
 
 
 def quantitative_stratum(field, k, epsilon, r, grid_step, center=None, radius=1.0,
-                         plane_count=48, bins=16):
+                         plane_count=48):
     """Grid points of B_radius(center) with no (k+1, epsilon)-symmetric ball
     at any dyadic scale in [r, radius).
 
@@ -664,7 +665,7 @@ def quantitative_stratum(field, k, epsilon, r, grid_step, center=None, radius=1.
     _check_domain(field, center, radius)
     axis = np.arange(-radius, radius + grid_step * 0.5, grid_step)
     pts = np.stack([m.ravel() for m in np.meshgrid(*[axis] * n, indexing="ij")], axis=1) + center
-    pts = pts[np.linalg.norm(pts - center, axis=1) <= radius]
+    pts = pts[Ball(center, radius).contains(pts)]
     frames = _frame_stack(grassmann_candidates(n, k + 1, plane_count), k + 1, n)
     d_sing, kept = field.singular_distance(pts), {}
     undecided = np.ones(len(pts), dtype=bool)
@@ -679,7 +680,7 @@ def quantitative_stratum(field, k, epsilon, r, grid_step, center=None, radius=1.
         # a handful of distances; np.unique would load numpy.ma on first use
         for d in sorted(set(rule.tolist())):
             ids = live[rule == d]
-            const, cand = _symmetry_residuals(field, pts[ids], s, d, frames, bins, epsilon, kept)
+            const, cand = _symmetry_residuals(field, pts[ids], s, d, frames, epsilon, kept)
             undecided[ids[(const < epsilon) | np.any(cand < epsilon, axis=1)]] = False
     members = pts[undecided]
     return AtomicMeasure(members, np.full(len(members), grid_step**k))

@@ -411,7 +411,7 @@ def effective_spanning_points(mu, ball, k, alpha):
     inv_alpha = 1.0 / alpha
     for start in order[: min(len(order), 8)]:
         p0 = pts[start]
-        near = pts[np.linalg.norm(pts - p0, axis=1) <= inv_alpha]
+        near = pts[Ball(p0, inv_alpha).contains(pts)]
         chosen = [p0]
         dirs = np.zeros((0, pts.shape[1]))
         ok = True

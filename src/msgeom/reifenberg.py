@@ -335,7 +335,7 @@ def _grid_disk(k, radius, spacing):
     axes = [np.arange(-radius, radius + spacing * 0.5, spacing)] * k
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=1)
-    return coords[np.linalg.norm(coords, axis=1) <= radius]
+    return coords[Ball(np.zeros(k), radius).contains(coords)]
 
 
 def _probe_flatness(mu, r, k, cfg):
@@ -373,38 +373,23 @@ def _patch_stats(pts, plane, radius, parent_plane):
     return sup, lip, coh
 
 
-def _ball_members(index, centers, radius):
-    """The indices of the index's points within radius of each center, in
-    index order, by the test `np.linalg.norm(points - c, axis=1) <= radius`.
-    One tree query at the radius widened by 1e-9 gives candidates, and the
-    same test filters them, so the members are those of a scan over every
-    point."""
-    points = index.points
-    indptr, cand = index.neighborhoods(centers, radius * (1.0 + 1e-9))
-    members = []
-    for c, lo, hi in zip(centers, indptr[:-1], indptr[1:]):
-        idx = np.sort(cand[lo:hi])
-        members.append(idx[np.linalg.norm(points[idx] - c, axis=1) <= radius])
-    return members
-
-
 def _patch_records(index, centers, planes, r, parents=None):
     """Patch records of one scale over the samples of `index`.  `parents` is
     (centers, planes, reach) of the last scale with patches; coherence is
     measured against the plane of the nearest parent center if it lies
     within reach."""
     radius = 1.5 * r
-    samples = index.points
-    members = _ball_members(index, centers, radius)
+    indptr, members = index.neighborhoods(centers, radius)
+    if parents is not None:
+        d_parent, j_parent = SpatialIndex(parents[0]).knn(centers, 1)
     records = []
-    for c, pl, idx in zip(centers, planes, members):
+    for i, (c, pl) in enumerate(zip(centers, planes)):
         parent = None
-        if parents is not None:
-            d_parent = np.linalg.norm(parents[0] - c, axis=1)
-            j = int(np.argmin(d_parent))
-            parent = parents[1][j] if d_parent[j] <= parents[2] else None
-        records.append(PatchRecord(c, radius, pl,
-                                   *_patch_stats(samples[idx], pl, radius, parent)))
+        if parents is not None and d_parent[i, 0] <= parents[2]:
+            parent = parents[1][j_parent[i, 0]]
+        # members in index order: `_patch_stats` subsamples by position
+        pts = index.points[np.sort(members[indptr[i]:indptr[i + 1]])]
+        records.append(PatchRecord(c, radius, pl, *_patch_stats(pts, pl, radius, parent)))
     return records
 
 
@@ -412,13 +397,12 @@ def _initial_samples(centers, planes, r, spacing):
     """T_0: on each plane, the disk of radius 1.5 r around the projected
     center sampled at `spacing`, keeping the samples nearest its own center
     (Voronoi dedup); returns the samples and the patch each came from."""
-    index = SpatialIndex(centers)
     disk = _grid_disk(planes[0].k, 1.5 * r, spacing)
-    pieces = []
-    for c, plane in zip(centers, planes):
-        pts = plane.point_at(disk + plane.coordinates(c))
-        pieces.append(pts[np.linalg.norm(pts - c, axis=1) <= index.nearest(pts) + 1e-12])
-    return np.vstack(pieces), np.repeat(np.arange(len(pieces)), [len(p) for p in pieces])
+    pts = np.stack([plane.point_at(disk + plane.coordinates(c))
+                    for c, plane in zip(centers, planes)])
+    nearest = SpatialIndex(centers).nearest(pts.reshape(-1, pts.shape[2])).reshape(pts.shape[:2])
+    own = np.linalg.norm(pts - centers[:, None], axis=2) <= nearest + 1e-12
+    return pts[own], np.nonzero(own)[0]
 
 
 def check_scale_ladder(k, rho, scale_count):
@@ -581,8 +565,8 @@ def _chain_samples_1d(samples):
     """Order curve samples by nearest-neighbor walking; returns index order
     and whether the chain closes into a loop.  A step takes the nearest
     unused sample (first in index order among equals) within the guard, so
-    it scans the current sample's tree ball of slightly larger radius, not
-    every sample; one `neighborhoods` query gives every sample's ball."""
+    it scans the current sample's closed ball of that radius, not every
+    sample; one `neighborhoods` query gives every sample's ball."""
     m = samples.shape[0]
     order = [0]
     # median spacing guard: the second nearest sample of a probe is its
@@ -594,15 +578,13 @@ def _chain_samples_1d(samples):
         index = SpatialIndex(samples)
         probe = samples[::max(1, m // 50)]
         guard = 6.0 * np.median(index.knn(probe, 2)[0][:, 1])
-        indptr, nbrs = index.neighborhoods(samples, guard * (1.0 + 1e-9))
+        indptr, nbrs = index.neighborhoods(samples, guard)
         while True:
-            cur = samples[order[-1]]
             cand = np.sort(nbrs[indptr[order[-1]]:indptr[order[-1] + 1]])
             cand = cand[~used[cand]]
-            d = np.linalg.norm(samples[cand] - cur, axis=1)
-            if len(cand) == 0 or d.min() > guard:
+            if len(cand) == 0:
                 break
-            j = int(cand[np.argmin(d)])
+            j = int(cand[np.argmin(np.linalg.norm(samples[cand] - samples[order[-1]], axis=1))])
             order.append(j)
             used[j] = True
     closes = np.linalg.norm(samples[order[0]] - samples[order[-1]]) <= guard
@@ -684,12 +666,12 @@ def measure_estimate(atlas, ball):
         return 0.0
     centers = [p.center for p in patches]
     owners = SpatialIndex(centers)
-    members = _ball_members(SpatialIndex(samples), centers,
-                            patches[0].radius * 1.2)  # one radius a scale
+    indptr, members = SpatialIndex(samples).neighborhoods(
+        centers, patches[0].radius * 1.2)  # one radius a scale
     total = 0.0
-    for pi, (patch, idx) in enumerate(zip(patches, members)):
+    for pi, patch in enumerate(patches):
         plane = patch.plane
-        local = samples[idx]
+        local = samples[np.sort(members[indptr[pi]:indptr[pi + 1]])]
         if local.shape[0] < k + 1:
             continue
         # the probes of a cell of side h: its centre, the centre moved by
@@ -712,8 +694,7 @@ def measure_estimate(atlas, ball):
         G = (x[:, :k] - x[:, k:2 * k]) / h
         area = h**k * np.sqrt(np.maximum(np.linalg.det(G @ G.swapaxes(1, 2)), 0.0))
         # fraction of the cell whose lift lies in the ball
-        frac = (np.linalg.norm(x[:, 2 * k:] - ball.center, axis=2)
-                <= ball.radius).sum(axis=1) / sub.shape[0]
+        frac = ball.contains(x[:, 2 * k:]).sum(axis=1) / sub.shape[0]
         total += float((area * frac).sum())
     return total
 

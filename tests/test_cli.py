@@ -12,8 +12,11 @@ from msgeom import covering
 from msgeom.cli import (CliError, _check_options, build_parser, main, read_cloud_csv,
                         write_cloud_csv)
 from msgeom.fixtures import circle_cloud, koch_polyline_measure, plane_cloud
-from msgeom.geometry import AtomicMeasure
+from msgeom.geometry import AtomicMeasure, hausdorff_distance
 from msgeom.harmonic import theta
+from msgeom.moments import DisplacementConfig
+from msgeom.reifenberg import reconstruct
+from msgeom.report import dumps_json
 
 
 def write_csv(path, mu, header=False):
@@ -250,6 +253,26 @@ class TestOptionRanges:
         doc = json.loads(out.read_text())
         assert doc["stratum_positions"] == [[0.0, 0.0, 0.0]]
 
+    @pytest.mark.parametrize("dim,k", [(17, 1), (3, 3), (2, 5)])
+    def test_dimension_out_of_range_is_exit_3(self, tmp_path, capsys, dim, k):
+        # rejected before the input is read
+        code = run_cli(["fit-plane", "--input", str(tmp_path / "absent.csv"),
+                        "--dim", str(dim), "--k", str(k)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unknown_fixture_is_parse_error(self, capsys):
+        code = run_cli(["stratify", "--fixture", "no_such_field", "--dim", "3", "--k", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown fixture 'no_such_field'" in err and "radial_projection" in err
+
+    def test_unreadable_input_is_parse_error(self, tmp_path, capsys):
+        code = run_cli(["beta", "--input", str(tmp_path / "absent.csv"), "--dim", "2",
+                        "--k", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot open input: ")
+
     def test_stratify_where_every_theta_is_infinite(self, capsys):
         # x/|x| in R^2: the codimension-2 point lies in every top-scale ball
         code = run_cli(["stratify", "--fixture", "radial_projection", "--dim", "2",
@@ -346,6 +369,23 @@ class TestCommands:
         assert '"total_distortion":1' in summary
         assert json.loads(summary)["diagnostics"] == []
 
+    def test_reconstruct_hausdorff_to_truth(self, tmp_path):
+        mu = plane_cloud(2, 1, count=400, seed=4)
+        inp, truth, out = tmp_path / "cloud.csv", tmp_path / "truth.csv", tmp_path / "atlas.json"
+        write_csv(inp, mu)
+        line = np.linspace(-1.0, 1.0, 101)
+        truth.write_text("".join(f"{x:.17g},0\n" for x in line))
+        code = run_cli(["reconstruct", "--input", str(inp), "--dim", "2", "--k", "1",
+                        "--scales", "3", "--truth", str(truth), "--output", str(out)])
+        assert code == 0
+        summary = json.loads((tmp_path / "atlas.json.summary.json").read_text())
+        coords, _, weights = read_cloud_csv(str(inp), 2)
+        atlas = reconstruct(AtomicMeasure(coords, weights), 1, DisplacementConfig.default(1),
+                            max_scale_count=3)
+        want = hausdorff_distance(atlas.final_samples, np.column_stack([line, 0 * line]))
+        assert list(summary)[-1] == "hausdorff_to_truth"
+        assert summary["hausdorff_to_truth"] == want > 0.0
+
     def _reconstruct_circle(self, tmp_path, *options):
         inp = tmp_path / "circle.csv"
         out = tmp_path / "atlas.json"
@@ -417,6 +457,12 @@ class TestCommands:
         doc = json.loads(out.read_text())
         assert doc["stratum_count"] == 24 and doc["cover_skipped"] == 1
         assert list(doc)[-1] == "cover_skipped"
+
+
+class TestReport:
+    def test_non_finite_floats_are_strings(self):
+        values = [float("nan"), float("inf"), float("-inf"), np.float64("nan"), -np.inf]
+        assert dumps_json(values) == '["nan","inf","-inf","nan","-inf"]'
 
 
 class TestDeterminism:

@@ -437,6 +437,33 @@ class TestAtomicMeasure:
             mu.positions[0, 0] = 5.0
 
 
+class TestOneClosedBallPredicate:
+    """`Ball.contains`, index queries and `restrict` give a closed ball the
+    same members, also for points within a few ulps of its sphere."""
+
+    def test_pinned_point_on_the_sphere(self):
+        p = [0.637528495772848, 0.20182950794312193, 0.20693541698087117]
+        ball, mu = Ball(np.zeros(3), 0.7), AtomicMeasure([p])
+        # numpy's norm of p rounds to 0.7; its squares sum to more than 0.49
+        assert np.linalg.norm(p) == 0.7
+        assert ball.contains(p).tolist() == [False]
+        assert mu.mass_in_ball(ball) == 0.0 and mu.restrict(ball).count == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_points_within_ulps_of_the_sphere(self, n):
+        rng = np.random.default_rng(70 + n)
+        for _ in range(20):
+            center, r = rng.uniform(-2.0, 2.0, n), rng.uniform(0.1, 3.0)
+            dirs = rng.normal(size=(500, n))
+            pts = center + r * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+            pts += rng.integers(-3, 4, size=pts.shape) * np.spacing(pts)
+            ball, mu = Ball(center, r), AtomicMeasure(pts)
+            inside = ball.contains(pts)
+            assert 0 < inside.sum() < len(pts)
+            assert np.array_equal(mu.indices_in_ball(ball), np.flatnonzero(inside))
+            assert np.array_equal(mu.restrict(ball).positions, pts[inside])
+
+
 class TestOrthonormalize:
     def test_rejects_dependent(self):
         with pytest.raises(ValueError):

@@ -434,7 +434,7 @@ class TestSymmetryDistance:
         # perpendicular-part cut is relative to the radius
         cands = grassmann_candidates(3, 1, 32)
         values = [symmetry_distance(radial_projection(3), Ball(np.zeros(3), 2.0**-a), 1,
-                                    plane_candidates=cands, bins=16).value for a in range(61)]
+                                    plane_candidates=cands).value for a in range(61)]
         assert values[0] == pytest.approx(0.38555, abs=1e-5)
         assert np.allclose(values, values[0], rtol=1e-12, atol=0.0)
 
@@ -506,7 +506,7 @@ class TestStratum:
 
 
 def reference_stratum(field, k, epsilon, r, grid_step, center=None, radius=1.0,
-                      plane_count=48, bins=16):
+                      plane_count=48):
     """The per-point loop the batched stratum replaced: one symmetry_distance
     per (grid point, rung), finest rung first, until a ball is
     epsilon-symmetric."""
@@ -517,7 +517,7 @@ def reference_stratum(field, k, epsilon, r, grid_step, center=None, radius=1.0,
     pts = pts[np.linalg.norm(pts - center, axis=1) <= radius]
     candidates = grassmann_candidates(n, k + 1, plane_count) if k + 1 < n else None
     members = [p for p in pts if not any(
-        symmetry_distance(field, Ball(p, s), k + 1, plane_candidates=candidates, bins=bins,
+        symmetry_distance(field, Ball(p, s), k + 1, plane_candidates=candidates,
                           stop_below=epsilon).value < epsilon
         for s in harmonic._dyadic_scales_in(r, radius))]
     return np.array(members).reshape(-1, n)
@@ -801,7 +801,7 @@ class TestStratumScreen:
                 rule = np.where(d_sing <= 1.5 * s, d_sing, np.inf)
                 for d in np.unique(rule):
                     balls = C[rule == d]
-                    const, _ = residuals(field, balls, s, d, no_frames, 16, None)
+                    const, _ = residuals(field, balls, s, d, no_frames, None)
                     assert np.all(const < epsilon)
                     assert np.all(const <= s * s * bound(balls, s))
                 screened += len(C)
@@ -833,7 +833,7 @@ class TestStratumScreen:
         field, s = smooth_wave(3), 2.0**-52
         centers = np.random.default_rng(0).uniform(-0.5, 0.5, size=(20, 3))
         const, _ = harmonic._symmetry_residuals(field, centers, s, np.inf,
-                                                np.zeros((0, 1, 3)), 16, None)
+                                                np.zeros((0, 1, 3)), None)
         assert np.all(const <= s * s * field.density_sup(centers, s))
 
     def test_smooth_field_has_no_stratum_at_the_rounding_floor(self):

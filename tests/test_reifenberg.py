@@ -6,7 +6,7 @@ import pytest
 from msgeom import moments, reifenberg
 from msgeom.errors import PlaneFitError, SeparationError
 from msgeom.fixtures import circle_cloud, perturbed_plane_cloud, plane_cloud, sine_graph_cloud
-from msgeom.geometry import AffinePlane, AtomicMeasure, Ball, SpatialIndex
+from msgeom.geometry import AffinePlane, AtomicMeasure, Ball, SpatialIndex, sum_last
 from msgeom.moments import DisplacementConfig, dyadic_profile
 from msgeom.reifenberg import (
     PartitionOfUnity,
@@ -417,6 +417,24 @@ class TestInverse:
             x = atlas.invert(y)
             assert np.linalg.norm(atlas.apply_phi(x) - y) <= 1e-8
 
+    def test_newton_steps_between_final_samples(self, monkeypatch):
+        # y = phi(midpoint of two neighbouring start samples of one patch)
+        # lies between their final samples, so no seed is exact
+        mu = circle_cloud(count=1500, noise=1e-3, seed=15)
+        cfg = DisplacementConfig.default(1, delta=0.25)
+        with pytest.warns(UserWarning, match="summed displacement"):
+            atlas = reconstruct(mu, 1, cfg, max_scale_count=5, flat_tol=0.12)
+        steps, difference = [], reifenberg._central_difference
+        monkeypatch.setattr(reifenberg, "_central_difference",
+                            lambda *args: steps.append(1) or difference(*args))
+        start, component = atlas.initial_samples, atlas.sample_component
+        pairs = np.flatnonzero(component[1:] == component[:-1])[::50]
+        for j in pairs:
+            y = atlas.apply_phi(0.5 * (start[j] + start[j + 1]))
+            x = atlas.invert(y)
+            assert np.linalg.norm(atlas.apply_phi(x) - y) <= 1e-8
+        assert len(pairs) >= 10 and len(steps) >= len(pairs)
+
 
 class TestPlaneFits:
     def test_one_spectra_batch_per_scale(self, monkeypatch):
@@ -467,11 +485,19 @@ class TestPlaneFits:
                         max_scale_count=3)
 
 
+def _brute_force_members(samples, c, radius):
+    """The samples in the closed ball B_radius(c), by a scan over every
+    sample with the index's predicate: squared coordinates of x - c, added
+    left to right, at most radius * radius."""
+    diff = samples - c
+    return np.flatnonzero(sum_last(diff * diff) <= radius * radius)
+
+
 def _brute_force_patch_records(samples, centers, planes, r, parent_planes):
     """Patch records from a scan over every sample per centre."""
     records = []
     for c, pl, parent in zip(centers, planes, parent_planes):
-        rel = np.linalg.norm(samples - c, axis=1) <= 1.5 * r
+        rel = _brute_force_members(samples, c, 1.5 * r)
         records.append(reifenberg._patch_stats(samples[rel], pl, 1.5 * r, parent))
     return records
 
@@ -507,10 +533,11 @@ class TestPatchScan:
         centers = np.array([[0.25, 0.5, -0.125], [-0.5, 0.0, 0.25], [0.0, -0.375, 0.0]])
         planes = [AffinePlane.from_spanning(c, rng.normal(size=(2, 3))) for c in centers]
         samples = self._boundary_samples(centers, r, rng)
-        members = reifenberg._ball_members(SpatialIndex(samples), centers, 1.5 * r)
-        for c, idx in zip(centers, members):
+        indptr, members = SpatialIndex(samples).neighborhoods(centers, 1.5 * r)
+        for c, lo, hi in zip(centers, indptr[:-1], indptr[1:]):
+            idx = np.sort(members[lo:hi])
             d = np.linalg.norm(samples - c, axis=1)
-            assert idx.tolist() == np.flatnonzero(d <= 1.5 * r).tolist()
+            assert idx.tolist() == _brute_force_members(samples, c, 1.5 * r).tolist()
             # the exact boundary samples are in, the ones 1 ulp outside are not
             assert (d == 1.5 * r).sum() >= 6 and (d[idx] == 1.5 * r).sum() >= 6
             assert ((d > 1.5 * r) & (d <= 1.5 * r * (1 + 1e-15))).any()
@@ -544,7 +571,7 @@ class TestPatchScan:
         monkeypatch.setattr(SpatialIndex, "neighborhoods", counting_query)
         mu = plane_cloud(2, 1, count=400, seed=4)
         atlas = reconstruct(mu, 1, DisplacementConfig.default(1), max_scale_count=4)
-        assert calls == [(rec.radius, 1.5 * rec.radius * (1.0 + 1e-9))
+        assert calls == [(rec.radius, 1.5 * rec.radius)
                          for rec in atlas.scales if rec.patches]
 
 
