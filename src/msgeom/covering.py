@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DisjointnessError, EnergyInfiniteError
 from .geometry import AtomicMeasure, Ball, SpatialIndex
 from .harmonic import quantitative_stratum, theta
-from .moments import ball_masses_many, ball_sums_many, dyadic_displacement_sums, unit_ball_volume
+from .moments import _dyadic_ladder, ball_masses_many, ball_sums_many, unit_ball_volume
 
 
 # ---------------------------------------------------------------------------
@@ -171,22 +171,32 @@ def discrete_reifenberg_verify(family, k, cfg, packing_bound=None):
     must stay below delta^2, for the dyadic r from 2 down to the smallest
     family radius.  The packing sum is sum r_j^k over centers in the unit
     ball at the origin.
+
+    Each radius is walked once, coarsest first: the dyadic ladder of D
+    (r_alpha = 4, 2, ...) keeps its walks of the test radii, and their
+    masses, until the integral is summed on them; a test radius below the
+    ladder's stopping radius is walked after it.
     """
     if not family.disjoint:
         raise DisjointnessError("packing verifier needs disjoint balls")
     mu = family.measure(k)
+    x = mu.positions
 
     r_min = float(family.radii.min())
     test_radii = [2.0**-a for a in range(-1, 60) if 2.0**-a >= r_min]
     # row i: sum over r_alpha <= 2 * test_radii[i] of D(x_m, r_alpha), per atom
-    sums = dyadic_displacement_sums(mu, mu.positions, 4.0, k, cfg)
+    sums, walks = _dyadic_ladder(mu, x, 4.0, k, cfg, set(test_radii))
 
     worst = (-np.inf, None, None)
     values_by_scale = {}
     for i, r in enumerate(test_radii):
-        # the integral over B_r(x) is nu(B_r(x)), nu = S mu; one walk sums mu and nu
-        weights = np.stack([mu.weights, mu.weights * sums[min(i, len(sums) - 1)]], axis=1)
-        masses, nu_masses = ball_sums_many(mu, mu.positions, r, weights).T
+        if r in walks:
+            masses, walk = walks.pop(r)
+        else:
+            walk = list(mu._index.ball_items(x, r))
+            masses = ball_sums_many(mu, x, walk, mu.weights)
+        # the integral over B_r(x) is nu(B_r(x)), nu = S mu
+        nu_masses = ball_sums_many(mu, x, walk, mu.weights * sums[min(i, len(sums) - 1)])
         eligible = np.flatnonzero(masses >= cfg.eps_mass * r**k)
         if len(eligible) == 0:
             values_by_scale[r] = 0.0
@@ -195,7 +205,7 @@ def discrete_reifenberg_verify(family, k, cfg, packing_bound=None):
         values_by_scale[r] = float(vals.max())
         j = int(np.argmax(vals))
         if vals[j] > worst[0]:
-            worst = (float(vals[j]), mu.positions[eligible[j]], r)
+            worst = (float(vals[j]), x[eligible[j]], r)
 
     hypothesis_ok = worst[0] < cfg.delta**2 if worst[1] is not None else True
     inside = Ball(np.zeros(family.centers.shape[1]), 1.0).contains(family.centers)

@@ -677,7 +677,10 @@ class AtomicMeasure:
         object.__setattr__(self, "_index", SpatialIndex(positions))
         if m:
             center = 0.5 * (positions.min(axis=0) + positions.max(axis=0))
-            radius = float(np.linalg.norm(positions - center, axis=1).max())
+            far = sum_last((positions - center) ** 2).max()
+            # fl(sqrt(far))^2 can round below far; one ulp up then holds it
+            radius = float(np.sqrt(far))
+            radius = radius if radius * radius >= far else float(np.nextafter(radius, np.inf))
         else:
             center, radius = None, 0.0
         object.__setattr__(self, "_bounding", (center, radius))
@@ -701,7 +704,8 @@ class AtomicMeasure:
         return float(self.weights.sum())
 
     def bounding_ball(self, margin=0.0):
-        """Ball centered at the coordinate midrange containing all atoms."""
+        """Ball centered at the coordinate midrange holding every atom by the
+        index's predicate (r * r is at least each squared distance)."""
         center, radius = self._bounding
         if center is None:
             raise EmptySupportError("empty measure has no bounding ball")

@@ -26,7 +26,9 @@ pairwise merge of Chan, Golub & LeVeque 1983).  A ball that takes no whole
 node adds exact zeros to its atoms' sums.  Counts are node sizes plus atoms.
 Each (center set, radius) is walked once: one pass gives the counts, masses
 and displacements of its balls (the dyadic sum stops on the centers' own
-counts), and per-atom value columns share one mass walk.  One batched
+counts), and per-atom value columns share one mass walk.  A walk is read
+chunk by chunk; the packing verifier alone keeps the ladder's walks of its
+test radii, to sum its second measure on them.  One batched
 cyclic-Jacobi solve follows.  Every spectrum and plane fit is a
 `second_moment_spectra` batch; a single ball is a batch of one, so one-ball
 and batched results agree bitwise, and translating mu and the centers
@@ -181,9 +183,10 @@ def _jacobi_stack(A):
 # the ball-item -> centred-moment kernel
 # ---------------------------------------------------------------------------
 
-def _ball_moments(mu, centers, r):
+def _ball_moments(mu, centers, walk):
     """Atom counts, masses, centers of mass and centred second-moment
-    matrices sum w_j (x_j - x_cm)(x_j - x_cm)^T of the balls B_r(c).
+    matrices sum w_j (x_j - x_cm)(x_j - x_cm)^T of the balls B_r(c), over
+    their walk: the chunks of `SpatialIndex.ball_items(centers, r)`.
 
     Each item enters at its anchor's offset from the ball's own center plus
     its mean offset from the anchor; the second moments are the items'
@@ -197,7 +200,7 @@ def _ball_moments(mu, centers, r):
     masses = np.zeros(m)
     means = np.zeros((m, n))
     mats = np.zeros((m, n, n))
-    for lo, hi, indptr, items in mu._index.ball_items(centers, r):
+    for lo, hi, indptr, items in walk:
         owner = np.repeat(np.arange(hi - lo), np.diff(indptr))
         # coordinate-major offsets from the ball's own center, so that no
         # coordinate offset enters the sums
@@ -211,20 +214,21 @@ def _ball_moments(mu, centers, r):
     return counts, masses, centers + means, mats
 
 
-def ball_sums_many(mu, centers, r, values):
+def ball_sums_many(mu, centers, walk, values):
     """Sums of per-atom values (atoms,) or (atoms, columns) over the balls
-    B_r(c) for many centers, every column from one walk."""
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    B_r(c) for many centers, every column from one walk of them (the chunks
+    of `SpatialIndex.ball_items(centers, r)`, fresh or stored)."""
     per_item = mu._index.item_tree().totals(np.asarray(values, dtype=float))
     out = np.zeros(centers.shape[:1] + per_item.shape[1:])
-    for lo, hi, indptr, items in mu._index.ball_items(centers, r):
+    for lo, hi, indptr, items in walk:
         out[lo:hi] = segment_sums(per_item[items], indptr)
     return out
 
 
 def ball_masses_many(mu, centers, r):
     """mu(B_r(center)) for many centers at once (the kernel's mass pass)."""
-    return ball_sums_many(mu, centers, r, mu.weights)
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    return ball_sums_many(mu, centers, mu._index.ball_items(centers, r), mu.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +258,7 @@ def second_moment_spectra(mu, centers, r):
     centers: one kernel pass and one batched Jacobi solve.  An empty ball
     has mass 0, its center as x_cm and a zero spectrum."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    counts, masses, x_cm, mats = _ball_moments(mu, centers, r)
+    counts, masses, x_cm, mats = _ball_moments(mu, centers, mu._index.ball_items(centers, r))
     ev, vecs = _jacobi_stack(mats)
     ev = np.maximum(ev, 0.0)  # clamp rounding noise on rank-deficient clouds
     return counts, [MomentSpectrum(x_cm=c, eigenvalues=e, eigenvectors=v, mass=float(m))
@@ -295,9 +299,10 @@ def displacement(mu, x, r, k, cfg):
     return float(displacement_profile_many(mu, ball.center[None, :], r, k, cfg)[0])
 
 
-def _displacements(mu, centers, r, k, cfg):
-    """Atom counts, masses and displacements D(c, r) of B_r(c): one kernel pass."""
-    counts, masses, _, mats = _ball_moments(mu, centers, r)
+def _displacements(mu, centers, r, k, cfg, walk):
+    """Atom counts, masses and displacements D(c, r) of B_r(c): one kernel
+    pass over their walk."""
+    counts, masses, _, mats = _ball_moments(mu, centers, walk)
     fit = (counts > k + 1) & (masses >= cfg.eps_mass * r**k) & (masses > 0.0)
     ev, _ = _jacobi_stack(mats[fit])
     out = np.zeros(centers.shape[0])
@@ -312,7 +317,8 @@ def displacement_profile_many(mu, centers, r, k, cfg):
     mass than the cutoff are exactly zero; the rest share one batched
     Jacobi solve.
     """
-    return _displacements(mu, np.atleast_2d(np.asarray(centers, dtype=float)), r, k, cfg)[2]
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    return _displacements(mu, centers, r, k, cfg, mu._index.ball_items(centers, r))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +346,8 @@ def dyadic_profiles(mu, centers, k, alpha_min, alpha_max, cfg):
         raise ValueError("alpha_min must not exceed alpha_max")
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     scales = 2.0 ** (-np.arange(alpha_min, alpha_max + 1).astype(float))
-    rows = [_displacements(mu, centers, r, k, cfg)[1:] for r in scales]
+    rows = [_displacements(mu, centers, r, k, cfg, mu._index.ball_items(centers, r))[1:]
+            for r in scales]
     masses, disps = np.array(rows).transpose(1, 2, 0)
     return [DyadicProfile(center=c, k=k, scales=scales, displacements=d, masses=m)
             for c, d, m in zip(centers, disps, masses)]
@@ -362,18 +369,30 @@ def dyadic_displacement_sums(mu, centers, r, k, cfg):
     where r_{alpha_0} is the largest dyadic radius <= r, and the last row,
     the sum past the truncation, is zero.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    return _dyadic_ladder(mu, np.atleast_2d(np.asarray(centers, dtype=float)), r, k, cfg, ())[0]
+
+
+def _dyadic_ladder(mu, centers, r, k, cfg, kept):
+    """The suffix sums of `dyadic_displacement_sums`, and {r_alpha: (masses,
+    walk)} for each ladder radius r_alpha in `kept`: the masses of its
+    balls and its walk, the list of `ball_items` chunks the pass summed.
+    The walks of other radii are consumed chunk by chunk and not kept."""
     alpha = math.ceil(-math.log2(r) - 1e-12)
-    disps = []
+    disps, walks = [], {}
     for a in range(alpha, alpha + _MAX_DYADIC_SCALES):
-        counts, _, d = _displacements(mu, centers, 2.0 ** (-a), k, cfg)
+        r_alpha = 2.0 ** (-a)
+        walk = mu._index.ball_items(centers, r_alpha)
+        walk = list(walk) if r_alpha in kept else walk
+        counts, masses, d = _displacements(mu, centers, r_alpha, k, cfg, walk)
+        if r_alpha in kept:
+            walks[r_alpha] = masses, walk
         if counts.max(initial=0) <= k + 1:
             break
         disps.append(d)
     sums = np.zeros((len(disps) + 1, centers.shape[0]))
     if disps:
         sums[:-1] = np.cumsum(disps[::-1], axis=0)[::-1]
-    return sums
+    return sums, walks
 
 
 def summability_check(mu, ball, k, cfg):

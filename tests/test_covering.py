@@ -28,6 +28,52 @@ from msgeom.moments import (DisplacementConfig, ball_masses_many, best_affine_pl
                             dyadic_displacement_sums, unit_ball_volume)
 
 
+def walk_radii(monkeypatch):
+    """The radii of every `SpatialIndex.ball_items` walk from here on, in
+    call order."""
+    radii = []
+    walk = SpatialIndex.ball_items
+
+    def counting(self, centers, radius):
+        radii.append(radius)
+        return walk(self, centers, radius)
+
+    monkeypatch.setattr(SpatialIndex, "ball_items", counting)
+    return radii
+
+
+def two_pass_packing_report(family, k, cfg, packing_bound):
+    """`discrete_reifenberg_verify` computed in two passes: the summed
+    displacements first, then the masses of mu and of nu = S mu (a measure
+    of its own) on a fresh walk of each test radius."""
+    mu = family.measure(k)
+    x = mu.positions
+    test_radii = [2.0**-a for a in range(-1, 60) if 2.0**-a >= family.radii.min()]
+    sums = dyadic_displacement_sums(mu, x, 4.0, k, cfg)
+    worst, values = (-np.inf, None, None), {}
+    for i, r in enumerate(test_radii):
+        masses = ball_masses_many(mu, x, r)
+        nu = AtomicMeasure(x, mu.weights * sums[min(i, len(sums) - 1)])
+        nu_masses = ball_masses_many(nu, x, r)
+        eligible = np.flatnonzero(masses >= cfg.eps_mass * r**k)
+        vals = nu_masses[eligible] * r**-k
+        if len(eligible) == 0:
+            values[r] = 0.0
+            continue
+        values[r] = float(vals.max())
+        j = int(np.argmax(vals))
+        if vals[j] > worst[0]:
+            worst = (float(vals[j]), x[eligible[j]], r)
+    ok = worst[0] < cfg.delta**2
+    packing_sum = float((family.radii[Ball(np.zeros(x.shape[1]), 1.0).contains(x)] ** k).sum())
+    return covering.PackingReport(
+        hypothesis_ok=bool(ok),
+        worst_ball=None if worst[1] is None else (worst[1], worst[2], worst[0]),
+        packing_sum=packing_sum,
+        bound_exceeded=bool(packing_bound is not None and packing_sum > packing_bound),
+        failure_scale=None if ok else worst[2], values_by_scale=values)
+
+
 class TestClassify:
     def test_dense_planar_all_good(self):
         mu = plane_cloud(2, 1, count=500, extent=1.0, seed=0)
@@ -217,24 +263,59 @@ class TestPackingVerifier:
                 BallFamily(centers, radii, require_disjoint=require_disjoint)
 
     def test_one_walk_per_radius(self, monkeypatch):
-        # the dyadic ladder walks once per scale, the scale that stops it
-        # included, and each test radius once for the mu and nu masses
+        # each distinct radius is walked once, coarsest first: the dyadic
+        # ladder's scales, the one that stops it included, and the test
+        # radii read the ladder's walks
         centers, radii = circle_ball_family(ball_radius=1e-2, circle_radius=0.98)
         fam = BallFamily(centers, radii)
         mu = fam.measure(1)
         cfg = DisplacementConfig.default(1, delta=0.2)
         ladder = len(dyadic_displacement_sums(mu, mu.positions, 4.0, 1, cfg))
-        walks = []
-        walk = SpatialIndex.ball_items
-
-        def counting(self, centers, radius):
-            walks.append(radius)
-            return walk(self, centers, radius)
-
-        monkeypatch.setattr(SpatialIndex, "ball_items", counting)
+        walks = walk_radii(monkeypatch)
         report = discrete_reifenberg_verify(fam, 1, cfg)
-        assert len(walks) == ladder + len(report.values_by_scale)
-        assert walks[ladder:] == list(report.values_by_scale)
+        assert walks == sorted(set(walks), reverse=True)
+        assert walks == [4.0 * 2.0**-b for b in range(ladder)]
+        assert set(report.values_by_scale) <= set(walks)
+
+    def test_test_radius_below_the_ladder_is_walked_once(self, monkeypatch):
+        # balls of radius 2^-7 spaced 2.2 r apart: a ball of radius 2^-6
+        # holds its own atom alone, so the ladder stops at 2^-6 and the
+        # test radius 2^-7 has no stored walk
+        centers, radii = circle_ball_family(ball_radius=2.0**-7)
+        fam = BallFamily(centers, radii)
+        mu = fam.measure(1)
+        cfg = DisplacementConfig.default(1, delta=0.2)
+        ladder = len(dyadic_displacement_sums(mu, mu.positions, 4.0, 1, cfg))
+        assert 4.0 * 2.0 ** (1 - ladder) == 2.0**-6
+        walks = walk_radii(monkeypatch)
+        report = discrete_reifenberg_verify(fam, 1, cfg)
+        assert walks == [4.0 * 2.0**-b for b in range(ladder)] + [2.0**-7]
+        assert list(report.values_by_scale)[-1] == 2.0**-7
+        assert report.values_by_scale[2.0**-7] == 0.0  # no displacement below the ladder
+
+    @pytest.mark.parametrize("family, k, delta, bound", [
+        (lambda: circle_ball_family(ball_radius=1e-2), 1, 0.2, 1.0),
+        (lambda: circle_ball_family(ball_radius=2.0**-7), 1, 0.2, 10.0),
+        (lambda: koch_ball_family(levels=3), 1, 0.05, 0.5),
+        (lambda: dyadic_segment_family(levels=5), 1, 0.1, 1.0),
+        (lambda: dyadic_segment_family(levels=5), 0, 0.1, None),
+    ])
+    def test_report_matches_two_pass_reference(self, family, k, delta, bound):
+        # every field bitwise equal to the report built in two passes: the
+        # dyadic sums, then mu and nu = S mu summed on fresh walks of each
+        # test radius
+        centers, radii = family()
+        fam = BallFamily(centers, radii, require_disjoint=False)
+        assert fam.disjoint
+        cfg = DisplacementConfig.default(k, delta=delta)
+        got = discrete_reifenberg_verify(fam, k, cfg, packing_bound=bound)
+        want = two_pass_packing_report(fam, k, cfg, bound)
+        assert list(got.values_by_scale.items()) == list(want.values_by_scale.items())
+        assert (got.hypothesis_ok, got.packing_sum, got.bound_exceeded, got.failure_scale) \
+            == (want.hypothesis_ok, want.packing_sum, want.bound_exceeded, want.failure_scale)
+        assert want.worst_ball is not None
+        assert np.array_equal(got.worst_ball[0], want.worst_ball[0])
+        assert got.worst_ball[1:] == want.worst_ball[1:]
 
     def test_planar_centers_pass(self):
         centers, radii = dyadic_segment_family(levels=5)

@@ -13,6 +13,7 @@ from msgeom.geometry import (
     pairwise_distances,
     plane_distance,
     project,
+    sum_last,
 )
 from msgeom.moments import (DisplacementConfig, displacement, second_moment_spectra,
                             summability_check)
@@ -430,6 +431,18 @@ class TestAtomicMeasure:
         mu = AtomicMeasure(pts)
         ball = mu.bounding_ball()
         assert ball.contains(pts).all()
+
+    def test_bounding_ball_holds_every_atom_by_the_index(self):
+        # r * r covers the farthest squared distance, though fl(sqrt(s))^2
+        # can round below s; the radius is at most one ulp above sqrt(s)
+        for seed in range(400):
+            pts = np.random.default_rng(seed).normal(size=(40, 3))
+            mu = AtomicMeasure(pts)
+            ball = mu.bounding_ball()
+            assert len(mu.indices_in_ball(ball)) == 40
+            assert ball.contains(pts).all()
+            root = np.sqrt(sum_last((pts - ball.center) ** 2).max())
+            assert ball.radius in (root, np.nextafter(root, np.inf))
 
     def test_immutable(self):
         mu = AtomicMeasure([[0.0, 0.0]])

@@ -66,6 +66,11 @@ def atom_kernel(mu, centers, r):
     return counts, masses, centers + mean, mats
 
 
+def item_kernel(mu, centers, r):
+    """The kernel under test on a fresh walk of the balls B_r(c)."""
+    return _ball_moments(mu, centers, mu._index.ball_items(centers, r))
+
+
 def ball_atoms(index, centers, r):
     """Per ball, the atoms its items cover, in item order."""
     t = index.item_tree()
@@ -414,7 +419,7 @@ class TestItemKernel:
         centers = pts[rng.integers(0, 1500, 80)]
         seen = set()
         for r in (0.05, 0.3, 1.0, 4.0, 100.0):
-            counts, masses, x_cm, mats = _ball_moments(mu, centers, r)
+            counts, masses, x_cm, mats = item_kernel(mu, centers, r)
             ref = atom_kernel(mu, centers, r)
             assert np.array_equal(counts, ref[0])
             whole = absorbs_a_node(mu._index, centers, r)
@@ -443,7 +448,7 @@ class TestItemKernel:
         assert np.all(offset[:nodes][massless] == 0.0)
         centers = np.vstack([pts[:40], [[-3.0, 0.0]]])
         for r in (0.2, 1.0, 5.0):
-            counts, masses, x_cm, mats = _ball_moments(mu, centers, r)
+            counts, masses, x_cm, mats = item_kernel(mu, centers, r)
             ref = atom_kernel(mu, centers, r)
             assert np.array_equal(counts, ref[0])
             assert np.allclose(masses, ref[1], rtol=1e-12, atol=0.0)
@@ -457,7 +462,7 @@ class TestItemKernel:
         mu = AtomicMeasure(pts, rng.random(500) + 0.1)
         centers = np.vstack([[[0.25, 0.25, 0.25]], pts[300:320]])
         for r in (1e-9, 0.5, 2.0, 10.0):
-            counts, masses, x_cm, mats = _ball_moments(mu, centers, r)
+            counts, masses, x_cm, mats = item_kernel(mu, centers, r)
             ref = atom_kernel(mu, centers, r)
             assert np.array_equal(counts, ref[0])
             assert np.allclose(masses, ref[1], rtol=1e-12, atol=0.0)
@@ -468,7 +473,7 @@ class TestItemKernel:
     def test_one_atom_and_empty_ball(self):
         mu = AtomicMeasure([[0.5, -2.0]], [3.0])
         centers = np.array([[0.5, -2.0], [0.0, 0.0], [40.0, 40.0]])
-        counts, masses, x_cm, mats = _ball_moments(mu, centers, 1.0)
+        counts, masses, x_cm, mats = item_kernel(mu, centers, 1.0)
         assert counts.tolist() == [1, 0, 0] and masses.tolist() == [3.0, 0.0, 0.0]
         assert np.array_equal(x_cm, [[0.5, -2.0], [0.0, 0.0], [40.0, 40.0]])
         assert not mats.any()
@@ -485,7 +490,7 @@ class TestItemKernel:
         mu = AtomicMeasure(pts)
         centers = np.vstack([pts, rng.normal(size=(20, 2))])
         for r in (0.1, 0.7, 3.0):
-            got = ball_sums_many(mu, centers, r, w)
+            got = ball_sums_many(mu, centers, mu._index.ball_items(centers, r), w)
             assert got.shape == (420, 2)
             for j in range(2):
                 want = ball_masses_many(AtomicMeasure(pts, w[:, j]), centers, r)
