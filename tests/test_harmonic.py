@@ -90,6 +90,48 @@ def cap_shell_oracle(n, d, r):
     return val * r ** (2 - n)
 
 
+def broadcast_theta(field, x, r, panels=24, order=10):
+    """theta's rule with its nodes built by plain broadcasting, x + s * omega
+    on the plain shells and s sin(phi) u + (p + s cos(phi) e) on the caps, in
+    blocks of whole shells of at most 2^16 nodes, each reduced with `@`."""
+    x = np.asarray(x, dtype=float)
+    n, kink = field.n, float(harmonic._kink(field.singular_distance(x)[0], r))
+    panel_count, angular_order = panels // 2, order + 14
+
+    def blocks(count, per_shell):
+        per = max(1, 2**16 // per_shell)
+        return [slice(lo, lo + per) for lo in range(0, count, per)]
+
+    if kink < np.inf and field.singular.k == 0:
+        p = field.singular.base
+        e = (x - p) / kink
+        s, w = harmonic._radial_rule(max(0.0, kink - r), kink + r, [abs(kink - r), kink],
+                                     panel_count)
+        zstar = np.clip((s * s + kink * kink - r * r) / (2.0 * s * kink), -1.0, 1.0)
+        t, wt = harmonic._gauss_rule(max(8, angular_order))
+        phi_star = np.arccos(zstar)[:, None]
+        phi = 0.5 * phi_star * (1.0 + t)
+        cos_t, sin_t = np.cos(phi), np.sin(phi)
+        w_polar = 0.5 * phi_star * wt * sin_t ** (n - 2)
+        sub_nodes, sub_w = _sphere_rule(n - 1, angular_order)
+        ring = sub_nodes @ harmonic._perp_basis(e[None, :], n)
+        axial, radial = p + (s[:, None] * cos_t)[:, :, None] * e, s[:, None] * sin_t
+        shell = np.empty(len(s))
+        for blk in blocks(len(s), cos_t.shape[1] * len(sub_w)):
+            nodes = radial[blk, :, None, None] * ring + axial[blk, :, None, :]
+            g2 = np.minimum(field.grad_sq(nodes.reshape(-1, n)), 1e30).reshape(nodes.shape[:3])
+            shell[blk] = np.einsum("pq,pqs->ps", w_polar[blk], g2) @ sub_w
+        return float((w * s ** (n - 1)) @ shell) * r ** (2 - n)
+    s, w = harmonic._radial_rule(0.0, r, [kink], panel_count)
+    omega, w_ang = _sphere_rule(n, angular_order)
+    shell = np.empty(len(s))
+    for blk in blocks(len(s), len(w_ang)):
+        nodes = (x[None, None, :] + s[blk, None, None] * omega[None, :, :]).reshape(-1, n)
+        g2 = np.minimum(field.grad_sq(nodes), 1e30)
+        shell[blk] = g2.reshape(-1, len(w_ang)) @ w_ang
+    return float(np.add.reduce(w * s ** (n - 1) * shell)) * r ** (2 - n)
+
+
 class TestFields:
     @pytest.mark.parametrize("make", [radial_projection, lambda: k_symmetric_cone(4, 1)])
     def test_sphere_valued_unit_norm(self, make):
@@ -275,6 +317,98 @@ class TestPointSingularity:
                                                                       rel=1e-4)
 
 
+# (field, direction, ratios): each ratio q gives the ball B_r(q r direction)
+# at every radius r tried, so the plain path (q > 1.5, or no kink) and the
+# cap path (q <= 1.5 about a point) both run in every dimension
+LAYOUT_CASES = {
+    "radial_projection(2)": (lambda: radial_projection(2), [1.0, 2.0], [1.2, 2.5]),
+    "radial_projection(3)": (lambda: radial_projection(3), [1.0, 2.0, 3.0], [0.0, 0.3, 1.2, 2.5]),
+    "radial_projection(4)": (lambda: radial_projection(4), [1.0, 2.0, 3.0, 4.0], [0.6, 2.5]),
+    "k_symmetric_cone(4, 1)": (lambda: k_symmetric_cone(4, 1), [0.5, 1.0, -1.0, 2.0], [0.0, 0.6]),
+    "smooth_wave(3)": (lambda: smooth_wave(3), [0.1, 0.2, 0.3], [0.0, 2.5]),
+}
+
+
+def layout_balls(name, radii):
+    make, u, ratios = LAYOUT_CASES[name]
+    u = np.array(u) / np.linalg.norm(u)
+    return make(), [(q * r * u, r) for q in ratios for r in radii]
+
+
+class TestNodeLayout:
+    """theta builds its nodes along the angular rule and evaluates them in
+    blocks of whole shells; neither changes a bit of the value."""
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+    def test_bitwise_equal_to_broadcast_nodes(self, name):
+        radii = [2.0**-a for a in range(7)] if "(4" not in name else [1.0, 0.25, 2.0**-6]
+        field, balls = layout_balls(name, radii)
+        for x, r in balls:
+            assert theta(field, x, r).hex() == broadcast_theta(field, x, r).hex(), (x, r)
+
+    def test_bitwise_equal_on_energy_point_inputs(self):
+        # the energy benchmark's four points at seed 3, with every radius
+        # energy_point(f, x, 1.0) reads: fixed centres, cap and plain shells
+        dirs = np.random.default_rng(3).normal(size=(4, 3))
+        dist = 0.02 + (np.arange(4) + 0.5) * (0.9 - 0.02) / 4
+        f = radial_projection(3)
+        for x in dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * dist[:, None]:
+            for r in [2.0**-a for a in range(7)] + [2.0, 4.0]:
+                assert theta(f, x, r).hex() == broadcast_theta(f, x, r).hex(), (x, r)
+
+    def test_bitwise_equal_with_other_rules(self):
+        # more panels than one block holds in R^2, and a coarse angular rule
+        for name, panels, order in [("radial_projection(2)", 400, 10),
+                                    ("radial_projection(3)", 60, -6),
+                                    ("smooth_wave(3)", 8, 2)]:
+            field, balls = layout_balls(name, [1.0, 0.125])
+            for x, r in balls:
+                assert (theta(field, x, r, panels=panels, order=order).hex()
+                        == broadcast_theta(field, x, r, panels, order).hex()), (name, x, r)
+
+    @pytest.mark.parametrize("name, x, r, panels", [
+        ("plain R^2", [2.5, 0.0], 1.0, 400),
+        ("cap R^2", [0.6, 0.0], 0.5, 400),
+        ("plain R^3", [0.9, 0.0, 0.0], 0.5, 24),
+        ("cap R^3", [0.3, 0.0, 0.0], 0.5, 24),
+        ("centred R^4", [0.0, 0.0, 0.0, 0.0], 0.5, 24),
+    ])
+    def test_blocks_hold_whole_shells_within_the_budget(self, monkeypatch, name, x, r, panels):
+        x = np.array(x)
+        n, cap = len(x), name.startswith("cap")
+        field, rules = radial_projection(n), []
+        rule = harmonic._radial_rule
+        monkeypatch.setattr(harmonic, "_radial_rule",
+                            lambda *args: rules.append(rule(*args)) or rules[-1])
+        grad_sq, blocks = field.grad_sq, []
+        # shell centre, nodes per shell
+        if cap:
+            centre = np.zeros(n)
+            per = max(8, 24) * len(_sphere_rule(n - 1, 24)[1])
+        else:
+            centre, per = x, len(_sphere_rule(n, 24)[1])
+
+        def spy(X):
+            assert len(X) % per == 0
+            dist = np.linalg.norm(X - centre, axis=1).reshape(-1, per)
+            # the distance to x cancels up to an ulp of |x|
+            assert np.all(np.ptp(dist, axis=1) <= 1e-12 * (dist[:, 0] + 1.0))
+            blocks.append(dist[:, 0])
+            return grad_sq(X)
+
+        field.grad_sq = spy
+        theta(field, x, r, panels=panels)
+        budget, s = harmonic._THETA_NODE_BUDGET, rules[0][0]
+        allowed = 1  # the most shells within the budget, a power of two
+        while 2 * allowed * per <= budget:
+            allowed *= 2
+        assert allowed % 4 == 0 or allowed * 4 * per > budget
+        counts = [len(b) for b in blocks]
+        assert counts[:-1] == [allowed] * (len(counts) - 1) and 0 < counts[-1] <= allowed
+        # whole shells, in the rule's order
+        np.testing.assert_allclose(np.concatenate(blocks), s, rtol=1e-12, atol=1e-12)
+
+
 class TestTheta:
     @pytest.mark.parametrize("x, r", [
         ([0.5, 0.0, 0.0], np.nan),
@@ -286,6 +420,32 @@ class TestTheta:
     def test_non_finite_ball_is_rejected(self, x, r):
         with pytest.raises(ValueError):
             theta(radial_projection(3), x, r)
+
+    @pytest.mark.parametrize("panels, order", [
+        (1, 10), (0, 10), (-2, 10), (2.5, 10), (24.0, 10), ("24", 10),
+        (24, -14), (24, -20), (24, 0.5), (24, None),
+    ])
+    def test_rule_sizes_must_be_integers_in_range(self, panels, order):
+        # unchecked, panels <= 1 or 2.5 would run one panel per segment, and
+        # order = -14 an empty angular rule: NaN on the plain path, a value on the caps
+        for x in ([0.5, 0.2, 0.1], [0.1, 0.2, 0.1]):
+            with pytest.raises(ValueError, match="panels"):
+                theta(radial_projection(3), x, 0.25, panels=panels, order=order)
+
+    def test_smallest_rule_sizes_run(self):
+        x = np.array([0.5, 0.2, 0.1])
+        # one 6-node panel per segment, angular order 1: 12% off, but a value
+        coarse = theta(radial_projection(3), x, 0.25, panels=2, order=-13)
+        assert coarse == pytest.approx(theta_radial(np.linalg.norm(x), 0.25), rel=0.2)
+        assert theta(radial_projection(3), x, 0.25, panels=np.int64(24),
+                     order=np.int32(10)) == theta(radial_projection(3), x, 0.25)
+
+    @pytest.mark.parametrize("panels, order", [(1, 10), (2.5, 10), (24, -14)])
+    def test_best_approx_checks_its_rule_sizes(self, panels, order):
+        mu = AtomicMeasure(np.array([[0.5, 0.2, 0.1], [0.4, 0.25, 0.1]]))
+        with pytest.raises(ValueError, match="panels"):
+            best_approx_check(radial_projection(3), mu, np.array([0.45, 0.2, 0.1]), 0.1, 0,
+                              epsilon=0.3, quad_panels=panels, quad_order=order)
 
     def test_constant_field_zero(self):
         f = linear_field(np.zeros((2, 3)))
