@@ -169,8 +169,8 @@ def discrete_reifenberg_verify(family, k, cfg, packing_bound=None):
         r^-k * sum_{r_alpha <= 2r} int_{B_r(x)} D(y, r_alpha) dmu(y)
 
     must stay below delta^2, for the dyadic r from 2 down to the smallest
-    family radius.  The packing sum is sum r_j^k over centers in the unit
-    ball at the origin.
+    family radius (r_alpha = 2r 2^-alpha, as in `moments.summability_check`).
+    The packing sum is sum r_j^k over centers in the unit ball at the origin.
 
     Each radius is walked once, coarsest first: the dyadic ladder of D
     (r_alpha = 4, 2, ...) keeps its walks of the test radii, and their
@@ -185,7 +185,7 @@ def discrete_reifenberg_verify(family, k, cfg, packing_bound=None):
     r_min = float(family.radii.min())
     test_radii = [2.0**-a for a in range(-1, 60) if 2.0**-a >= r_min]
     # row i: sum over r_alpha <= 2 * test_radii[i] of D(x_m, r_alpha), per atom
-    sums, walks = _dyadic_ladder(mu, x, 4.0, k, cfg, set(test_radii))
+    sums, walks, _ = _dyadic_ladder(mu, x, 4.0, k, cfg, walked=set(test_radii))
 
     worst = (-np.inf, None, None)
     values_by_scale = {}

@@ -67,8 +67,8 @@ class DisplacementConfig:
     eps_mass   : mass cutoff; D(x,r) = 0 when mu(B_r(x)) < eps_mass * r^k.
     gamma_good : good-ball threshold; a ball is good when its mass is at
                  least gamma_good * r^k.
-    rho        : scale ratio between consecutive construction scales, a
-                 power of 1/2.
+    rho        : scale ratio between consecutive construction scales,
+                 exactly a power of 1/2, so that every scale is a dyadic rung.
     delta      : smallness threshold for summability-type hypotheses.
     """
 
@@ -82,10 +82,7 @@ class DisplacementConfig:
             raise ValueError("displacement coefficients must be finite")
         if self.eps_mass < 0 or self.gamma_good <= 0 or self.delta <= 0:
             raise ValueError("displacement coefficients must be positive")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        q = math.log2(1.0 / self.rho)
-        if not (abs(q - round(q)) < 1e-12 and round(q) >= 1):
+        if math.frexp(self.rho)[0] != 0.5 or self.rho > 0.5:
             raise ValueError("rho must be 2^-q for an integer q >= 1")
 
     @classmethod
@@ -360,53 +357,63 @@ def dyadic_profile(mu, x, k, alpha_min, alpha_max, cfg):
 
 
 def dyadic_displacement_sums(mu, centers, r, k, cfg):
-    """Summed displacement of every center over the dyadic scales <= r.
+    """Summed displacement of every center over the dyadic ladder
+    r_alpha = r 2^-alpha, alpha = 0, 1, ...
 
-    D(., r_alpha) is computed once per dyadic r_alpha <= r, coarsest first,
-    until that pass finds at most k+1 atoms in every center's ball (it and
-    all finer displacements vanish: k+1 points fit a k-plane exactly).
-    Returns the suffix sums: row i is sum_{b >= i} D(., r_{alpha_0 + b})
-    where r_{alpha_0} is the largest dyadic radius <= r, and the last row,
-    the sum past the truncation, is zero.
+    D(., r_alpha) is computed once per rung, coarsest first, until that pass
+    finds at most k+1 atoms in every center's ball (it and all finer
+    displacements vanish: k+1 points fit a k-plane exactly).  Returns the
+    suffix sums: row i is sum_{b >= i} D(., r_b), and the last row, the sum
+    past the truncation, is zero.
     """
-    return _dyadic_ladder(mu, np.atleast_2d(np.asarray(centers, dtype=float)), r, k, cfg, ())[0]
+    return _dyadic_ladder(mu, np.atleast_2d(np.asarray(centers, dtype=float)), r, k, cfg)[0]
 
 
-def _dyadic_ladder(mu, centers, r, k, cfg, kept):
-    """The suffix sums of `dyadic_displacement_sums`, and {r_alpha: (masses,
-    walk)} for each ladder radius r_alpha in `kept`: the masses of its
-    balls and its walk, the list of `ball_items` chunks the pass summed.
-    The walks of other radii are consumed chunk by chunk and not kept."""
-    alpha = math.ceil(-math.log2(r) - 1e-12)
-    disps, walks = [], {}
-    for a in range(alpha, alpha + _MAX_DYADIC_SCALES):
-        r_alpha = 2.0 ** (-a)
+def _dyadic_ladder(mu, centers, r, k, cfg, walked=(), kept=(), summed=True):
+    """One pass down the ladder of `dyadic_displacement_sums`, to the finest
+    rung in `kept` and, while `summed`, on to the truncation: the suffix sums
+    (None unless `summed`), {r_alpha: (masses, walk)} for the rungs in
+    `walked` it reaches, a walk being the list of `ball_items` chunks summed,
+    and {r_alpha: (masses, displacements)} for the rungs in `kept`."""
+    floor = min(kept, default=math.inf)
+    disps, walks, rungs = [], {}, {}
+    for a in range(_MAX_DYADIC_SCALES):
+        r_alpha = r * 2.0**-a
         walk = mu._index.ball_items(centers, r_alpha)
-        walk = list(walk) if r_alpha in kept else walk
+        walk = list(walk) if r_alpha in walked else walk
         counts, masses, d = _displacements(mu, centers, r_alpha, k, cfg, walk)
-        if r_alpha in kept:
+        if r_alpha in walked:
             walks[r_alpha] = masses, walk
-        if counts.max(initial=0) <= k + 1:
+        if r_alpha in kept:
+            rungs[r_alpha] = masses, d
+        if r_alpha <= floor and (not summed or counts.max(initial=0) <= k + 1):
             break
         disps.append(d)
-    sums = np.zeros((len(disps) + 1, centers.shape[0]))
-    if disps:
-        sums[:-1] = np.cumsum(disps[::-1], axis=0)[::-1]
-    return sums, walks
+    # row i is D_i + row i+1, summed from the zero row past the truncation
+    sums = np.cumsum([np.zeros(centers.shape[0]), *disps[::-1]], axis=0)[::-1]
+    return (sums if summed else None), walks, rungs
+
+
+def _ball_ladder(mu, ball, k, cfg, kept=(), summed=True):
+    """`summability_check`'s value (None unless `summed`) and the kept rungs
+    of its ladder, whose centers are the ball's atoms in index order."""
+    idx = mu.indices_in_ball(ball)
+    sums, _, rungs = _dyadic_ladder(mu, mu.positions[idx], 2.0 * ball.radius, k, cfg,
+                                    kept=kept, summed=summed)
+    value = float(np.add.reduce(mu.weights[idx] * sums[0])) * ball.radius**-k if summed else None
+    return value, rungs
 
 
 def summability_check(mu, ball, k, cfg):
-    """Discrete summed-displacement hypothesis on a ball.
+    """Discrete summed-displacement hypothesis on a ball B_r(x).
 
-    value = r^-k * sum_{r_alpha <= r} sum_{x_j in ball} w_j D(x_j, r_alpha);
-    holds when value < delta^2.  The dyadic sum is truncated once all finer
-    scales provably contribute zero.
+    value = r^-k * sum_{r_alpha <= 2r} sum_{x_j in ball} w_j D(x_j, r_alpha)
+    on the ball's own ladder r_alpha = 2r 2^-alpha, the sum of the source
+    paper's discrete Reifenberg theorem and of `discrete_reifenberg_verify`,
+    so it is invariant under (x, r, mu) -> (0, 1, pushforward); holds when
+    value < delta^2.  The sum stops once all finer scales contribute zero.
     """
-    idx = mu.indices_in_ball(ball)
-    if len(idx) == 0:
-        return True, 0.0
-    sums = dyadic_displacement_sums(mu, mu.positions[idx], ball.radius, k, cfg)
-    value = float(np.add.reduce(mu.weights[idx] * sums[0])) * ball.radius ** (-k)
+    value, _ = _ball_ladder(mu, ball, k, cfg)
     return value < cfg.delta ** 2, value
 
 

@@ -31,8 +31,7 @@ from numpy.random import default_rng
 
 from .errors import PlaneFitError, SeparationError
 from .geometry import AffinePlane, Ball, SpatialIndex, grassmann_distance, pairwise_distances
-from .moments import (ball_masses_many, displacement_profile_many, second_moment_spectra,
-                      summability_check, unit_ball_volume)
+from .moments import _ball_ladder, second_moment_spectra, unit_ball_volume
 from .report import dump_json
 
 _SAMPLE_DENSITY = 10         # manifold samples per final radius
@@ -207,6 +206,7 @@ class ManifoldAtlas:
     sample_alive: np.ndarray        # holes variant: samples kept in T'
     sample_component: np.ndarray    # originating initial patch of each sample
     summability_ok: bool
+    summability_value: float | None  # `summability_check` on the root ball, if run
     atom_distances: np.ndarray      # final distance of each atom to the manifold
     covered: np.ndarray             # atoms within the coverage tolerance
     coverage_tol: float
@@ -338,14 +338,6 @@ def _grid_disk(k, radius, spacing):
     return coords[Ball(np.zeros(k), radius).contains(coords)]
 
 
-def _probe_flatness(mu, r, k, cfg):
-    """sqrt(max displacement at scale 2r over a deterministic atom probe)."""
-    step = max(1, mu.count // _PROBE_LIMIT)
-    probe = mu.positions[::step]
-    vals = displacement_profile_many(mu, probe, 2.0 * r, k, cfg)
-    return math.sqrt(vals.max()) if len(vals) else 0.0
-
-
 def _patch_stats(pts, plane, radius, parent_plane):
     """Graph sup/Lip over the plane of a patch's samples pts, plus
     parent-plane coherence."""
@@ -421,15 +413,17 @@ def check_scale_ladder(k, rho, scale_count):
 def reconstruct(mu, k, cfg, max_scale_count, flat_tol=0.2, seed=0, check_summability=True):
     """Run the multiscale flattening construction on a weighted point set.
 
-    Scales shrink by cfg.rho per step starting from the coarsest scale whose
-    probed displacement is below flat_tol**2.  One loop gives each scale's
-    good centers best-fit planes; its first pass samples disks on them, and
-    each later pass applies a partition-of-unity sigma map to the samples,
-    records motion and distortion, excises balls failing the good-mass test
-    from the hole-tracking copy at radius scale/6, and measures coherence
-    against the last scale with patches.  A later scale without a good
-    center records no step.  The root ball is the bounding ball of mu; k
-    must be at least 1, and the scales must pass `check_scale_ladder`.
+    Scales shrink by cfg.rho per step starting from the coarsest scale r
+    whose probed displacement at 2r is below flat_tol**2.  Each r and 2r is a
+    rung of the root ball's summability ladder, whose one pass gives the
+    probes and good masses too.  One loop gives each scale's good centers
+    best-fit planes; its first pass samples disks on them, and each later
+    pass applies a partition-of-unity sigma map to the samples, records
+    motion and distortion, excises balls failing the good-mass test from the
+    hole-tracking copy at radius scale/6, and measures coherence against the
+    last scale with patches.  A later scale without a good center records no
+    step.  The root ball is the bounding ball of mu; k must be at least 1,
+    and the scales must pass `check_scale_ladder`.
     """
     if k < 1:
         raise ValueError(f"reconstruct needs k >= 1, got {k}")
@@ -437,20 +431,18 @@ def reconstruct(mu, k, cfg, max_scale_count, flat_tol=0.2, seed=0, check_summabi
     if mu.count == 0:
         raise PlaneFitError("cannot reconstruct from an empty measure")
     root = mu.bounding_ball(margin=1e-9)
-    if check_summability:
-        ok, value = summability_check(mu, root, k, cfg)
-        if not ok:
-            warnings.warn(
-                f"summed displacement {value:.4g} exceeds delta^2 = {cfg.delta**2:.4g} "
-                "on the root ball; reconstructing anyway",
-                stacklevel=2,
-            )
-    else:
-        ok = True
-
-    # coarsest flat scale
     radii = [root.radius * cfg.rho**i for i in range(max_scale_count)]
-    flats = [_probe_flatness(mu, r, k, cfg) for r in radii]
+    # the root ball holds every atom, so the rungs' arrays are per atom
+    value, rungs = _ball_ladder(mu, root, k, cfg, {*radii, *(2.0 * r for r in radii)},
+                                check_summability)
+    ok = value is None or value < cfg.delta**2
+    if not ok:
+        warnings.warn(f"summed displacement {value:.4g} exceeds delta^2 = {cfg.delta**2:.4g} "
+                      "on the root ball; reconstructing anyway", stacklevel=2)
+
+    # coarsest flat scale: sqrt(max D(., 2r)) over a deterministic atom probe
+    step = max(1, mu.count // _PROBE_LIMIT)
+    flats = [math.sqrt(rungs[2.0 * r][1][::step].max()) for r in radii]
     start = next((i for i, f in enumerate(flats) if f <= flat_tol), None)
     if start is None:
         warnings.warn("no scale within max_scale_count is flat; starting at the finest",
@@ -465,7 +457,7 @@ def reconstruct(mu, k, cfg, max_scale_count, flat_tol=0.2, seed=0, check_summabi
     for i in range(start, max_scale_count):
         r = radii[i]
         rec = ScaleRecord(index=i, radius=r, flatness=flats[i])
-        good = ball_masses_many(mu, mu.positions, r) >= cfg.gamma_good * r**k
+        good = rungs[r][0] >= cfg.gamma_good * r**k
         centers = _separated_good_centers(mu, r, good)
         if centers.shape[0] == 0 and parents is None:
             raise PlaneFitError("no good ball at the starting scale", radius=r)
@@ -508,6 +500,7 @@ def reconstruct(mu, k, cfg, max_scale_count, flat_tol=0.2, seed=0, check_summabi
         sample_alive=alive,
         sample_component=component,
         summability_ok=ok,
+        summability_value=value,
         atom_distances=dists,
         covered=covered,
         coverage_tol=tol,

@@ -179,6 +179,8 @@ class TestOptionRanges:
 
     @pytest.mark.parametrize("argv", [
         ["reconstruct", *CLOUD, "--rho", "0.3"],
+        # a scale root * rho^i must be a rung of the root ball's ladder
+        ["reconstruct", *CLOUD, "--rho", "0.5000000000000001"],
         ["beta", *CLOUD, "--delta", "0"],
         ["beta", *CLOUD, "--eps-mass", "-1"],
         ["reconstruct", *CLOUD, "--gamma-good", "0"],
@@ -203,7 +205,7 @@ class TestOptionRanges:
          "--grid-step", "0.5", "--r-min", "1e-200"],
         ["stratify", "--fixture", "radial_projection", "--dim", "3", "--k", "0",
          "--grid-step", "0.5", "--r-min", "1e-110"],
-    ], ids=["rho", "delta", "eps-mass", "gamma-good", "alpha-range",
+    ], ids=["rho", "rho-inexact", "delta", "eps-mass", "gamma-good", "alpha-range",
             "alpha-min-1080", "alpha-min-1070", "alpha-max-61", "scales",
             "scales-70", "scales-1100", "k5-disk", "rho-quarter-disk",
             "reconstruct-k", "k",
@@ -396,17 +398,18 @@ class TestCommands:
         return code, summary
 
     def test_reconstruct_reports_summability_warning(self, tmp_path):
-        # a circle's summed displacement on its bounding ball is about 0.93
+        # a circle's summed displacement on its bounding ball is about 3.3:
+        # its ladder's top rung 2R holds the whole circle
         code, summary = self._reconstruct_circle(tmp_path, "--scales", "3")
         assert code == 4 and summary["summability_ok"] is False
         assert summary["diagnostics"] == [
-            "summed displacement 0.9262 exceeds delta^2 = 0.01 on the root ball; "
+            "summed displacement 3.302 exceeds delta^2 = 0.01 on the root ball; "
             "reconstructing anyway"]
 
     def test_reconstruct_reports_no_flat_scale(self, tmp_path):
-        # delta^2 = 0.98 admits the circle, but its one scale is not flat
+        # delta^2 = 3.61 admits the circle (3.302), but its one scale is not flat
         code, summary = self._reconstruct_circle(tmp_path, "--scales", "1",
-                                                 "--delta", "0.99")
+                                                 "--delta", "1.9")
         assert code == 0 and summary["summability_ok"] is True
         assert summary["diagnostics"] == [
             "no scale within max_scale_count is flat; starting at the finest"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from msgeom.errors import EmptySupportError
+from msgeom.fixtures import circle_cloud
 from msgeom.geometry import AffinePlane, AtomicMeasure, Ball, SpatialIndex, segment_sums
 from msgeom.moments import (
     DisplacementConfig,
@@ -588,34 +589,42 @@ class TestSummability:
         ball = Ball(np.zeros(2), 1.0001)
         holds, value = summability_check(mu, ball, 1, cfg)
 
-        # independent double loop re-implementation
+        # independent double loop re-implementation over the ball's own
+        # ladder s = 2r 2^-alpha
         oracle = 0.0
-        alpha = 0
-        while True:
-            s = 2.0**-alpha
-            if s <= 1.0:
-                counts = []
-                contrib = 0.0
-                for p, wj in zip(pts, w):
-                    d = np.linalg.norm(pts - p, axis=1)
-                    sel = d <= s
-                    counts.append(sel.sum())
-                    mass = w[sel].sum()
-                    if mass < cfg.eps_mass * s:
-                        continue
-                    sub = pts[sel]
-                    cm = (sub * w[sel, None]).sum(0) / mass
-                    M = ((sub - cm) * w[sel, None]).T @ (sub - cm)
-                    contrib += wj * np.linalg.eigvalsh(M)[0] * s**-3
-                oracle += contrib
-                if max(counts) <= 2:
-                    break
-            alpha += 1
-            if alpha > 40:
+        for alpha in range(41):
+            s = 2.0 * ball.radius * 2.0**-alpha
+            counts = []
+            contrib = 0.0
+            for p, wj in zip(pts, w):
+                d = np.linalg.norm(pts - p, axis=1)
+                sel = d <= s
+                counts.append(sel.sum())
+                mass = w[sel].sum()
+                if mass < cfg.eps_mass * s:
+                    continue
+                sub = pts[sel]
+                cm = (sub * w[sel, None]).sum(0) / mass
+                M = ((sub - cm) * w[sel, None]).T @ (sub - cm)
+                contrib += wj * np.linalg.eigvalsh(M)[0] * s**-3
+            oracle += contrib
+            if max(counts) <= 2:
                 break
         oracle *= ball.radius ** -1  # r^-k normalization, k = 1
         assert value == pytest.approx(oracle, rel=1e-9)
         assert holds == (value < cfg.delta**2)
+
+    @pytest.mark.parametrize("lam", [0.7, 1.5, 2.0, 3.0])
+    def test_rescaling_invariance(self, lam):
+        # positions by lam and weights by lam^k: the ladder 2r 2^-alpha is
+        # the ball's own, so only rounding moves the value
+        mu = circle_cloud(count=800, noise=2e-2, seed=0)
+        cfg = DisplacementConfig.default(1)
+        holds, want = summability_check(mu, Ball(np.zeros(2), 1.1), 1, cfg)
+        scaled = AtomicMeasure(mu.positions * lam, mu.weights * lam)
+        got = summability_check(scaled, Ball(np.zeros(2), 1.1 * lam), 1, cfg)
+        assert got[0] is holds
+        assert got[1] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_truncation_reads_the_centers_own_balls(self):
         # every atom's ball of radius 1/2 holds one atom, but the ball around

@@ -365,23 +365,75 @@ class TestChain:
 
 
 class TestFlatnessProbes:
-    def test_each_scale_probed_once(self, monkeypatch):
-        # the start-scale search probes every scale; the scale records
-        # reuse those values
-        calls = []
-        probe = reifenberg._probe_flatness
+    @pytest.mark.parametrize("case", ["plane3d", "noisy_circle"])
+    def test_scales_read_the_probes_and_masses_of_separate_passes(self, case):
+        # the one ladder pass gives each scale r the bits of a separate probe
+        # at 2r (a start scale is the first one within flat_tol) and of a
+        # separate good-mass pass at r
+        if case == "plane3d":
+            mu, k, check = plane_cloud(3, 2, count=1521), 2, True
+            cfg = DisplacementConfig.default(2)
+        else:
+            mu, k, check = circle_cloud(count=1200, noise=1e-3, seed=20), 1, False
+            cfg = DisplacementConfig.default(1, delta=0.25)
+        atlas = reconstruct(mu, k, cfg, max_scale_count=4, flat_tol=0.12,
+                            check_summability=check)
+        probe = mu.positions[::max(1, mu.count // reifenberg._PROBE_LIMIT)]
+        radii = [atlas.root_ball.radius * cfg.rho**i for i in range(4)]
+        flats = [np.sqrt(moments.displacement_profile_many(mu, probe, 2.0 * r, k, cfg).max())
+                 for r in radii]
+        start = atlas.scales[0].index
+        assert start == next(i for i, f in enumerate(flats) if f <= 0.12)
+        assert [rec.flatness for rec in atlas.scales] == flats[start:]
+        for rec in atlas.scales:
+            r = rec.radius
+            good = moments.ball_masses_many(mu, mu.positions, r) >= cfg.gamma_good * r**k
+            want = reifenberg._separated_good_centers(mu, r, good)
+            got = np.array([p.center for p in rec.patches]).reshape(-1, mu.ambient_dim)
+            assert np.array_equal(got, want) and want.shape[0] > 0
+            if rec.cover_state is not None:
+                assert np.array_equal(rec.cover_state.good_centers, want)
 
-        def counting(mu, r, *args, **kwargs):
-            calls.append(r)
-            return probe(mu, r, *args, **kwargs)
 
-        monkeypatch.setattr(reifenberg, "_probe_flatness", counting)
-        mu = plane_cloud(2, 1, count=400, seed=4)
+class TestSummabilityValue:
+    @pytest.mark.parametrize("lam", [0.7, 1.5, 2.0, 3.0])
+    def test_rescaling(self, lam):
+        # positions by lam and weights by lam^k: reconstruct's value is
+        # summability_check's on its root ball, and moves only by the root
+        # ball's absolute 1e-9 margin, a few 1e-9 relative here
         cfg = DisplacementConfig.default(1)
-        atlas = reconstruct(mu, 1, cfg, max_scale_count=4)
-        assert len(calls) == 4
-        assert len(atlas.scales) == 4
-        assert [rec.flatness for rec in atlas.scales] == [probe(mu, r, 1, cfg) for r in calls]
+        base = circle_cloud(count=800, noise=2e-2, seed=0)
+
+        def atlas(scale):
+            mu = AtomicMeasure(base.positions * scale, base.weights * scale)
+            with pytest.warns(UserWarning, match="^summed displacement"):
+                return mu, reconstruct(mu, 1, cfg, max_scale_count=3)
+
+        (mu, got), (_, want) = atlas(lam), atlas(1.0)
+        assert got.summability_value == moments.summability_check(mu, got.root_ball, 1, cfg)[1]
+        assert got.summability_ok is want.summability_ok is False
+        assert got.summability_value == pytest.approx(want.summability_value, rel=1e-8)
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_ladder_depth(self, monkeypatch, check):
+        # unchecked, the ladder over all atoms stops at the finest scale;
+        # checked, it runs on until every ball holds at most k+1 atoms
+        walks = []
+        ball_items = SpatialIndex.ball_items
+
+        def recording(self, centers, radius):
+            walks.append((len(centers), radius))
+            return ball_items(self, centers, radius)
+
+        monkeypatch.setattr(SpatialIndex, "ball_items", recording)
+        mu = plane_cloud(2, 1, count=400, seed=4)
+        atlas = reconstruct(mu, 1, DisplacementConfig.default(1), max_scale_count=3,
+                            check_summability=check)
+        finest = min(r for count, r in walks if count == mu.count)
+        r_final = atlas.final_scale.radius
+        assert finest < r_final if check else finest == r_final
+        assert atlas.summability_ok is True
+        assert (atlas.summability_value is None) is not check
 
 
 class TestCoverState:
