@@ -44,6 +44,7 @@ class BallFamily:
             raise ValueError("ball centers must be finite and radii finite and positive")
         self.centers = centers
         self.radii = radii
+        self._index = SpatialIndex(centers)  # the disjointness test's and the measure's
         self.disjoint = self._check_disjoint()
         if require_disjoint and not self.disjoint:
             raise DisjointnessError("ball family is not pairwise disjoint")
@@ -54,7 +55,7 @@ class BallFamily:
         other, so only the pairs of the index's neighbourhoods at that radius
         are tested."""
         c, r = self.centers, self.radii * shrink
-        indptr, nbrs = SpatialIndex(c).neighborhoods(c, 2.0 * r.max(initial=0.0))
+        indptr, nbrs = self._index.neighborhoods(c, 2.0 * r.max(initial=0.0))
         i = np.repeat(np.arange(len(r)), np.diff(indptr))
         i, j = i[nbrs > i], nbrs[nbrs > i]
         return not np.any(np.linalg.norm(c[j] - c[i], axis=1) < (r[j] + r[i]) * (1 - 1e-12))
@@ -69,7 +70,7 @@ class BallFamily:
     def measure(self, k):
         """mu = sum omega_k r_j^k delta_{x_j}."""
         wk = unit_ball_volume(k)
-        return AtomicMeasure(self.centers, wk * self.radii**k)
+        return AtomicMeasure(self.centers, wk * self.radii**k, index=self._index)
 
     def subset(self, indices):
         return BallFamily(self.centers[indices], self.radii[indices],

@@ -289,10 +289,10 @@ def sum_last(a):
     """The sums of a over its last axis, added left to right, one column at
     a time.  Below 8 terms this is numpy's own order, so it equals
     a.sum(axis=-1) bit for bit there, several times faster on a short axis.
-    The index's squared distances and the fields' squared norms are all
-    this sum."""
-    out = a[..., 0].copy()
-    for j in range(1, a.shape[-1]):
+    It is the one squared-norm sum, of the index's distances and of every
+    `harmonic` field's value, gradient, density and density bound."""
+    out = a[..., 0] + a[..., 1] if a.shape[-1] > 1 else a[..., 0].copy()
+    for j in range(2, a.shape[-1]):
         out += a[..., j]
     return out
 
@@ -655,11 +655,13 @@ class SpatialIndex:
 
 
 class AtomicMeasure:
-    """Finite weighted point set mu = sum_j w_j delta_{x_j}, w_j >= 0."""
+    """Finite weighted point set mu = sum_j w_j delta_{x_j}, w_j >= 0.  An
+    `index` given to the constructor must be a SpatialIndex over these very
+    positions; it is shared in place of a new one."""
 
     __slots__ = ("positions", "weights", "_index", "_bounding", "_item_moments")
 
-    def __init__(self, positions, weights=None):
+    def __init__(self, positions, weights=None, index=None):
         positions = np.atleast_2d(np.asarray(positions, dtype=float)).copy()
         m = positions.shape[0]
         if weights is None:
@@ -674,7 +676,8 @@ class AtomicMeasure:
             raise ValueError("atoms must be finite")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_index", SpatialIndex(positions))
+        index = SpatialIndex(positions) if index is None else index
+        object.__setattr__(self, "_index", index)
         if m:
             center = 0.5 * (positions.min(axis=0) + positions.max(axis=0))
             far = sum_last((positions - center) ** 2).max()

@@ -10,11 +10,12 @@ The normalized energy of a field f over B_r(x) is
 computed on one tensor grid of Gauss-Legendre radial panels cut exactly at
 the kinks (`panels` // 2 of 6 nodes, `panels` an integer >= 2) times an
 angular rule of order `order` + 14 (`order` an integer >= -13), with no
-error estimate; the worst measured error for x/|x| is 7.1e-8
-relative in R^3 and 2.6e-13, 2.9e-7 and 7.4e-7 on the caps of n = 2, 4, 5.  For
-theta and the stratum alike, `_kink` makes a singular distance d a kink of
-B_r only where 1e-12 r < d <= 1.5 r.  Every field carries its energy density
-|grad f|^2 in closed form, so no quadrature builds a Jacobian.  A singular
+error estimate; the worst measured error for x/|x| is 7.1e-8 relative in R^3
+and 2.6e-13, 2.9e-7 and 7.4e-7 on the caps of n = 2, 4, 5.  For theta and the
+stratum alike, `_kink` makes a singular distance d a kink of B_r only where
+1e-12 r < d <= 1.5 r.  Every field carries its energy density |grad f|^2 in
+closed form, so no quadrature builds a Jacobian, and sums every squared norm
+it takes (fn, grad, density, density_sup) by `geometry.sum_last`.  A singular
 set is an AffinePlane, the plane of symmetry V^k of a k-symmetric cone; a
 point is the plane with k = 0, and x/|x| is the 0-symmetric cone.  A ball
 with a kink at a point singularity is cut into shells about that point; each
@@ -59,7 +60,8 @@ DOMAIN_RADIUS = 64.0          # every field is defined on B_64(0)
 _NODE_BUDGET = 1 << 16       # stratum quadrature nodes evaluated at once
 # theta's block: 4 shells of the R^3 rule (9216 nodes) and the field's
 # temporaries stay in a core's 2 MiB L2; energy-radial's 4 energy_point calls
-# took 0.068 s at 2^14, 0.078 s at 2^15, 0.093 s at 2^16 (warm, one Xeon vCPU)
+# took 0.054, 0.047, 0.043 and 0.067 s at 2^13..2^16 (warm medians of 15, one
+# Xeon vCPU); 2^14 stays until the bench resolves 2^15's lead
 _THETA_NODE_BUDGET = 1 << 14
 _KEPT_TABLES = 16            # frame tables (of at most _NODE_BUDGET nodes) a stratum keeps
 _BINS = 16                   # bins per direction angle of the binned competitor (2x in longitude)
@@ -127,21 +129,20 @@ def smoothed_projection(n=3, core=0.05):
     """f(x) = x / sqrt(|x|^2 + core^2): conical far out, smooth at the origin."""
 
     def fn(X):
-        return X / np.sqrt(sum_last(X**2) + core**2)[:, None]
+        return X / np.sqrt(sum_last(X * X) + core**2)[:, None]
 
     def grad(X):
-        g = np.sqrt((X**2).sum(axis=1) + core**2)
-        eye = np.eye(n)
-        return (eye[None, :, :] / g[:, None, None]
+        g = np.sqrt(sum_last(X * X) + core**2)
+        return (np.eye(n)[None, :, :] / g[:, None, None]
                 - X[:, :, None] * X[:, None, :] / g[:, None, None] ** 3)
 
     def density(X):
-        g2 = (X**2).sum(axis=1) + core**2
+        g2 = sum_last(X * X) + core**2
         return (n - 1) / g2 + core**4 / g2**3
 
     # the density falls in |x|: its sup over a ball is at |x| = max(0, |c| - r)
     return EnergyField(n, fn, grad, density, density_sup=lambda C, r: density(
-        np.maximum(np.linalg.norm(C, axis=1) - r, 0.0)[:, None] * np.eye(n)[0]))
+        np.maximum(_norms(C)[:, 0] - r, 0.0)[:, None] * np.eye(n)[0]))
 
 
 def linear_field(A):
@@ -205,21 +206,20 @@ def k_symmetric_cone(n, k):
 
     def grad(X):
         W = X[:, k:]
-        nrm = np.linalg.norm(W, axis=1)
+        nrm = _norms(W)[:, 0]
         nrm = np.where(nrm == 0.0, np.inf, nrm)
-        eye = np.eye(d)
-        inner = (eye[None, :, :] / nrm[:, None, None]
+        inner = (np.eye(d)[None, :, :] / nrm[:, None, None]
                  - W[:, :, None] * W[:, None, :] / nrm[:, None, None] ** 3)
         out = np.zeros((X.shape[0], d, n))
         out[:, :, k:] = inner
         return out
 
     def density(X):  # 0 on the plane
-        sq = np.einsum("ij,ij->i", X[:, k:], X[:, k:])
+        sq = sum_last(X[:, k:] * X[:, k:])
         return np.divide(d - 1.0, sq, out=np.zeros_like(sq), where=sq > 0.0)
 
     def density_sup(C, r):  # attained at the ball point nearest the plane
-        gap = np.linalg.norm(C[:, k:], axis=1) - r
+        gap = _norms(C[:, k:])[:, 0] - r
         return np.divide(d - 1.0, gap * gap, out=np.full(gap.shape, np.inf), where=gap > 0)
 
     return EnergyField(n, fn, grad, density, singular=AffinePlane.coordinate(n, list(range(k))),

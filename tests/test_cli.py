@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msgeom import covering
+from msgeom import covering, geometry
 from msgeom.cli import (CliError, _check_options, build_parser, main, read_cloud_csv,
                         write_cloud_csv)
-from msgeom.fixtures import circle_cloud, koch_polyline_measure, plane_cloud
+from msgeom.fixtures import (circle_cloud, dyadic_segment_family, koch_polyline_measure,
+                             plane_cloud)
 from msgeom.geometry import AtomicMeasure, hausdorff_distance
 from msgeom.harmonic import theta
 from msgeom.moments import DisplacementConfig
@@ -30,6 +31,16 @@ def write_csv(path, mu, header=False):
 
 def run_cli(args):
     return main(args)
+
+
+def write_segment_balls(tmp_path):
+    """The balls of `dyadic_segment_family(levels=4)` as a `pack` input, and
+    their count."""
+    centers, radii = dyadic_segment_family(levels=4)
+    path = tmp_path / "balls.csv"
+    path.write_text("".join(f"{c[0]:.17g},{c[1]:.17g},{r:.17g}\n"
+                            for c, r in zip(centers, radii)))
+    return path, len(radii)
 
 
 class TestCsv:
@@ -423,18 +434,25 @@ class TestCommands:
         assert code == 4
 
     def test_pack_planar(self, tmp_path):
-        from msgeom.fixtures import dyadic_segment_family
-
-        centers, radii = dyadic_segment_family(levels=4)
-        inp = tmp_path / "balls.csv"
-        with open(inp, "w") as fh:
-            for c, r in zip(centers, radii):
-                fh.write(f"{c[0]:.17g},{c[1]:.17g},{r:.17g}\n")
+        inp, _ = write_segment_balls(tmp_path)
         out = tmp_path / "pack.json"
         code = run_cli(["pack", "--input", str(inp), "--dim", "2", "--k", "1",
                         "--output", str(out)])
         assert code == 0
         assert '"hypothesis_ok":true' in out.read_text()
+
+    def test_pack_builds_one_index_over_the_centres(self, tmp_path, monkeypatch):
+        # the disjointness test and the packing measure share one kd-tree
+        inp, count = write_segment_balls(tmp_path)
+        built, init = [], geometry.SpatialIndex.__init__
+
+        def counting(self, points):
+            init(self, points)
+            built.append(len(self))
+
+        monkeypatch.setattr(geometry.SpatialIndex, "__init__", counting)
+        assert run_cli(["pack", "--input", str(inp), "--dim", "2", "--k", "1"]) == 0
+        assert built == [count]
 
     def test_stratify_smooth_empty(self, tmp_path):
         out = tmp_path / "strat.json"

@@ -7,7 +7,7 @@ from scipy.special import gamma, ndtri, roots_jacobi, roots_legendre
 
 from msgeom import harmonic
 from msgeom.errors import EnergyInfiniteError
-from msgeom.geometry import AtomicMeasure, Ball
+from msgeom.geometry import AtomicMeasure, Ball, sum_last
 from msgeom.harmonic import (
     EnergyPoint,
     _sphere_rule,
@@ -164,6 +164,19 @@ class TestFields:
 
 
 class TestEnergyDensity:
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_squared_norm_sum_is_numpys_below_8_coordinates(self, d):
+        # every field's squared norm is sum_last: below 8 coordinates it is
+        # numpy's own sum and norm bit for bit, on random, tiny and huge rows
+        # (squares that underflow, and squares that overflow to inf on both
+        # sides) and zero rows
+        rows = np.random.default_rng(d).normal(size=(300, d))
+        for X in (rows, rows * 1e-160, rows * 1e150, rows * 1e160, np.zeros((4, d))):
+            with np.errstate(over="ignore"):
+                assert sum_last(X).tobytes() == X.sum(axis=-1).tobytes()
+                assert (harmonic._norms(X).tobytes()
+                        == np.linalg.norm(X, axis=-1, keepdims=True).tobytes())
+
     @pytest.mark.parametrize("name", sorted(FIELD_MAKERS))
     def test_density_matches_jacobian(self, name):
         field = FIELD_MAKERS[name]()

@@ -15,7 +15,8 @@ commands load the standard library's statistics: only a stratum's normal
 quantile imports it.
 Outside `geometry.pairwise_distances`, no package code takes the norm of a
 difference of two None-broadcast arrays, so pairwise distances have one
-kernel."""
+kernel; and no field of `harmonic` sums a squared norm but by
+`geometry.sum_last`, so squared norms have one kernel too."""
 
 import ast
 import os
@@ -475,4 +476,49 @@ def test_one_pairwise_distance_kernel():
         for line in broadcast_norms(path.read_text(encoding="utf-8"), str(path))
     ]
     assert not found, ("pairwise norms outside geometry.pairwise_distances at:\n"
+                       + "\n".join(found))
+
+
+def squared_norm_sums(source, filename="<source>"):
+    """Line of each einsum call, `linalg.norm` call and `.sum` call given an
+    axis (by keyword, or as x.sum(1) or np.sum(x, 1)) between the `# fields`
+    banner and the `# ball quadrature` banner.  A sum with no axis, a matrix
+    norm like (A**2).sum(), is not flagged."""
+    lines = source.splitlines()
+    start, stop = lines.index("# fields") + 1, lines.index("# ball quadrature") + 1
+    found = []
+    for call in ast.walk(ast.parse(source, filename)):
+        if not isinstance(call, ast.Call) or not start < call.lineno < stop:
+            continue
+        func, name = call.func, (_dotted(call.func) or "").split(".")
+        axis = isinstance(func, ast.Attribute) and func.attr == "sum" and (
+            any(kw.arg == "axis" for kw in call.keywords)
+            or len(call.args) > (_dotted(func.value) in ("np", "numpy")))
+        if name[-1] == "einsum" or name[-2:] == ["linalg", "norm"] or axis:
+            found.append(call.lineno)
+    return sorted(found)
+
+
+def test_squared_norm_scan_flags_every_form():
+    source = (
+        "import numpy as np\n"
+        "a = np.einsum('ij,ij->i', x, x)\n"
+        "# fields\n"
+        "b = np.einsum('ij,ij->i', x, x) + einsum('ij->i', x)\n"
+        "c = np.linalg.norm(x, axis=1) + linalg.norm(x) + numpy.linalg.norm(x)\n"
+        "d = (x**2).sum(axis=1) + x.sum(1) + np.sum(x * x, axis=-1) + np.sum(x, 1)\n"
+        "e = (A**2).sum() + np.sum(x) + sum_last(x * x) + norm(x)\n"
+        "def f(x):\n"
+        "    return x.sum(axis=0)\n"
+        "# ball quadrature\n"
+        "g = np.linalg.norm(x, axis=1) + (x**2).sum(axis=1)\n"
+    )
+    assert squared_norm_sums(source) == [4, 4, 5, 5, 5, 6, 6, 6, 6, 9]
+
+
+def test_one_squared_norm_kernel():
+    path = PACKAGE / "harmonic.py"
+    found = [f"{path.name}:{line}"
+             for line in squared_norm_sums(path.read_text(encoding="utf-8"), str(path))]
+    assert not found, ("field squared norms not summed by geometry.sum_last at:\n"
                        + "\n".join(found))
