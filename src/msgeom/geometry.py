@@ -3,10 +3,11 @@ subspace/set distances, and an exact kd-tree spatial index.  Every
 neighbourhood, nearest-neighbour and greedy separated-net query goes
 through the index, and every one of them is a walk of `ball_items`: the
 kd-nodes wholly inside a ball, plus the atoms of its boundary leaves, each
-item carrying its node's aggregates.  A closed ball has one membership
-predicate, the index's, which `Ball.contains` applies too: x lies in B_r(c)
-when the squares of the coordinates of x - c, added left to right
-(`sum_last`), total at most r * r.
+item carrying its node's aggregates.  Per-item gathers read contiguous
+coordinate-major (n, count) arrays by `np.take`.  A closed ball has one
+membership predicate, the index's, which `Ball.contains` applies too: x
+lies in B_r(c) when the squares of the coordinates of x - c, added left to
+right (`sum_last`), total at most r * r.
 
 All types are immutable after construction and every operation is pure, so
 instances can be shared freely across threads; the tables an index or a
@@ -312,9 +313,12 @@ def centred_sums(rel, w, indptr, owner):
     mass = segment_sums(w, indptr)
     mean = segment_sums((w * rel).T, indptr)
     np.divide(mean, mass[:, None], out=mean, where=mass[:, None] > 0.0)
-    cen = rel - mean.T[:, owner]
-    upper = np.triu_indices(rel.shape[0])
-    return mass, mean, segment_sums(((w * cen)[upper[0]] * cen[upper[1]]).T, indptr)
+    cen = rel - np.take(np.ascontiguousarray(mean.T), owner, axis=1)
+    wcen, upper = w * cen, np.triu_indices(rel.shape[0])
+    prods = np.empty((upper[0].size, rel.shape[1]))
+    for row, a, b in zip(prods, *upper):
+        np.multiply(wcen[a], cen[b], out=row)
+    return mass, mean, segment_sums(prods.T, indptr)
 
 
 def _coordinate_orders(coords):
@@ -336,14 +340,13 @@ class ItemTree:
     """A balanced kd-tree in item form.  Items 0..nodes-1 are the tree's
     nodes, depth first, lesser child first; item nodes + s is the atom in
     tree slot s.  Item i covers the atoms order[start[i]:start[i] + size[i]]
-    and is anchored at the first of them.  Coordinates are stored
-    coordinate-major, so that a walk gathers and sums whole rows."""
+    and is anchored at the first of them, coords[:, start[i]].  Coordinates
+    are stored coordinate-major, so that a walk gathers and sums whole rows."""
 
     order: np.ndarray       # tree slot -> point index
     coords: np.ndarray      # (n, atoms) coordinates of the atom in each slot
     start: np.ndarray       # (items,) first slot
     size: np.ndarray        # (items,) points covered
-    anchor: np.ndarray      # (items,) point index of the first slot
     greater: np.ndarray     # (nodes,) greater child, -1 at a leaf; the lesser is i + 1
     axis: np.ndarray        # (nodes,) coordinate an inner node splits
     lo: np.ndarray          # (n, nodes) bounding box of the node's points
@@ -423,7 +426,7 @@ class ItemTree:
         start = np.concatenate([start[pre], np.arange(count)])
         return cls(order=order, coords=coords[:, order], start=start,
                    size=np.concatenate([size[pre], np.ones(count, dtype=np.intp)]),
-                   anchor=order[start], greater=greater, axis=axis[pre], lo=lo[:, pre], hi=hi[:, pre])
+                   greater=greater, axis=axis[pre], lo=lo[:, pre], hi=hi[:, pre])
 
     def slots(self, items):
         """The tree slots of the atoms the items cover, item by item."""
@@ -518,8 +521,9 @@ class SpatialIndex:
                 ball, node = ball[~leaf], node[~leaf]
             ball, node = np.repeat(ball, 2), np.column_stack([node + 1, t.greater[node]]).ravel()
         owner, item = np.concatenate(owners), np.concatenate(items)
-        # the items of one ball do not overlap, so no two keys are equal
-        order = np.argsort(owner * len(self) + t.start[item])
+        # the items of one ball do not overlap, so no two keys are equal, and
+        # each level adds at most two sorted runs, which a stable sort merges
+        order = np.argsort(owner * len(self) + t.start[item], kind="stable")
         indptr = np.zeros(m + 1, dtype=np.intp)
         np.cumsum(np.bincount(owner, minlength=m), out=indptr[1:])
         return indptr, item[order], max(held, item.size)
@@ -725,19 +729,20 @@ class AtomicMeasure:
         return float(ball_masses_many(self, ball.center, ball.radius)[0])
 
     def item_moments(self):
-        """Mean offset of every item from its anchor atom (items, n) and its
-        centred scatter, the upper triangle of sum w (x - mean)(x - mean)^T
-        (items, n(n+1)/2), row-major; built on first use from coordinate
-        differences.  An atom item has zero offset and scatter, and so has a
-        massless node."""
+        """Mean offset of every item from its anchor atom, coordinate-major
+        (n, items), and its centred scatter, the upper triangle of
+        sum w (x - mean)(x - mean)^T (items, n(n+1)/2), row-major; built on
+        first use from differences of the tree's coordinates.  An atom item
+        has zero offset and scatter, and so has a massless node."""
         if self._item_moments is None:
             t = self._index.item_tree()
             owner = np.repeat(np.arange(t.nodes), t.size[:t.nodes])
-            rel = self.positions.T[:, t.members] - self.positions.T[:, t.anchor[owner]]
+            rel = (np.take(t.coords, t.slots(np.arange(t.nodes)), axis=1)
+                   - np.take(t.coords, t.start[owner], axis=1))
             _, offset, scatter = centred_sums(rel, self.weights[t.members], t.member_ptr, owner)
             atoms = len(t.order)
             object.__setattr__(self, "_item_moments", (
-                np.concatenate([offset, np.zeros((atoms, offset.shape[1]))]),
+                np.concatenate([offset.T, np.zeros((offset.shape[1], atoms))], axis=1),
                 np.concatenate([scatter, np.zeros((atoms, scatter.shape[1]))])))
         return self._item_moments
 

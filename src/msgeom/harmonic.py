@@ -50,7 +50,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
 from .errors import EmptySupportError, EnergyInfiniteError
 from .geometry import AffinePlane, AtomicMeasure, Ball, sum_last
@@ -60,8 +59,8 @@ DOMAIN_RADIUS = 64.0          # every field is defined on B_64(0)
 _NODE_BUDGET = 1 << 16       # stratum quadrature nodes evaluated at once
 # theta's block: 4 shells of the R^3 rule (9216 nodes) and the field's
 # temporaries stay in a core's 2 MiB L2; energy-radial's 4 energy_point calls
-# took 0.054, 0.047, 0.043 and 0.067 s at 2^13..2^16 (warm medians of 15, one
-# Xeon vCPU); 2^14 stays until the bench resolves 2^15's lead
+# took 51.0-70.6, 55.5-66.8 and 69.4-86.9 ms at 2^14, 2^15 and 2^16 (warm
+# medians of 15 in 6 alternations, one Xeon vCPU), every theta bitwise equal
 _THETA_NODE_BUDGET = 1 << 14
 _KEPT_TABLES = 16            # frame tables (of at most _NODE_BUDGET nodes) a stratum keeps
 _BINS = 16                   # bins per direction angle of the binned competitor (2x in longitude)
@@ -487,6 +486,8 @@ def _scrambled_halton(d, count):
     leading digits sent through its own shuffle of 0..b-1, drawn from
     default_rng(0) in base order.  Bit for bit scipy.stats.qmc.Halton(d,
     scramble=True, seed=0), without importing scipy.stats."""
+    from numpy.random import default_rng  # not with the package: only a stratum draws
+
     rng, out = default_rng(0), np.zeros((count, d))
     for j, base in enumerate(_primes(d)):
         perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
@@ -515,6 +516,7 @@ def grassmann_candidates(n, k, count):
 
 @functools.cache
 def _panel_rotation(n, index):
+    from numpy.random import default_rng
     return np.linalg.qr(default_rng(1000 + index).normal(size=(n, n)))[0]
 
 

@@ -186,23 +186,25 @@ def _ball_moments(mu, centers, walk):
     their walk: the chunks of `SpatialIndex.ball_items(centers, r)`.
 
     Each item enters at its anchor's offset from the ball's own center plus
-    its mean offset from the anchor; the second moments are the items'
-    spreads about the ball's mean plus their own centred scatter."""
+    its mean offset from the anchor, so that no coordinate offset enters the
+    sums; the second moments are the items' spreads about the ball's mean
+    plus their own centred scatter.  Per-item gathers read contiguous
+    coordinate-major arrays: the tree's coordinates at the items' first
+    slots, the stored offsets and the centers."""
     m, n = centers.shape
     upper = np.triu_indices(n)
     t = mu._index.item_tree()
     mass = t.totals(mu.weights)
     offset, scatter = mu.item_moments()
+    cols = np.ascontiguousarray(centers.T)
     counts = np.zeros(m, dtype=np.intp)
     masses = np.zeros(m)
     means = np.zeros((m, n))
     mats = np.zeros((m, n, n))
     for lo, hi, indptr, items in walk:
         owner = np.repeat(np.arange(hi - lo), np.diff(indptr))
-        # coordinate-major offsets from the ball's own center, so that no
-        # coordinate offset enters the sums
-        rel = (mu.positions.T[:, t.anchor[items]] - centers.T[:, lo:hi][:, owner]) \
-            + offset.T[:, items]
+        rel = (np.take(t.coords, t.start[items], axis=1) - np.take(cols[:, lo:hi], owner, axis=1)) \
+            + np.take(offset, items, axis=1)
         masses[lo:hi], means[lo:hi], tri = centred_sums(rel, mass[items], indptr, owner)
         tri += segment_sums(scatter[items], indptr)
         counts[lo:hi] = segment_sums(t.size[items], indptr)

@@ -398,6 +398,30 @@ class TestSpatialIndex:
                 assert t.start[a] == t.start[i] and t.start[b] == t.start[i] + t.size[a]
                 assert t.size[a] == t.size[i] // 2 and t.size[a] + t.size[b] == t.size[i]
 
+    def test_walk_order_is_the_default_argsort_order(self, monkeypatch):
+        # the walk's keys are unique, so its stable sort permutes them as
+        # numpy's default sort does
+        pts = np.random.default_rng(19).normal(size=(2000, 3))
+        pts[:30] = pts[0]
+        index = SpatialIndex(pts)
+        t = index.item_tree()
+        sorts, argsort = [], np.argsort
+
+        def recorded(a, *args, **kwargs):
+            order = argsort(a, *args, **kwargs)
+            sorts.append((a.copy(), order))
+            return order
+
+        monkeypatch.setattr(np, "argsort", recorded)
+        chunks = list(index.ball_items(pts[::4], 0.6))
+        monkeypatch.undo()
+        assert len(chunks) >= 2 and len(sorts) == len(chunks)
+        for (keys, order), (lo, hi, indptr, items) in zip(sorts, chunks):
+            assert np.unique(keys).size == keys.size
+            assert np.array_equal(order, np.argsort(keys))
+            owner = np.repeat(np.arange(hi - lo), np.diff(indptr))
+            assert np.array_equal(keys[order], owner * len(index) + t.start[items])
+
 
 class TestPairwiseDistances:
     @pytest.mark.parametrize("dim", range(1, 13))

@@ -16,7 +16,9 @@ quantile imports it.
 Outside `geometry.pairwise_distances`, no package code takes the norm of a
 difference of two None-broadcast arrays, so pairwise distances have one
 kernel; and no field of `harmonic` sums a squared norm but by
-`geometry.sum_last`, so squared norms have one kernel too."""
+`geometry.sum_last`, so squared norms have one kernel too.  `geometry` and
+`moments` subscript no transpose (`X.T[...]`): their per-item gathers read
+contiguous coordinate-major arrays."""
 
 import ast
 import os
@@ -522,3 +524,29 @@ def test_one_squared_norm_kernel():
              for line in squared_norm_sums(path.read_text(encoding="utf-8"), str(path))]
     assert not found, ("field squared norms not summed by geometry.sum_last at:\n"
                        + "\n".join(found))
+
+
+def transpose_subscripts(source, filename="<source>"):
+    """Line of each subscript of a `.T` attribute, like a.T[:, i]: a strided
+    gather that reads one coordinate of every item from its own row."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source, filename))
+                  if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "T")
+
+
+def test_transpose_subscript_scan_flags_every_form():
+    source = (
+        "import numpy as np\n"
+        "a = x.T[:, i]\n"
+        "b = mu.positions.T[:, idx] - c.T[:, lo:hi][:, owner]\n"
+        "c = np.take(x.T, i, axis=1) + x.T + x[:, i].T + (x.T)[0]\n"
+        "d = np.ascontiguousarray(x.T)[:, i] + T[i] + x.t[i]\n"
+    )
+    assert transpose_subscripts(source) == [2, 3, 3, 4]
+
+
+def test_kernel_gathers_read_contiguous_arrays():
+    found = [f"{path.name}:{line}"
+             for path in (PACKAGE / "geometry.py", PACKAGE / "moments.py")
+             for line in transpose_subscripts(path.read_text(encoding="utf-8"), str(path))]
+    assert not found, ("strided gathers through a transpose at:\n" + "\n".join(found))

@@ -3,7 +3,8 @@ import pytest
 
 from msgeom.errors import EmptySupportError
 from msgeom.fixtures import circle_cloud
-from msgeom.geometry import AffinePlane, AtomicMeasure, Ball, SpatialIndex, segment_sums
+from msgeom.geometry import (AffinePlane, AtomicMeasure, Ball, SpatialIndex, centred_sums,
+                             segment_sums)
 from msgeom.moments import (
     DisplacementConfig,
     _ball_moments,
@@ -65,6 +66,47 @@ def atom_kernel(mu, centers, r):
     mats[:, upper[0], upper[1]] = tri
     mats[:, upper[1], upper[0]] = tri
     return counts, masses, centers + mean, mats
+
+
+def fancy_index_centred_sums(rel, w, indptr, owner):
+    """`centred_sums` written with strided gathers and fancy-indexed product
+    rows, as it was before its gathers went contiguous: the bitwise oracle."""
+    mass = segment_sums(w, indptr)
+    mean = segment_sums((w * rel).T, indptr)
+    np.divide(mean, mass[:, None], out=mean, where=mass[:, None] > 0.0)
+    cen = rel - mean.T[:, owner]
+    upper = np.triu_indices(rel.shape[0])
+    return mass, mean, segment_sums(((w * cen)[upper[0]] * cen[upper[1]]).T, indptr)
+
+
+def strided_kernel(mu, centers, r):
+    """`_ball_moments` with every per-item gather strided, as it was before
+    they went contiguous: item offsets (items, n) from mu.positions.T and
+    anchors through the slot order, centres from centers.T, and the
+    fancy-index `centred_sums`.  The kernel's bitwise oracle."""
+    m, n = centers.shape
+    upper = np.triu_indices(n)
+    t = mu._index.item_tree()
+    anchor = t.order[t.start]
+    node_owner = np.repeat(np.arange(t.nodes), t.size[:t.nodes])
+    rel = mu.positions.T[:, t.members] - mu.positions.T[:, anchor[node_owner]]
+    _, offset, scatter = fancy_index_centred_sums(rel, mu.weights[t.members], t.member_ptr,
+                                                  node_owner)
+    offset = np.concatenate([offset, np.zeros((len(t.order), n))])
+    scatter = np.concatenate([scatter, np.zeros((len(t.order), scatter.shape[1]))])
+    mass = t.totals(mu.weights)
+    counts, masses = np.zeros(m, dtype=np.intp), np.zeros(m)
+    means, mats = np.zeros((m, n)), np.zeros((m, n, n))
+    for lo, hi, indptr, items in mu._index.ball_items(centers, r):
+        owner = np.repeat(np.arange(hi - lo), np.diff(indptr))
+        rel = (mu.positions.T[:, anchor[items]] - centers.T[:, lo:hi][:, owner]) \
+            + offset.T[:, items]
+        masses[lo:hi], means[lo:hi], tri = fancy_index_centred_sums(rel, mass[items], indptr, owner)
+        tri += segment_sums(scatter[items], indptr)
+        counts[lo:hi] = segment_sums(t.size[items], indptr)
+        mats[lo:hi, upper[0], upper[1]] = tri
+        mats[lo:hi, upper[1], upper[0]] = tri
+    return counts, masses, centers + means, mats
 
 
 def item_kernel(mu, centers, r):
@@ -388,6 +430,24 @@ class TestDisplacement:
                 displacement_profile_many(mu, centers, r, 1, cfg)[i]
 
 
+class TestCentredSums:
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_bitwise_equal_to_the_fancy_index_formula(self, n):
+        # offsets near 1e6, empty and massless segments, repeated offsets
+        rng = np.random.default_rng(40 + n)
+        counts = rng.integers(0, 9, 300)
+        counts[:5] = 0
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        owner = np.repeat(np.arange(counts.size), counts)
+        rel = rng.normal(size=(n, owner.size)) + 1e6
+        rel[:, 10:40] = rel[:, 10:11]
+        w = rng.random(owner.size)
+        w[np.isin(owner, np.arange(5, 25))] = 0.0
+        got, ref = centred_sums(rel, w, indptr, owner), fancy_index_centred_sums(rel, w, indptr, owner)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
 class TestItemKernel:
     """Ball moments from kd-node aggregates against the atom-only oracle."""
 
@@ -436,6 +496,22 @@ class TestItemKernel:
             seen.update(whole.tolist())
         assert seen == {False, True}  # both kinds of ball were compared
 
+    def test_contiguous_gathers_equal_the_strided_kernel(self):
+        # a cloud shifted by 1e6 with a massless half-space, 200 duplicate
+        # atoms, and centres whose balls are empty; several walk chunks
+        rng = np.random.default_rng(33)
+        pts = rng.normal(size=(1500, 3))
+        pts[:200] = pts[0]
+        pts += 1e6
+        w = np.where(pts[:, 0] < 1e6, 0.0, rng.random(1500) + 0.1)
+        mu = AtomicMeasure(pts, w)
+        centers = np.vstack([pts[rng.integers(0, 1500, 400)], pts[0], pts.max(axis=0) + 50.0])
+        for r in (1e-9, 0.3, 1.4, 10.0):
+            got, ref = item_kernel(mu, centers, r), strided_kernel(mu, centers, r)
+            assert (got[0] == 0).any()
+            for a, b in zip(got, ref):
+                assert a.shape == b.shape and np.array_equal(a, b)
+
     def test_zero_weight_nodes(self):
         rng = np.random.default_rng(31)
         pts = rng.normal(size=(600, 2))
@@ -446,7 +522,7 @@ class TestItemKernel:
         massless = mu._index.item_tree().totals(mu.weights)[:nodes] == 0.0
         assert massless.any()
         assert not np.isnan(offset).any() and not np.isnan(scatter).any()
-        assert np.all(offset[:nodes][massless] == 0.0)
+        assert np.all(offset[:, :nodes][:, massless] == 0.0)
         centers = np.vstack([pts[:40], [[-3.0, 0.0]]])
         for r in (0.2, 1.0, 5.0):
             counts, masses, x_cm, mats = item_kernel(mu, centers, r)
